@@ -32,7 +32,6 @@ Commands (``help`` prints this at the prompt):
 ``counters``             show cost counters
 ``shards``               show shard layout (sharded stores only)
 ``columnar [on|off|status]``  enable/disable the columnar snapshot
-``batch-kernel [on|off|status]``  enable/disable the vectorized write path
 ``chaos [SEED [STEPS [RATE [LEVEL]]]]``  run a fault-injection round
 ``serve SELECT ...``     run a query through the cached serving layer
 ``bench-serve [STEPS [RATIO [CACHE [SEED]]]]``  mixed read/update round
@@ -101,7 +100,6 @@ class Shell:
             "counters": self.cmd_counters,
             "shards": self.cmd_shards,
             "columnar": self.cmd_columnar,
-            "batch-kernel": self.cmd_batch_kernel,
             "chaos": self.cmd_chaos,
             "bench-serve": self.cmd_bench_serve,
             "traffic": self.cmd_traffic,
@@ -342,32 +340,6 @@ class Shell:
         else:
             self._print("usage: columnar [on|off|status]")
 
-    def cmd_batch_kernel(self, args: list[str]) -> None:
-        """batch-kernel [on|off|status] — manage the vectorized write
-        path (set-at-a-time batch maintenance over columnar deltas).
-        ``on`` enables it (attaching the columnar snapshot if needed),
-        ``off`` reverts batches to the interpreted dispatcher, no
-        argument or ``status`` reports engagement and fallbacks."""
-        action = args[0] if args else "status"
-        dispatcher = self.catalog.dispatcher
-        if action == "on":
-            self.catalog.enable_batch_kernel()
-            self._print("batch kernel on (batches dispatch set-at-a-time)")
-        elif action == "off":
-            dispatcher.batch_kernel = False
-            self._print("batch kernel off (interpreted dispatch)")
-        elif action == "status":
-            counters = self.catalog.store.counters
-            state = "on" if dispatcher.batch_kernel else "off"
-            self._print(
-                f"batch kernel {state}: "
-                f"{dispatcher.batch_kernel_batches} batches dispatched, "
-                f"{counters.batch_kernel_fallbacks} fallbacks, "
-                f"{counters.batch_screens} shared screen masks"
-            )
-        else:
-            self._print("usage: batch-kernel [on|off|status]")
-
     def _serve_statement(self, text: str) -> None:
         """serve SELECT ... — query through the catalog's cached read
         path; reports whether the answer came from the cache."""
@@ -510,51 +482,16 @@ class Shell:
                 self._print(line.replace("``", ""))
 
 
-def _profile_maint_main(args: list[str]) -> int:
-    """``repro profile maint [VIEWS [UPDATES [BATCH]]]``.
-
-    Runs the multi-view maintenance stream twice — interpreted, then
-    through the batch kernel — and prints the write-path breakdown:
-    the kernel's screen/region/apply phase walls next to the
-    interpreted dispatch, with each mode's counter charges.
-    """
-    from repro.workloads.profiling import run_maintenance_profile
-
-    try:
-        views = int(args[0]) if len(args) > 0 else 8
-        updates = int(args[1]) if len(args) > 1 else 96
-        batch_size = int(args[2]) if len(args) > 2 else 16
-    except ValueError:
-        print(
-            "usage: profile maint [VIEWS [UPDATES [BATCH]]]",
-            file=sys.stderr,
-        )
-        return 2
-    for kernel in (False, True):
-        report = run_maintenance_profile(
-            views=views,
-            updates=updates,
-            batch_size=batch_size,
-            kernel=kernel,
-        )
-        for line in report.describe_lines():
-            print(line)
-    return 0
-
-
 def _profile_main(args: list[str]) -> int:
     """``repro profile [DEPTH [FANOUT [UPDATES [SEED]]]]``.
 
     Runs the canned workload (:mod:`repro.workloads.profiling`) twice —
     interpreted, then columnar — and prints the per-phase wall-time and
     counter breakdown side by side, including the snapshot's
-    refresh/rows-scanned/fallback stats.  ``profile maint`` instead
-    profiles the write path (see :func:`_profile_maint_main`).
+    refresh/rows-scanned/fallback stats.
     """
     from repro.workloads.profiling import run_profile
 
-    if args and args[0] == "maint":
-        return _profile_maint_main(args[1:])
     try:
         depth = int(args[0]) if len(args) > 0 else 4
         fanout = int(args[1]) if len(args) > 1 else 5

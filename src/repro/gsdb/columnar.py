@@ -378,7 +378,7 @@ class ColumnarSnapshot:
             # missing row is another shard's object (its own snapshot
             # images the value) — never a rebuild trigger.  Uncharged:
             # a column write, not a row scan, so the charged shape of
-            # delta refreshes (E18/E19) is unchanged.
+            # delta refreshes (E18) is unchanged.
             row = self.row_of.get(update.oid)
             if row is not None:
                 self.value_of[row] = update.new_value

@@ -134,6 +134,13 @@ class ParentIndex:
         self.ignore_parent(view_oid)
         self.ignore_prefix(view_oid + ".")
 
+    def unignore_view(self, view_oid: str) -> None:
+        """Undo :meth:`ignore_view` for a view whose objects are already
+        gone from the store (nothing of it is left to re-index)."""
+        self._ignored.discard(view_oid)
+        if view_oid + "." in self._ignored_prefixes:
+            self._ignored_prefixes.remove(view_oid + ".")
+
     def _drop_ignored_entries(self) -> None:
         self._chain_cache.clear()
         for child in list(self._parents):

@@ -558,6 +558,13 @@ class ShardedParentIndex:
         self.ignore_parent(view_oid)
         self.ignore_prefix(view_oid + ".")
 
+    def unignore_view(self, view_oid: str) -> None:
+        self._ignored.discard(view_oid)
+        if view_oid + "." in self._ignored_prefixes:
+            self._ignored_prefixes.remove(view_oid + ".")
+        for index in self._indexes:
+            index.unignore_view(view_oid)
+
     # -- cache invalidation ---------------------------------------------------
 
     def _on_update(self, update: Update) -> None:

@@ -61,19 +61,6 @@ Counter semantics
                       fell back to the interpreted path because no
                       fresh snapshot was available (disabled, stale
                       mid-refresh, or unstitched shard borders)
-``batch_screens``     shared screen masks computed by the batch
-                      maintenance kernel — one per distinct (op kind,
-                      label signature) per delta frame, so views
-                      sharing a label gate share the screen
-                      (discrimination-network sharing, experiment E19)
-``delta_rows_scanned`` delta-frame rows materialized and candidate
-                      positions examined by the batch kernel's
-                      set-at-a-time screens, plus root-chain rows
-                      reconstructed from its region sweep — the write
-                      path's analogue of ``snapshot_rows_scanned``
-``batch_kernel_fallbacks`` batches that wanted the vectorized write
-                      path but dispatched interpreted instead (no
-                      fresh snapshot, or a non-tree affected region)
 ``epochs_published``  frozen snapshot epochs published into the MVCC
                       retention ring (experiment E20)
 ``epochs_reclaimed``  retained epochs whose frozen views were released
@@ -89,12 +76,10 @@ they exist to *explain* why base accesses went down (experiment E14).
 The snapshot/kernel counters are likewise kept out of the base-access
 total: columnar rows are copies, not base objects, so kernel work is
 reported in its own currency (``snapshot_rows_scanned``) next to the
-interpreted path's reads + traversals (experiment E18); the batch
-kernel's screen/region work (``batch_screens``,
-``delta_rows_scanned``) lives in that same columnar currency
-(experiment E19); the MVCC ring counters (``epochs_published``,
-``epochs_reclaimed``, ``snapshot_pins``) are retention bookkeeping in
-the same spirit (experiment E20).
+interpreted path's reads + traversals (experiment E18); the MVCC
+ring counters (``epochs_published``, ``epochs_reclaimed``,
+``snapshot_pins``) are retention bookkeeping in the same spirit
+(experiment E20).
 The recovery counters (retries, dedups, replays, resyncs) likewise are
 event counts, not base accesses; the base accesses a recovery action
 *causes* (e.g. a resync's recomputation) are charged where they happen
@@ -145,9 +130,6 @@ class CostCounters:
     snapshot_refreshes: int = 0
     snapshot_rows_scanned: int = 0
     kernel_fallbacks: int = 0
-    batch_screens: int = 0
-    delta_rows_scanned: int = 0
-    batch_kernel_fallbacks: int = 0
     epochs_published: int = 0
     epochs_reclaimed: int = 0
     snapshot_pins: int = 0

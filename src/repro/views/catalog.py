@@ -169,10 +169,16 @@ class ViewCatalog:
         if name in self.virtual_views or name in self.materialized_views:
             raise ViewError(f"view {name!r} already defined")
         if not definition.materialized:
-            view = VirtualView(definition, self.registry)
+            view = VirtualView(definition, self.registry, auto_refresh=False)
+            self.virtual_views[name] = view
+            try:
+                view.refresh()
+            except Exception:
+                # A corrected definition must be able to reuse the name.
+                self.drop_view(name)
+                raise
             if self.parent_index is not None:
                 self.parent_index.ignore_parent(name)
-            self.virtual_views[name] = view
             self._definition_order.append(name)
             return view
         mview = MaterializedView(
@@ -185,8 +191,13 @@ class ViewCatalog:
         )
         if self.parent_index is not None and mview.view_store is self.store:
             self.parent_index.ignore_view(name)
-        populate_view(mview, registry=self.registry)
         self.materialized_views[name] = mview
+        try:
+            populate_view(mview, registry=self.registry)
+        except Exception:
+            # A corrected definition must be able to reuse the name.
+            self.drop_view(name)
+            raise
         self._definition_order.append(name)
         self.maintainers[name] = self._make_maintainer(mview, maintainer)
         return mview
@@ -320,7 +331,8 @@ class ViewCatalog:
         return view
 
     def drop_view(self, name: str) -> None:
-        """Remove a view, its maintainer subscription, and its objects."""
+        """Remove a view, its maintainer subscription, its objects, and
+        its parent-index ignore entries."""
         maintainer = self.maintainers.pop(name, None)
         if maintainer is not None:
             self.dispatcher.unregister(maintainer)
@@ -341,6 +353,8 @@ class ViewCatalog:
         if vview is not None and vview.oid in self.store:
             self.store.remove_object(vview.oid)
         self.registry.unregister(name)
+        if self.parent_index is not None:
+            self.parent_index.unignore_view(name)
         if name in self._definition_order:
             self._definition_order.remove(name)
 
@@ -352,13 +366,18 @@ class ViewCatalog:
         Virtual views are refreshed in definition order so views defined
         over other views (paper expression 3.4) observe fresh values.
         """
+        return self.evaluator.evaluate(self._fresh_query(text))
+
+    def _fresh_query(self, text: str | Query) -> Query:
+        """Parse *text* and refresh the virtual views it references, in
+        definition order."""
         query = parse_query(text) if isinstance(text, str) else text
         referenced = {query.entry, query.within, query.ans_int}
         if referenced & set(self.virtual_views):
             for name in self._definition_order:
                 if name in self.virtual_views:
                     self.virtual_views[name].refresh()
-        return self.evaluator.evaluate(query)
+        return query
 
     def query_oids(self, text: str | Query) -> set[str]:
         """Like :meth:`query` but returns the raw OID set."""
@@ -458,33 +477,6 @@ class ViewCatalog:
             )
         return manager
 
-    def enable_batch_kernel(
-        self,
-        *,
-        rebuild_threshold: float = 0.25,
-        auto_refresh: bool = True,
-        stitch_borders: bool = True,
-    ):
-        """Turn on the vectorized write path (experiment E19).
-
-        Enables the columnar snapshot (same knobs as
-        :meth:`enable_columnar`) and flips the dispatcher's
-        ``batch_kernel`` flag, so batches go through
-        :mod:`repro.views.batch_kernel` — set-at-a-time screens over
-        columnar delta frames plus one region sweep per view root —
-        whenever a fresh snapshot is available, and fall back to the
-        interpreted dispatcher (charging ``batch_kernel_fallbacks``)
-        otherwise.  View extents are byte-identical either way.
-        Idempotent; returns the snapshot manager.
-        """
-        manager = self.enable_columnar(
-            rebuild_threshold=rebuild_threshold,
-            auto_refresh=auto_refresh,
-            stitch_borders=stitch_borders,
-        )
-        self.dispatcher.batch_kernel = True
-        return manager
-
     def _cacheable_query(self, query: Query) -> bool:
         """False when the query's answer depends on view delegates."""
         names = set(self.virtual_views) | set(self.materialized_views)
@@ -498,25 +490,13 @@ class ViewCatalog:
         """Like :meth:`query`, through the serving layer's cache."""
         if self.server is None:
             self.enable_serving()
-        query = parse_query(text) if isinstance(text, str) else text
-        referenced = {query.entry, query.within, query.ans_int}
-        if referenced & set(self.virtual_views):
-            for name in self._definition_order:
-                if name in self.virtual_views:
-                    self.virtual_views[name].refresh()
-        return self.server.evaluate(query)
+        return self.server.evaluate(self._fresh_query(text))
 
     def serve_oids(self, text: str | Query) -> set[str]:
         """Like :meth:`serve` but returns the raw OID set."""
         if self.server is None:
             self.enable_serving()
-        query = parse_query(text) if isinstance(text, str) else text
-        referenced = {query.entry, query.within, query.ans_int}
-        if referenced & set(self.virtual_views):
-            for name in self._definition_order:
-                if name in self.virtual_views:
-                    self.virtual_views[name].refresh()
-        return self.server.evaluate_oids(query)
+        return self.server.evaluate_oids(self._fresh_query(text))
 
     # -- maintenance helpers ---------------------------------------------------------
 

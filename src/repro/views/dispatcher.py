@@ -128,9 +128,6 @@ class PathContext:
         self._paths: dict[tuple[str, str], list[str] | None] = {}
         self._chains: dict[tuple[str, str], list[str] | None] = {}
         self._chain_sets: dict[str, tuple[frozenset[str], bool]] = {}
-        #: oid -> final-state subtree (exclusive), precomputed by the
-        #: batch kernel's region sweep; None when not batch-kernel-fed.
-        self._subtrees: dict[str, set[str]] | None = None
 
     def label(self, oid: str) -> str | None:
         """The label of *oid*, or None when absent (uncharged)."""
@@ -176,16 +173,6 @@ class PathContext:
             self._chain_sets[oid] = (frozenset(oids), stopped)
         return self._chain_sets[oid]
 
-    def descendants_of(self, oid: str) -> set[str] | None:
-        """The final-state subtree below *oid* (exclusive), when a
-        batch kernel precomputed it from one snapshot sweep; None sends
-        the caller down the interpreted ``descendants`` walk.  Shared
-        by every view purging the same batched-delete subtree —
-        callers must not mutate."""
-        if self._subtrees is None:
-            return None
-        return self._subtrees.get(oid)
-
 
 # ---------------------------------------------------------------------------
 # screening
@@ -209,10 +196,6 @@ def expression_labels(expression: PathExpression) -> set[str] | None:
         else:
             return None
     return labels
-
-
-#: Backwards-compatible private alias (pre-serving-layer name).
-_expression_labels = expression_labels
 
 
 def _comparisons(condition) -> list[Comparison]:
@@ -496,15 +479,6 @@ class MaintenanceDispatcher:
 
     Attributes:
         updates_dispatched: updates fanned out (post-coalescing).
-        batch_kernel: when True, batches take the vectorized write path
-            (:mod:`repro.views.batch_kernel`) whenever the store has a
-            fresh columnar snapshot, falling back to the interpreted
-            dispatch (charging ``batch_kernel_fallbacks``) otherwise.
-            View extents are byte-identical either way.
-        batch_kernel_batches: batches the kernel fully dispatched.
-        kernel_phase_seconds: wall seconds per kernel phase
-            (``screen`` / ``region`` / ``apply``) — the ``repro
-            profile maint`` breakdown.
     """
 
     def __init__(
@@ -513,20 +487,12 @@ class MaintenanceDispatcher:
         *,
         parent_index: ParentIndex | None = None,
         subscribe: bool = False,
-        batch_kernel: bool = False,
     ) -> None:
         self.store = store
         self.parent_index = parent_index
         self._entries: list[_Registration] = []
         self._buffer: list[Update] | None = None
         self.updates_dispatched = 0
-        self.batch_kernel = batch_kernel
-        self.batch_kernel_batches = 0
-        self.kernel_phase_seconds = {
-            "screen": 0.0,
-            "region": 0.0,
-            "apply": 0.0,
-        }
         if subscribe:
             store.subscribe(self.handle)
 
@@ -583,55 +549,11 @@ class MaintenanceDispatcher:
 
     def handle_batch(self, updates: Sequence[Update]) -> list[Update]:
         """Dispatch an already-applied batch, coalesced, with one
-        shared :class:`PathContext`.  Returns the surviving updates.
-
-        With :attr:`batch_kernel` set and a fresh columnar snapshot
-        available, the batch goes through the set-at-a-time kernel
-        (:func:`~repro.views.batch_kernel.kernel_dispatch`) instead of
-        the update-major interpreted loop — byte-identical extents,
-        columnar-currency charges."""
+        shared :class:`PathContext`.  Returns the surviving updates."""
         survivors = coalesce_updates(updates, counters=self.store.counters)
-        if not survivors:
-            return survivors
-        if self.batch_kernel and self._try_batch_kernel(survivors):
-            return survivors
-        self._dispatch(survivors, batched=True)
+        if survivors:
+            self._dispatch(survivors, batched=True)
         return survivors
-
-    def _try_batch_kernel(self, updates: Sequence[Update]) -> bool:
-        """Run *updates* through the batch kernel when possible.
-
-        Declines (returns False, charging ``batch_kernel_fallbacks``)
-        when the store has no columnar snapshot manager, the snapshot
-        cannot serve (stale with ``auto_refresh=False``, disabled, or
-        unstitched shards), or the kernel itself bails on a non-tree
-        region.  Snapshot refresh time counts toward the ``region``
-        phase — it is the price of the CSR the sweep runs over.
-        """
-        counters = self.store.counters
-        manager = getattr(self.store, "columnar", None)
-        if manager is None:
-            counters.batch_kernel_fallbacks += 1
-            return False
-        from time import perf_counter
-
-        began = perf_counter()
-        snapshot = manager.current()
-        self.kernel_phase_seconds["region"] += perf_counter() - began
-        if snapshot is None:
-            counters.batch_kernel_fallbacks += 1
-            return False
-        from repro.views.batch_kernel import kernel_dispatch
-
-        return kernel_dispatch(self, updates, snapshot)
-
-    def _kernel_frames(self, updates: Sequence[Update]):
-        """The batch as columnar delta frames (one, when unsharded)."""
-        from repro.gsdb.delta import DeltaFrame
-
-        return [
-            DeltaFrame(updates, self.store, counters=self.store.counters)
-        ]
 
     @contextmanager
     def batch(self) -> Iterator[None]:

@@ -252,19 +252,10 @@ class SimpleViewMaintainer:
             self.view.v_delete(target)
 
     def _purge_members_below(self, child_oid: str) -> None:
-        """Evict every view member in *child_oid*'s current subtree.
-
-        A batch kernel may have precomputed the subtree from one
-        snapshot sweep (shared across views through
-        :meth:`~repro.views.dispatcher.PathContext.descendants_of`);
-        otherwise walk the base interpreted."""
+        """Evict every view member in *child_oid*'s current subtree."""
         if self.view.contains(child_oid):
             self.view.v_delete(child_oid)
-        lookup = getattr(self._context, "descendants_of", None)
-        subtree = lookup(child_oid) if lookup is not None else None
-        if subtree is None:
-            subtree = descendants(self.base, child_oid)
-        for oid in sorted(subtree):
+        for oid in sorted(descendants(self.base, child_oid)):
             if self.view.contains(oid):
                 self.view.v_delete(oid)
 

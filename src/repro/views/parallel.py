@@ -296,40 +296,6 @@ class ParallelDispatcher(MaintenanceDispatcher):
         owner = getattr(self.store, "owner", None)
         return owner(update) if owner is not None else 0
 
-    def _kernel_frames(self, updates: Sequence[Update]):
-        """Cut one batch into per-shard delta frames.
-
-        Each frame keeps its updates in intake order and remembers
-        their *global* batch positions, so the kernel's verdicts merge
-        back deterministically; frame-building and screen-mask charges
-        land on the owning shard's counters (the same critical-path
-        accounting the interpreted fan-out uses).  Frames are emitted
-        in ascending shard order.
-        """
-        shards = self._shard_count()
-        if shards <= 1:
-            return super()._kernel_frames(updates)
-        from repro.gsdb.delta import DeltaFrame
-
-        by_shard: list[list[tuple[int, Update]]] = [
-            [] for _ in range(shards)
-        ]
-        for i, update in enumerate(updates):
-            by_shard[self._owner(update)].append((i, update))
-        frames = []
-        for shard, items in enumerate(by_shard):
-            if not items:
-                continue
-            frames.append(
-                DeltaFrame(
-                    [update for _i, update in items],
-                    self.store,
-                    positions=[i for i, _update in items],
-                    counters=self._shard_sink(shard),
-                )
-            )
-        return frames
-
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch(

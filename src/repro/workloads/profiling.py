@@ -168,75 +168,3 @@ def run_profile(
         snapshot=manager.describe() if manager is not None else None,
     )
 
-
-def run_maintenance_profile(
-    *,
-    views: int = 8,
-    updates: int = 96,
-    batch_size: int = 16,
-    branches: int = 16,
-    kernel: bool = True,
-) -> ProfileReport:
-    """The write-path profile behind ``repro profile maint``.
-
-    Runs the E14/E19 multi-view stream through a batching dispatcher
-    and reports the maintenance breakdown.  With *kernel*, the phases
-    are the batch kernel's own (``screen`` / ``region`` / ``apply``
-    from the dispatcher's ``kernel_phase_seconds``, plus coalescing and
-    everything else as ``other``); interpreted, the whole dispatch is
-    one ``dispatch`` phase.  Counters are stream-wide deltas in both
-    modes, attached to the mode's headline phase so the two reports
-    line up in the CLI.
-    """
-    from repro.gsdb.indexes import ParentIndex
-    from repro.gsdb.store import ObjectStore
-    from repro.views.dispatcher import MaintenanceDispatcher
-    from repro.workloads import multiview
-
-    store = multiview.build_store(
-        ObjectStore(), branches=branches, items=multiview.ITEMS
-    )
-    parent_index = ParentIndex(store)
-    dispatcher = MaintenanceDispatcher(
-        store, parent_index=parent_index, subscribe=True
-    )
-    if kernel:
-        from repro.gsdb.columnar import enable_columnar
-
-        enable_columnar(store)
-        dispatcher.batch_kernel = True
-    multiview.build_views(
-        store, views, parent_index=parent_index, dispatcher=dispatcher
-    )
-    before = store.counters.snapshot()
-    started = time.perf_counter()
-    multiview.run_stream(
-        store,
-        updates=updates,
-        branches=branches,
-        items=multiview.ITEMS,
-        dispatcher=dispatcher,
-        batch_size=batch_size,
-    )
-    total = time.perf_counter() - started
-    charged = store.counters.delta_since(before).as_dict()
-    phases: list[PhaseProfile] = []
-    if kernel:
-        walls = dispatcher.kernel_phase_seconds
-        accounted = 0.0
-        for name in ("screen", "region", "apply"):
-            phases.append(PhaseProfile(name, walls[name]))
-            accounted += walls[name]
-        phases.append(
-            PhaseProfile("other", max(0.0, total - accounted))
-        )
-        phases[0].counters = charged
-    else:
-        phases.append(PhaseProfile("dispatch", total, charged))
-    manager = getattr(store, "columnar", None)
-    return ProfileReport(
-        mode="kernel" if kernel else "interpreted",
-        phases=phases,
-        total_seconds=total,
-        snapshot=manager.describe() if manager is not None else None,
-    )

@@ -1,13 +1,15 @@
-"""Property suite: batch kernel ≡ interpreted dispatcher ≡ recompute.
+"""Property suite: batched dispatch, serial ≡ 2-shard ≡ 4-shard ≡ recompute.
 
-The vectorized write path (:mod:`repro.views.batch_kernel`) must leave
-every view extent byte-identical to the interpreted dispatcher's — on
-random tree bases, random batched update streams (attach / detach /
-move / modify, random batch sizes), for simple, condition-free, and
-extended (wildcard) views together in one catalog, serial and sharded
-(1/2/4 shards), and with a pinned-stale snapshot forcing the
-interpreted fallback mid-flight.  Hypothesis draws seeds; every
-generator is a deterministic function of them, so failures replay.
+Every batch goes through ``dispatcher.batch()`` — applied in full,
+coalesced, then dispatched against the final state — and must leave
+every view extent equal to recomputation and identical whether the
+store is plain (serial dispatcher) or sharded 2/4 ways (parallel
+dispatcher, screening precomputed per owner shard).  Random tree bases,
+random batched update streams (attach / detach / move / modify, random
+batch sizes — the only property generator driving *move* mutations
+through a batch), with simple, condition-free, and extended (wildcard)
+views together in one catalog.  Hypothesis draws seeds; every generator
+is a deterministic function of them, so failures replay.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gsdb import ObjectStore, ParentIndex
-from repro.gsdb.columnar import enable_columnar
 from repro.gsdb.sharding import ShardedParentIndex, ShardedStore
 from repro.gsdb.traversal import descendants
 from repro.views import (
@@ -45,7 +46,7 @@ VIEW_DEFS = (
     ("extended", "define mview EV as: SELECT root0.* X WHERE X.c > 50"),
 )
 
-MODES = ("interp", "kernel", "kernel-shard2", "kernel-shard4", "stale")
+SHARD_COUNTS = (1, 2, 4)
 
 
 def build_tree(store, seed: int, nodes: int) -> None:
@@ -118,14 +119,9 @@ def mutate(store, rng: random.Random, tag: int) -> None:
             store.modify_value(rng.choice(atoms), rng.randint(0, 100))
 
 
-def run_mode(mode: str, seed: int, nodes: int, steps: int):
-    if mode.endswith("-shard2"):
-        store = ShardedStore(shards=2)
-    elif mode.endswith("-shard4"):
-        store = ShardedStore(shards=4)
-    else:
-        store = ObjectStore()
-    sharded = isinstance(store, ShardedStore)
+def run_stream(shards: int, seed: int, nodes: int, steps: int):
+    sharded = shards > 1
+    store = ShardedStore(shards=shards) if sharded else ObjectStore()
     build_tree(store, seed, nodes)
     parent_index = (
         ShardedParentIndex(store) if sharded else ParentIndex(store)
@@ -139,13 +135,6 @@ def run_mode(mode: str, seed: int, nodes: int, steps: int):
             store, parent_index=parent_index, subscribe=True
         )
     )
-    if not mode.startswith("interp"):
-        enable_columnar(store, auto_refresh=(mode != "stale"))
-        if mode == "stale":
-            # Build one snapshot, then pin it: every batch arrives
-            # stale and must decline to the interpreted dispatcher.
-            getattr(store, "columnar").refresh()
-        dispatcher.batch_kernel = True
     views = []
     for kind, text in VIEW_DEFS:
         view = MaterializedView(
@@ -172,76 +161,25 @@ def run_mode(mode: str, seed: int, nodes: int, steps: int):
     extents = {
         view.definition.name: frozenset(view.members()) for view in views
     }
-    return extents, views, store, dispatcher
+    return extents, views, dispatcher
 
 
-class TestBatchKernelEquivalence:
+class TestBatchedDispatch:
     @given(
         seed=st.integers(0, 10_000),
         nodes=st.integers(8, 40),
         steps=st.integers(1, 24),
     )
     @settings(**COMMON)
-    def test_all_modes_agree_and_audit_clean(self, seed, nodes, steps):
+    def test_shard_counts_agree_and_audit_clean(self, seed, nodes, steps):
         baseline = None
-        for mode in MODES:
-            extents, views, store, dispatcher = run_mode(
-                mode, seed, nodes, steps
-            )
+        for shards in SHARD_COUNTS:
+            extents, views, dispatcher = run_stream(shards, seed, nodes, steps)
             for view in views:
                 report = check_consistency(view)
-                assert report.ok, (mode, report.describe())
+                assert report.ok, (shards, report.describe())
+            outcome = (extents, dispatcher.updates_dispatched)
             if baseline is None:
-                baseline = extents
+                baseline = outcome
             else:
-                assert extents == baseline, mode
-            counters = (
-                store.combined_counters()
-                if isinstance(store, ShardedStore)
-                else store.counters
-            )
-            if mode == "interp":
-                assert dispatcher.batch_kernel_batches == 0
-            elif mode == "stale":
-                # Every surviving batch declined; nothing ran vectorized.
-                assert dispatcher.batch_kernel_batches == 0
-                if dispatcher.updates_dispatched:
-                    assert counters.batch_kernel_fallbacks > 0
-            else:
-                # Live kernel: no fallbacks, and every surviving batch
-                # went through the vectorized path.
-                assert counters.batch_kernel_fallbacks == 0, mode
-                if dispatcher.updates_dispatched:
-                    assert dispatcher.batch_kernel_batches > 0, mode
-
-    @given(
-        seed=st.integers(0, 10_000),
-        nodes=st.integers(8, 30),
-        steps=st.integers(1, 16),
-    )
-    @settings(**COMMON)
-    def test_kernel_screening_matches_precomputed_interpreted(
-        self, seed, nodes, steps
-    ):
-        """Verdict-for-verdict equality against the dispatcher that
-        shares the kernel's screening semantics: the parallel
-        dispatcher also precomputes every verdict before any apply
-        (pre-batch ``view.contains``, frozen final base), so over the
-        same sharded store the kernel must screen exactly the same
-        (update, view) pairs and dispatch the same survivors.  (The
-        *serial* interpreted dispatcher interleaves screening with
-        apply, so its membership-refresh verdicts can conservatively
-        differ — extents still match, the other test's property.)"""
-        _, _, interp_store, interp_disp = run_mode(
-            "interp-shard2", seed, nodes, steps
-        )
-        _, _, kernel_store, kernel_disp = run_mode(
-            "kernel-shard2", seed, nodes, steps
-        )
-        assert (
-            kernel_store.combined_counters().updates_screened
-            == interp_store.combined_counters().updates_screened
-        )
-        assert (
-            kernel_disp.updates_dispatched == interp_disp.updates_dispatched
-        )
+                assert outcome == baseline, shards

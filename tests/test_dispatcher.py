@@ -200,6 +200,40 @@ class TestCoalescing:
         assert counters.updates_coalesced == 2
 
 
+class TestCoalesceFold:
+    """A surviving modify folds into the surviving insert of its object."""
+
+    def test_modify_after_insert_folds_into_insert(self):
+        counters = ObjectStore().counters
+        result = coalesce_updates(
+            [Insert("p", "x"), Modify("x", 1, 2)], counters=counters
+        )
+        assert result == [Insert("p", "x")]
+        assert counters.updates_coalesced == 1
+
+    def test_chain_then_surviving_insert(self):
+        counters = ObjectStore().counters
+        result = coalesce_updates(
+            [Insert("p", "x"), Modify("x", 1, 2), Modify("x", 2, 3)],
+            counters=counters,
+        )
+        assert result == [Insert("p", "x")]
+        assert counters.updates_coalesced == 2
+
+    def test_parity_cancelled_insert_keeps_modify(self):
+        counters = ObjectStore().counters
+        result = coalesce_updates(
+            [Insert("p", "x"), Modify("x", 1, 2), Delete("p", "x")],
+            counters=counters,
+        )
+        assert result == [Modify("x", 1, 2)]
+        assert counters.updates_coalesced == 2
+
+    def test_modify_of_uninserted_object_survives(self):
+        result = coalesce_updates([Insert("p", "x"), Modify("y", 1, 2)])
+        assert result == [Insert("p", "x"), Modify("y", 1, 2)]
+
+
 class TestBatchedCascadingDeletes:
     """Deletes dispatched against the final batch state are
     history-dependent: a later update may mutate the subtree an earlier

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ViewError
+from repro.errors import QueryEvaluationError, ViewError
 from repro.views import ViewCatalog
 from repro.views.catalog import _RecomputeMaintainer
 from repro.views.dag import DagCountingMaintainer
@@ -47,6 +47,25 @@ class TestMaintainerSelection:
         catalog.define("define view V as: SELECT ROOT.professor X")
         with pytest.raises(ViewError):
             catalog.define("define mview V as: SELECT ROOT.professor X")
+
+    def test_failed_define_leaves_no_trace(self, catalog):
+        with pytest.raises(QueryEvaluationError):
+            catalog.define("define mview M as: SELECT NOPE.a X")
+        assert "M" not in catalog.store
+        assert "M" not in catalog.registry.names()
+        assert not catalog.parent_index._is_ignored("M")
+        assert not catalog.parent_index._is_ignored("M.P1")
+        catalog.define(
+            "define mview M as: SELECT ROOT.professor X WHERE X.age <= 45"
+        )
+        assert catalog.check("M").ok
+
+    def test_failed_virtual_define_leaves_no_trace(self, catalog):
+        with pytest.raises(QueryEvaluationError):
+            catalog.define("define view V as: SELECT NOPE.a X")
+        assert "V" not in catalog.store
+        view = catalog.define("define view V as: SELECT ROOT.professor X")
+        assert view.members() == {"P1", "P2"}
 
 
 class TestMaintenanceThroughCatalog:
@@ -134,6 +153,7 @@ class TestDropView:
         catalog.drop_view("A")
         assert "A" not in catalog.materialized_views
         assert "A" not in catalog.store
+        assert not catalog.parent_index._is_ignored("A.P1")
         # Updates after dropping must not crash (listener detached).
         catalog.store.modify_value("A1", 10)
 
