@@ -33,6 +33,18 @@ from repro.gsdb.updates import Delete, Insert, Update
 _NO_CHILDREN: dict[str, set[str]] = {}
 
 
+def has_dotted_prefix_in(oid: str, prefixes: set[str]) -> bool:
+    """True when one of *oid*'s own dotted prefixes (``MV.`` and
+    ``MV.P1.`` for ``MV.P1.x``) is in *prefixes* — a set probe per dot
+    in the OID, however many prefixes are registered."""
+    end = oid.find(".")
+    while end != -1:
+        if oid[: end + 1] in prefixes:
+            return True
+        end = oid.find(".", end + 1)
+    return False
+
+
 class ParentIndex:
     """Maps each OID to the set of parents that point at it.
 
@@ -69,7 +81,7 @@ class ParentIndex:
     ) -> None:
         self._store = store
         self._ignored = set(ignore_parents or ())
-        self._ignored_prefixes: list[str] = []
+        self._ignored_prefixes: set[str] = set()
         self._ignored_labels = (
             ignore_labels
             if ignore_labels is not None
@@ -88,8 +100,9 @@ class ParentIndex:
         store.subscribe_creations(self._on_creation)
 
     def _is_ignored(self, oid: str) -> bool:
-        if oid in self._ignored or any(
-            oid.startswith(prefix) for prefix in self._ignored_prefixes
+        if oid in self._ignored or (
+            self._ignored_prefixes
+            and has_dotted_prefix_in(oid, self._ignored_prefixes)
         ):
             return True
         obj = self._store.peek(oid)
@@ -115,19 +128,36 @@ class ParentIndex:
         if oid in self._ignored:
             return
         self._ignored.add(oid)
-        self._drop_ignored_entries()
+        self._chain_cache.clear()
+        obj = self._store.peek(oid)
+        if obj is not None and obj.is_set:
+            for child in obj.children():
+                self._drop_edge(oid, child)
 
     def ignore_prefix(self, prefix: str) -> None:
-        """Exclude every OID starting with *prefix* as a parent.
+        """Exclude every OID under the dotted namespace *prefix* (which
+        must end with ``"."``) as a parent.
 
         Materialized views living in the same store as their base use
         this: the view object and its delegates (``MVJ``, ``MVJ.P1``,
         ...) carry membership/copy edges, not base structure.
         """
+        if not prefix.endswith("."):
+            raise ValueError(
+                f"ignored prefix {prefix!r} must end with '.'"
+            )
         if prefix in self._ignored_prefixes:
             return
-        self._ignored_prefixes.append(prefix)
-        self._drop_ignored_entries()
+        self._ignored_prefixes.add(prefix)
+        self._chain_cache.clear()
+        stale = [
+            (parent, child)
+            for child, parents in self._parents.items()
+            for parent in parents
+            if parent.startswith(prefix)
+        ]
+        for parent, child in stale:
+            self._drop_edge(parent, child)
 
     def ignore_view(self, view_oid: str) -> None:
         """Exclude a materialized view's object and all its delegates."""
@@ -138,18 +168,14 @@ class ParentIndex:
         """Undo :meth:`ignore_view` for a view whose objects are already
         gone from the store (nothing of it is left to re-index)."""
         self._ignored.discard(view_oid)
-        if view_oid + "." in self._ignored_prefixes:
-            self._ignored_prefixes.remove(view_oid + ".")
+        self._ignored_prefixes.discard(view_oid + ".")
 
-    def _drop_ignored_entries(self) -> None:
-        self._chain_cache.clear()
-        for child in list(self._parents):
-            parents = self._parents[child]
-            drop = {p for p in parents if self._is_ignored(p)}
-            if drop:
-                parents -= drop
-                if not parents:
-                    del self._parents[child]
+    def _drop_edge(self, parent: str, child: str) -> None:
+        parents = self._parents.get(child)
+        if parents is not None:
+            parents.discard(parent)
+            if not parents:
+                del self._parents[child]
 
     # -- maintenance ----------------------------------------------------------
 
@@ -177,11 +203,7 @@ class ParentIndex:
         elif isinstance(update, Delete):
             if not self._is_ignored(update.parent):
                 self._chain_cache.clear()
-                parents = self._parents.get(update.child)
-                if parents is not None:
-                    parents.discard(update.parent)
-                    if not parents:
-                        del self._parents[update.child]
+                self._drop_edge(update.parent, update.child)
         # Modify does not change edges (or labels), so chains survive.
 
     # -- lookup -----------------------------------------------------------------

@@ -59,7 +59,7 @@ from repro.errors import (
     InvalidUpdateError,
     UnknownObjectError,
 )
-from repro.gsdb.indexes import ParentIndex
+from repro.gsdb.indexes import ParentIndex, has_dotted_prefix_in
 from repro.gsdb.object import AtomicValue, Object
 from repro.gsdb.store import ObjectStore, TreeSpec
 from repro.gsdb.updates import (
@@ -521,7 +521,7 @@ class ShardedParentIndex:
             for shard in store.shard_stores()
         ]
         self._ignored: set[str] = set()
-        self._ignored_prefixes: list[str] = []
+        self._ignored_prefixes: set[str] = set()
         self._chain_caching = chain_cache
         self._chain_cache: dict[
             str, tuple[tuple[tuple[str, str], ...], bool]
@@ -532,8 +532,9 @@ class ShardedParentIndex:
     # -- ignore plumbing (grouping edges are not structure) -------------------
 
     def _is_ignored(self, oid: str) -> bool:
-        if oid in self._ignored or any(
-            oid.startswith(prefix) for prefix in self._ignored_prefixes
+        if oid in self._ignored or (
+            self._ignored_prefixes
+            and has_dotted_prefix_in(oid, self._ignored_prefixes)
         ):
             return True
         obj = self._store.peek(oid)
@@ -549,10 +550,10 @@ class ShardedParentIndex:
     def ignore_prefix(self, prefix: str) -> None:
         if prefix in self._ignored_prefixes:
             return
-        self._ignored_prefixes.append(prefix)
-        self._chain_cache.clear()
         for index in self._indexes:
-            index.ignore_prefix(prefix)
+            index.ignore_prefix(prefix)  # rejects an undotted prefix
+        self._ignored_prefixes.add(prefix)
+        self._chain_cache.clear()
 
     def ignore_view(self, view_oid: str) -> None:
         self.ignore_parent(view_oid)
@@ -560,8 +561,7 @@ class ShardedParentIndex:
 
     def unignore_view(self, view_oid: str) -> None:
         self._ignored.discard(view_oid)
-        if view_oid + "." in self._ignored_prefixes:
-            self._ignored_prefixes.remove(view_oid + ".")
+        self._ignored_prefixes.discard(view_oid + ".")
         for index in self._indexes:
             index.unignore_view(view_oid)
 

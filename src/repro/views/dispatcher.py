@@ -41,6 +41,19 @@ screening (:class:`_SimpleScreen` / :class:`_ExtendedScreen`)
     mirrors the maintainer's own early exit, so screened updates are
     again exact no-ops.
 
+:class:`_DefinitionIndex`
+    The screens above are the *single-view* definition of relevance;
+    asking each of them per update is O(views) even when the answer is
+    "one or two".  The dispatcher therefore screens an update **once**
+    against an index over the registered simple *definitions* — label
+    buckets, a dict from every prefix of ``sel_path.cond_path`` to the
+    views sharing it, and member candidates bucketed by the select
+    path's last label — which yields exactly the registrations whose
+    screen would say yes, performing exactly the charged lookups the
+    per-view loop would.  It is keyed by definitions only, never by
+    membership, so ``register``/``unregister`` are the only events that
+    invalidate it.
+
 :func:`coalesce_updates`
     Batch pre-processing: cancel insert/delete pairs that leave an edge
     in its pre-batch state, fold modify chains on one object to
@@ -84,6 +97,7 @@ deviations from the paper.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from repro.gsdb.indexes import ParentIndex
@@ -124,6 +138,7 @@ class PathContext:
         self.store = store
         self.parent_index = parent_index
         self.batched = batched
+        self._peek = getattr(store, "peek", None) or store.get_optional
         self._labels: dict[str, str | None] = {}
         self._paths: dict[tuple[str, str], list[str] | None] = {}
         self._chains: dict[tuple[str, str], list[str] | None] = {}
@@ -132,8 +147,7 @@ class PathContext:
     def label(self, oid: str) -> str | None:
         """The label of *oid*, or None when absent (uncharged)."""
         if oid not in self._labels:
-            peek = getattr(self.store, "peek", None)
-            obj = peek(oid) if peek is not None else self.store.get_optional(oid)
+            obj = self._peek(oid)
             self._labels[oid] = None if obj is None else obj.label
         return self._labels[oid]
 
@@ -460,12 +474,157 @@ def coalesce_updates(
 
 
 class _Registration:
-    __slots__ = ("maintainer", "screen", "supports_context")
+    __slots__ = ("maintainer", "screen", "supports_context", "order")
 
     def __init__(self, maintainer, screen, supports_context: bool) -> None:
         self.maintainer = maintainer
         self.screen = screen
         self.supports_context = supports_context
+        self.order = 0  # position in registration order (set by the index)
+
+    def deliver(self, update: Update, context: PathContext) -> None:
+        if self.supports_context:
+            self.maintainer.handle(update, context)
+        else:
+            self.maintainer.handle(update)
+
+
+class _RootBuckets:
+    """The simple definitions sharing one view root, by label and by path."""
+
+    __slots__ = ("edge_gate", "modify_gate", "prefixes", "conditions")
+
+    def __init__(self) -> None:
+        #: label -> views with it anywhere on ``sel_path.cond_path``.
+        self.edge_gate: dict[str, list[_Registration]] = {}
+        #: label -> condition views whose ``sel_path.cond_path`` ends
+        #: with it.
+        self.modify_gate: dict[str, list[_Registration]] = {}
+        #: every non-empty prefix of ``sel_path.cond_path`` -> the views
+        #: sharing it.
+        self.prefixes: dict[tuple[str, ...], list[_Registration]] = {}
+        #: the whole ``sel_path.cond_path`` -> the condition views
+        #: defined by it.
+        self.conditions: dict[tuple[str, ...], list[_Registration]] = {}
+
+
+#: Kinds of pending work in :meth:`_DefinitionIndex.matching`, in the
+#: order they run when they fall on the same registration.
+_RESOLVE, _MATCHED, _FALLBACK = range(3)
+
+
+class _DefinitionIndex:
+    """Discrimination index over the registered view definitions.
+
+    Answers "which registrations can this update affect?" with a few
+    dict probes instead of one screen call per view.  Simple views are
+    bucketed by what their *definition* fixes (root, labels, prefixes of
+    ``sel_path.cond_path``, the select path's last label — which every
+    member carries); extended views and unscreened maintainers cannot
+    be bucketed and keep their own screen, asked at their turn.
+
+    :meth:`matching` yields in registration order and is lazy:
+    ``path(ROOT, N1)`` is requested when the per-view loop would have
+    reached the first view needing it — label gate passed, N1 not a
+    member — so verdicts, charged lookups and chain-memo hits/misses
+    equal those of asking every ``screen.relevant`` in turn.  (Label
+    probes go through the store's uncharged ``peek``.)
+    """
+
+    def __init__(self, entries: Sequence[_Registration]) -> None:
+        self.registered = len(entries)
+        self.screened = sum(1 for e in entries if e.screen is not None)
+        #: Unscreened and extended registrations, as pending work.
+        self._fallback: list[tuple[int, int, _Registration]] = []
+        #: Simple views by their select path's last label.
+        self._members: dict[str, list[_Registration]] = {}
+        #: Simple views selecting ROOT itself, by root OID.
+        self._rooted: dict[str, list[_Registration]] = {}
+        self._roots: dict[str, _RootBuckets] = {}
+        for order, entry in enumerate(entries):
+            entry.order = order
+            if not isinstance(entry.screen, _SimpleScreen):
+                self._fallback.append((order, _FALLBACK, entry))
+                continue
+            m = entry.maintainer
+            if m.sel_path:
+                self._members.setdefault(m.sel_path.labels[-1], []).append(
+                    entry
+                )
+            else:
+                self._rooted.setdefault(m.root, []).append(entry)
+            buckets = self._roots.setdefault(m.root, _RootBuckets())
+            for label in entry.screen._full_labels:
+                buckets.edge_gate.setdefault(label, []).append(entry)
+            full = m.full_path.labels
+            for end in range(1, len(full) + 1):
+                buckets.prefixes.setdefault(full[:end], []).append(entry)
+            if m.has_condition and full:
+                buckets.modify_gate.setdefault(full[-1], []).append(entry)
+                buckets.conditions.setdefault(full, []).append(entry)
+
+    def matching(
+        self, update: Update, ctx: PathContext
+    ) -> Iterator[_Registration]:
+        """The registrations *update* can affect, in registration order."""
+        modify = isinstance(update, Modify)
+        oid = update.oid if modify else update.parent
+        pending = self._fallback.copy()
+        # Members of N1 / N need a value refresh whatever the paths say
+        # (a member carries its view's last select label; an object the
+        # store no longer holds is nobody's member).
+        label = ctx.label(oid)
+        for entry in self._members.get(label, ()):
+            if entry.maintainer.view.contains(oid):
+                pending.append((entry.order, _MATCHED, entry))
+        for entry in self._rooted.get(oid, ()):
+            m = entry.maintainer
+            if m.view.contains(oid) or (
+                modify and m.has_condition and not m.full_path
+            ):
+                pending.append((entry.order, _MATCHED, entry))
+        # The label gate: label(N2) must continue sel_path.cond_path, a
+        # modified N must carry its last label.
+        gate = label if modify else ctx.label(update.child)
+        label_only = ctx.batched and isinstance(update, Delete)
+        if gate is not None:
+            for root, buckets in self._roots.items():
+                gated = (
+                    buckets.modify_gate if modify else buckets.edge_gate
+                ).get(gate, ())
+                for entry in gated:
+                    if entry.maintainer.view.contains(oid):
+                        continue  # already pending as a member
+                    if label_only:
+                        # Removals are history-dependent (see the module
+                        # docstring): only the label gate is sound.
+                        pending.append((entry.order, _MATCHED, entry))
+                    else:
+                        # The first view to need path(ROOT, N1) settles
+                        # every view of this root.
+                        pending.append((entry.order, _RESOLVE, root))
+                        break
+        heapify(pending)
+        while pending:
+            _order, kind, item = heappop(pending)
+            if kind == _RESOLVE:
+                path = ctx.path_between(item, oid)
+                if path is None:
+                    continue  # N1 unreachable from this root
+                buckets = self._roots[item]
+                if modify:
+                    found = buckets.conditions.get(tuple(path), ())
+                else:
+                    found = buckets.prefixes.get((*path, gate), ())
+                for entry in found:
+                    if not entry.maintainer.view.contains(oid):
+                        heappush(pending, (entry.order, _MATCHED, entry))
+            elif (
+                kind == _MATCHED
+                or item.screen is None
+                or item.screen.relevant(update, ctx)
+            ):
+                yield item
 
 
 class MaintenanceDispatcher:
@@ -473,9 +632,10 @@ class MaintenanceDispatcher:
 
     Register it once (``subscribe=True``) instead of subscribing each
     maintainer; per update it builds one :class:`PathContext`, screens
-    each registered view, and invokes only the maintainers the update
-    can affect.  Per-update dispatch cost is then O(affected views),
-    not O(total views) — experiment E14.
+    the update once against the :class:`_DefinitionIndex` over the
+    registered views, and invokes only the maintainers the update can
+    affect.  Per-update dispatch cost is then O(affected views), not
+    O(total views) — experiment E14.
 
     Attributes:
         updates_dispatched: updates fanned out (post-coalescing).
@@ -491,6 +651,7 @@ class MaintenanceDispatcher:
         self.store = store
         self.parent_index = parent_index
         self._entries: list[_Registration] = []
+        self._index: _DefinitionIndex | None = None
         self._buffer: list[Update] | None = None
         self.updates_dispatched = 0
         if subscribe:
@@ -520,6 +681,7 @@ class MaintenanceDispatcher:
         self._entries.append(
             _Registration(maintainer, screener, supports_context)
         )
+        self._index = None
         return maintainer
 
     def unregister(self, maintainer) -> None:
@@ -529,6 +691,7 @@ class MaintenanceDispatcher:
             for entry in self._entries
             if entry.maintainer is not maintainer
         ]
+        self._index = None
 
     def registered(self) -> list:
         """The registered maintainers, in registration order."""
@@ -578,20 +741,23 @@ class MaintenanceDispatcher:
             if buffered:
                 self.handle_batch(buffered)
 
+    def _definition_index(self) -> _DefinitionIndex:
+        """The index over the current registrations (rebuilt after
+        ``register``/``unregister``, the only events that change it)."""
+        if self._index is None:
+            self._index = _DefinitionIndex(self._entries)
+        return self._index
+
     def _dispatch(
         self, updates: Sequence[Update], *, batched: bool = False
     ) -> None:
         context = PathContext(self.store, self.parent_index, batched=batched)
         counters = self.store.counters
+        index = self._definition_index()
         for update in updates:
             self.updates_dispatched += 1
-            for entry in self._entries:
-                if entry.screen is not None and not entry.screen.relevant(
-                    update, context
-                ):
-                    counters.updates_screened += 1
-                    continue
-                if entry.supports_context:
-                    entry.maintainer.handle(update, context)
-                else:
-                    entry.maintainer.handle(update)
+            matched = 0
+            for entry in index.matching(update, context):
+                matched += 1
+                entry.deliver(update, context)
+            counters.updates_screened += index.registered - matched

@@ -2,8 +2,9 @@
 
 :class:`ParallelDispatcher` splits :class:`~repro.views.dispatcher.
 MaintenanceDispatcher`'s per-batch work into the phase that dominates
-it — *screening*, the relevance walks up the tree for every (update,
-view) pair — and the *apply* phase that mutates view extents.  The
+it — *screening*, each update's probe of the dispatcher's definition
+index with the relevance walks up the tree it triggers — and the
+*apply* phase that mutates view extents.  The
 screening phase fans out to a thread pool, one task per shard of the
 underlying :class:`~repro.gsdb.sharding.ShardedStore`; the apply phase
 stays serial and runs in the batch's original intake order.
@@ -58,7 +59,12 @@ from repro.gsdb.sharding import ShardedParentIndex, ShardedStore
 from repro.gsdb.store import ObjectStore
 from repro.gsdb.updates import Update
 from repro.instrumentation.counters import CostCounters
-from repro.views.dispatcher import MaintenanceDispatcher, PathContext
+from repro.views.dispatcher import (
+    MaintenanceDispatcher,
+    PathContext,
+    _DefinitionIndex,
+    _Registration,
+)
 
 
 class _ShardReadView:
@@ -69,14 +75,12 @@ class _ShardReadView:
     store would have made land on this task's private counters instead.
     """
 
-    __slots__ = ("_store", "counters")
+    __slots__ = ("_store", "counters", "peek")
 
     def __init__(self, store, counters: CostCounters) -> None:
         self._store = store
         self.counters = counters
-
-    def peek(self, oid: str):
-        return self._store.peek(oid)
+        self.peek = store.peek
 
     def get_optional(self, oid: str):
         self.counters.object_reads += 1
@@ -222,21 +226,21 @@ class _ShardIndexView:
 
 
 class _ShardScreenTask:
-    """One shard's screening work: verdicts + memos + private charges."""
+    """One shard's screening work: matches + memos + private charges."""
 
-    __slots__ = ("items", "entries", "ctx", "counters", "verdicts")
+    __slots__ = ("items", "index", "ctx", "counters", "matched")
 
     def __init__(
         self,
         store,
         parent_index,
         items: list[tuple[int, Update]],
-        entries: list[tuple[int, object]],
+        index: _DefinitionIndex,
         *,
         batched: bool,
     ) -> None:
         self.items = items
-        self.entries = entries
+        self.index = index
         self.counters = CostCounters()
         read_view = _ShardReadView(store, self.counters)
         index_view = (
@@ -245,14 +249,12 @@ class _ShardScreenTask:
             else None
         )
         self.ctx = PathContext(read_view, index_view, batched=batched)
-        self.verdicts: dict[tuple[int, int], bool] = {}
+        #: update position -> matching registrations, registration order.
+        self.matched: dict[int, list[_Registration]] = {}
 
     def run(self) -> None:
         for i, update in self.items:
-            for j, entry in self.entries:
-                self.verdicts[(i, j)] = entry.screen.relevant(
-                    update, self.ctx
-                )
+            self.matched[i] = list(self.index.matching(update, self.ctx))
 
 
 class ParallelDispatcher(MaintenanceDispatcher):
@@ -302,16 +304,13 @@ class ParallelDispatcher(MaintenanceDispatcher):
         self, updates: Sequence[Update], *, batched: bool = False
     ) -> None:
         shards = self._shard_count()
-        screened = [
-            (j, entry)
-            for j, entry in enumerate(self._entries)
-            if entry.screen is not None
-        ]
-        if shards <= 1 or len(updates) <= 1 or not screened:
+        index = self._definition_index()
+        if shards <= 1 or len(updates) <= 1 or not index.screened:
             super()._dispatch(updates, batched=batched)
             return
         # Phase 1: group by owning shard (intake order kept per shard)
-        # and screen every (update, view) pair on the pool.
+        # and screen every update against the definition index on the
+        # pool.
         by_shard: list[list[tuple[int, Update]]] = [[] for _ in range(shards)]
         for i, update in enumerate(updates):
             by_shard[self._owner(update)].append((i, update))
@@ -320,7 +319,7 @@ class ParallelDispatcher(MaintenanceDispatcher):
                 self.store,
                 self.parent_index,
                 items,
-                screened,
+                index,
                 batched=batched,
             )
             for items in by_shard
@@ -338,7 +337,7 @@ class ParallelDispatcher(MaintenanceDispatcher):
         context = PathContext(
             self.store, self.parent_index, batched=batched
         )
-        verdicts: dict[tuple[int, int], bool] = {}
+        matched: dict[int, list[_Registration]] = {}
         for shard, task in enumerate(tasks):
             if not task.items:
                 continue
@@ -347,20 +346,15 @@ class ParallelDispatcher(MaintenanceDispatcher):
             context._paths.update(task.ctx._paths)
             context._chains.update(task.ctx._chains)
             context._chain_sets.update(task.ctx._chain_sets)
-            verdicts.update(task.verdicts)
+            matched.update(task.matched)
         # Phase 3: serial apply in global intake order — observably the
         # serial dispatcher's schedule with screening answers prepaid.
         counters = self.store.counters
         for i, update in enumerate(updates):
             self.updates_dispatched += 1
-            for j, entry in enumerate(self._entries):
-                if entry.screen is not None and not verdicts[(i, j)]:
-                    counters.updates_screened += 1
-                    continue
-                if entry.supports_context:
-                    entry.maintainer.handle(update, context)
-                else:
-                    entry.maintainer.handle(update)
+            counters.updates_screened += index.registered - len(matched[i])
+            for entry in matched[i]:
+                entry.deliver(update, context)
         self.parallel_batches += 1
 
     def _shard_sink(self, shard: int) -> CostCounters:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gsdb import LabelIndex, ObjectStore, ParentIndex
+from repro.gsdb.sharding import ShardedParentIndex, ShardedStore
 
 
 @pytest.fixture
@@ -71,6 +72,12 @@ class TestParentIndex:
         index.ignore_prefix("MV.")
         assert index.parents("A1") == {"P1"}
 
+    def test_ignore_prefix_must_be_a_dotted_namespace(self, store):
+        index = ParentIndex(store)
+        with pytest.raises(ValueError):
+            index.ignore_prefix("MV")
+        assert not index._is_ignored("MV1")
+
     def test_roots(self, store):
         index = ParentIndex(store)
         assert index.roots() == {"ROOT"}
@@ -86,6 +93,81 @@ class TestParentIndex:
         index.parent("A1")
         index.parents("A1")
         assert store.counters.index_probes == before + 2
+
+
+def _plain():
+    store = ObjectStore()
+    return store, lambda: ParentIndex(store)
+
+
+def _sharded():
+    store = ShardedStore(shards=3)
+    return store, lambda: ShardedParentIndex(store)
+
+
+@pytest.mark.parametrize("make", [_plain, _sharded], ids=["plain", "sharded"])
+class TestIgnoredViews:
+    """Which parents a view name ignores — and which it must not."""
+
+    def _base(self, make):
+        store, build = make()
+        store.check_references = False
+        store.add_atomic("A1", "age", 45)
+        store.add_set("P1", "professor", ["A1"])
+        return store, build
+
+    def test_view_name_containing_a_dot(self, make):
+        store, build = self._base(make)
+        index = build()
+        index.ignore_view("lab.MV")
+        store.add_set("lab.MV", "mview", ["lab.MV.P1"])
+        store.add_set("lab.MV.P1", "professor", ["A1"])
+        store.add_set("lab.other", "professor", ["A1"])
+        assert index.parents("A1") == {"P1", "lab.other"}
+        assert index.parents("lab.MV.P1") == set()
+
+    def test_mv1_beside_mv10(self, make):
+        store, build = self._base(make)
+        index = build()
+        index.ignore_view("MV1")
+        store.add_set("MV1.P1", "professor", ["A1"])
+        store.add_set("MV10", "group", ["MV10.P1"])
+        store.add_set("MV10.P1", "professor", ["A1"])
+        assert index.parents("A1") == {"P1", "MV10.P1"}
+        assert index.parents("MV10.P1") == {"MV10"}
+
+    def test_ignoring_a_view_that_already_owns_delegates(self, make):
+        store, build = self._base(make)
+        store.add_set("MV", "group", ["MV.P1", "MV.P2"])
+        store.add_set("MV.P1", "professor", ["A1"])
+        store.add_set("MV.P2", "professor", ["A1"])
+        store.add_set("MVX", "group", ["A1"])
+        index = build()
+        assert index.parents("A1") == {"P1", "MV.P1", "MV.P2", "MVX"}
+        assert index.parents("MV.P1") == {"MV"}
+        index.ignore_view("MV")
+        # Exactly the view's own edges went; its neighbours' stayed.
+        assert index.parents("A1") == {"P1", "MVX"}
+        assert index.parents("MV.P1") == set()
+        assert index.parent("P1") is None
+
+    def test_unignore_round_trip(self, make):
+        store, build = self._base(make)
+        index = build()
+        index.ignore_view("MV")
+        store.add_set("MV.P1", "professor", ["A1"])
+        assert index.parents("A1") == {"P1"}
+        store.remove_object("MV.P1")
+        index.unignore_view("MV")
+        assert not index._is_ignored("MV")
+        assert not index._is_ignored("MV.P1")
+        # The name is an ordinary parent again ...
+        store.add_set("MV.P1", "professor", [])
+        store.insert_edge("MV.P1", "A1")
+        assert index.parents("A1") == {"P1", "MV.P1"}
+        # ... and can be ignored again, retroactively.
+        index.ignore_view("MV")
+        assert index.parents("A1") == {"P1"}
 
 
 class TestLabelIndex:

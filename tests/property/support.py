@@ -13,6 +13,18 @@ import os
 
 from hypothesis import HealthCheck
 
+from repro.gsdb import ObjectStore
+from repro.views import (
+    ExtendedViewMaintainer,
+    MaterializedView,
+    PathContext,
+    SimpleViewMaintainer,
+    ViewDefinition,
+    populate_view,
+)
+from repro.views.partial import PartialMaterializedView
+from repro.views.recompute import compute_view_members
+
 _SCALE = int(os.environ.get("REPRO_PROPERTY_EXAMPLES", "0"))
 
 
@@ -23,3 +35,170 @@ def common_settings(default_examples: int) -> dict:
         max_examples=_SCALE or default_examples,
         suppress_health_check=[HealthCheck.too_slow],
     )
+
+
+# ---------------------------------------------------------------------------
+# random view catalogs, and the per-view reference the dispatcher's
+# definition index must equal
+# ---------------------------------------------------------------------------
+
+#: Definition templates over an entry ``{e}``: shared prefixes, a
+#: repeated label, condition-less views, conditions on the member
+#: itself, and the empty select path (the view of ROOT itself).
+SIMPLE_TEMPLATES = (
+    "SELECT {e}.a X",
+    "SELECT {e}.a.b X",
+    "SELECT {e}.a.b.c X",
+    "SELECT {e}.a.a X",
+    "SELECT {e}.b X WHERE X > 30",
+    "SELECT {e}.a X WHERE X.b > 40",
+    "SELECT {e}.a X WHERE X.a > 40",
+    "SELECT {e}.a X WHERE X.b.c <= 60",
+    "SELECT {e}.a.b X WHERE X.c > 50",
+    "SELECT {e}.c X WHERE X.a = 77",
+    "SELECT {e} X",
+    "SELECT {e} X WHERE X.a > 40",
+    "SELECT {e} X WHERE X > 30",
+)
+
+EXTENDED_TEMPLATES = (
+    "SELECT {e}.* X WHERE X.c > 50",
+    "SELECT {e}.?.b X",
+    "SELECT {e}.a X WHERE X.b > 20 AND X.c < 80",
+)
+
+#: How a drawn view is maintained: ``simple`` and ``extended`` get their
+#: screen, ``unscreened`` is a simple maintainer registered with
+#: ``screen=False``, ``partial`` a partially materialized view;
+#: ``recorder`` and ``prober`` are context-free maintainers without a
+#: view (see :class:`Recorder`, :class:`ChainProber`).
+VIEW_KINDS = ("simple", "simple", "simple", "extended", "unscreened",
+              "partial", "recorder", "prober")
+
+
+class Recorder:
+    """An unscreened, context-free maintainer: remembers what it saw."""
+
+    def __init__(self, log: list, name: str) -> None:
+        self.log = log
+        self.name = name
+
+    def handle(self, update) -> None:
+        self.log.append((self.name, update))
+
+
+class ChainProber:
+    """A context-free maintainer that resolves the updated child's
+    upward chain itself (what the serving invalidator does per update).
+
+    It warms the parent index's chain memo from *below* N1, so whether
+    ``path(ROOT, N1)`` was asked before or after its turn shows in the
+    chain-memo hits, misses and reads: an index that resolved paths
+    ahead of the registrations' turns would not charge what the
+    per-view loop charged.
+    """
+
+    def __init__(self, parent_index) -> None:
+        self.parent_index = parent_index
+
+    def handle(self, update) -> None:
+        self.parent_index.chain_to_top(getattr(update, "child", None) or update.oid)
+
+
+def draw_catalog(rng, roots: list[str], count: int) -> list[tuple[str, str]]:
+    """*count* ``(kind, query text)`` pairs over entries from *roots*."""
+    specs = []
+    for _ in range(count):
+        kind = rng.choice(VIEW_KINDS)
+        templates = EXTENDED_TEMPLATES if kind == "extended" else SIMPLE_TEMPLATES
+        specs.append((kind, rng.choice(templates).format(e=rng.choice(roots))))
+    return specs
+
+
+def register_catalog(dispatcher, store, parent_index, specs, log=None):
+    """Build every drawn view (delegates in a private view store, so
+    maintenance never perturbs the base) and register its maintainer in
+    spec order.  Returns the views; a view-less kind contributes None."""
+    log = [] if log is None else log
+    views = []
+    for ordinal, (kind, query) in enumerate(specs):
+        if kind in ("recorder", "prober"):
+            dispatcher.register(
+                Recorder(log, f"R{ordinal}")
+                if kind == "recorder"
+                else ChainProber(parent_index)
+            )
+            views.append(None)
+            continue
+        definition = ViewDefinition.parse(f"define mview V{ordinal} as: {query}")
+        if kind == "partial":
+            view = PartialMaterializedView(definition, store, ObjectStore(), depth=2)
+            view.load_members(compute_view_members(definition, store))
+        else:
+            view = MaterializedView(definition, store, ObjectStore())
+            populate_view(view)
+        maintainer_cls = (
+            ExtendedViewMaintainer if kind == "extended" else SimpleViewMaintainer
+        )
+        dispatcher.register(
+            maintainer_cls(view, parent_index=parent_index, subscribe=False),
+            screen=kind != "unscreened",
+        )
+        views.append(view)
+    return views
+
+
+class PerViewIndex:
+    """The reference the definition index must equal: ask every
+    registration's own screen, in registration order, each at its turn
+    (what the dispatchers did before the index existed)."""
+
+    def __init__(self, entries) -> None:
+        self.entries = list(entries)
+        self.registered = len(self.entries)
+        self.screened = sum(1 for e in self.entries if e.screen is not None)
+
+    def matching(self, update, ctx):
+        for entry in self.entries:
+            if entry.screen is None or entry.screen.relevant(update, ctx):
+                yield entry
+
+
+def use_per_view_screens(dispatcher) -> None:
+    """Make *dispatcher* screen through :class:`PerViewIndex`."""
+    dispatcher._definition_index = lambda: PerViewIndex(dispatcher._entries)
+
+
+class _CheckedIndex:
+    """The real index, with every answer compared to the screens."""
+
+    def __init__(self, index, entries, checked: list) -> None:
+        self.index = index
+        self.reference = PerViewIndex(entries)
+        self.registered = index.registered
+        self.screened = index.screened
+        self.checked = checked
+
+    def matching(self, update, ctx):
+        # A private context: the reference's lookups must not warm the
+        # memo the index is about to use.
+        private = PathContext(ctx.store, ctx.parent_index, batched=ctx.batched)
+        expected = list(self.reference.matching(update, private))
+        got = list(self.index.matching(update, ctx))
+        assert got == expected, (update, got, expected)
+        self.checked.append(update)
+        return iter(got)
+
+
+def check_matching_against_screens(dispatcher) -> list:
+    """Assert, for every update *dispatcher* screens from now on, that
+    the index yields exactly ``[j : screen_j.relevant(update, ctx)]`` in
+    registration order.  Returns the list the checked updates land in."""
+    checked: list = []
+    build = dispatcher._definition_index
+
+    def checked_index():
+        return _CheckedIndex(build(), dispatcher._entries, checked)
+
+    dispatcher._definition_index = checked_index
+    return checked

@@ -10,6 +10,12 @@ batch sizes — the only property generator driving *move* mutations
 through a batch), with simple, condition-free, and extended (wildcard)
 views together in one catalog.  Hypothesis draws seeds; every generator
 is a deterministic function of them, so failures replay.
+
+A second property draws the *catalog* too (shared prefixes, several
+roots, empty select paths, partial, extended, unscreened and
+context-free maintainers interleaved) and holds the dispatchers'
+definition index to the per-view screens at every shard count: same
+matches per update, same charges per shard.
 """
 
 from __future__ import annotations
@@ -32,7 +38,13 @@ from repro.views import (
 )
 from repro.views.dispatcher import MaintenanceDispatcher
 from repro.views.parallel import ParallelDispatcher
-from tests.property.support import common_settings
+from tests.property.support import (
+    check_matching_against_screens,
+    common_settings,
+    draw_catalog,
+    register_catalog,
+    use_per_view_screens,
+)
 
 COMMON = common_settings(10)
 
@@ -119,7 +131,20 @@ def mutate(store, rng: random.Random, tag: int) -> None:
             store.modify_value(rng.choice(atoms), rng.randint(0, 100))
 
 
-def run_stream(shards: int, seed: int, nodes: int, steps: int):
+def run_stream(
+    shards: int,
+    seed: int,
+    nodes: int,
+    steps: int,
+    *,
+    drawn: int = 0,
+    screens: str = "index",
+):
+    """One batched stream over *shards* shards.  ``drawn`` > 0 replaces
+    ``VIEW_DEFS`` by that many views drawn from the seed; ``screens``
+    is ``"index"`` (the dispatcher as shipped), ``"per-view"`` (the
+    reference loop over every screen) or ``"checked"`` (the index, each
+    answer asserted against the screens)."""
     sharded = shards > 1
     store = ShardedStore(shards=shards) if sharded else ObjectStore()
     build_tree(store, seed, nodes)
@@ -135,19 +160,40 @@ def run_stream(shards: int, seed: int, nodes: int, steps: int):
             store, parent_index=parent_index, subscribe=True
         )
     )
-    views = []
-    for kind, text in VIEW_DEFS:
-        view = MaterializedView(
-            ViewDefinition.parse(text), store, ObjectStore()
+    if drawn:
+        pick = random.Random(seed ^ 0xCA7A)
+        inner = [oid for oid in _sets(store) if oid != "root0"]
+        roots = ["root0"] + pick.sample(inner, min(2, len(inner)))
+        log: list = []
+        views = register_catalog(
+            dispatcher,
+            store,
+            parent_index,
+            draw_catalog(pick, roots, drawn),
+            log,
         )
-        populate_view(view)
-        maintainer_cls = (
-            SimpleViewMaintainer if kind == "simple" else ExtendedViewMaintainer
-        )
-        dispatcher.register(
-            maintainer_cls(view, parent_index=parent_index, subscribe=False)
-        )
-        views.append(view)
+    else:
+        views = []
+        for kind, text in VIEW_DEFS:
+            view = MaterializedView(
+                ViewDefinition.parse(text), store, ObjectStore()
+            )
+            populate_view(view)
+            maintainer_cls = (
+                SimpleViewMaintainer
+                if kind == "simple"
+                else ExtendedViewMaintainer
+            )
+            dispatcher.register(
+                maintainer_cls(
+                    view, parent_index=parent_index, subscribe=False
+                )
+            )
+            views.append(view)
+    if screens == "per-view":
+        use_per_view_screens(dispatcher)
+    elif screens == "checked":
+        check_matching_against_screens(dispatcher)
     rng = random.Random(seed ^ 0x5EED)
     tag = 0
     remaining = steps
@@ -159,9 +205,23 @@ def run_stream(shards: int, seed: int, nodes: int, steps: int):
                 tag += 1
         remaining -= chunk
     extents = {
-        view.definition.name: frozenset(view.members()) for view in views
+        view.definition.name: frozenset(view.members())
+        for view in views
+        if view is not None
     }
     return extents, views, dispatcher
+
+
+def _charges(dispatcher):
+    """Global and per-shard counters (``updates_screened``, every
+    base-access field, chain-memo hits/misses) plus dispatch counts."""
+    store = dispatcher.store
+    shard_stores = getattr(store, "shard_stores", lambda: [])()
+    return (
+        store.counters.as_dict(),
+        [shard.counters.as_dict() for shard in shard_stores],
+        dispatcher.updates_dispatched,
+    )
 
 
 class TestBatchedDispatch:
@@ -183,3 +243,29 @@ class TestBatchedDispatch:
                 baseline = outcome
             else:
                 assert outcome == baseline, shards
+
+    @given(
+        seed=st.integers(0, 10_000),
+        nodes=st.integers(8, 40),
+        steps=st.integers(1, 24),
+        drawn=st.integers(1, 8),
+    )
+    @settings(**COMMON)
+    def test_index_equals_per_view_screens_at_every_shard_count(
+        self, seed, nodes, steps, drawn
+    ):
+        for shards in SHARD_COUNTS:
+            extents, _, indexed = run_stream(
+                shards, seed, nodes, steps, drawn=drawn
+            )
+            reference_extents, _, per_view = run_stream(
+                shards, seed, nodes, steps, drawn=drawn, screens="per-view"
+            )
+            assert extents == reference_extents, shards
+            assert _charges(indexed) == _charges(per_view), shards
+            # ... and update by update, the matched registrations are
+            # exactly those whose own screen says yes.
+            checked_extents, _, _ = run_stream(
+                shards, seed, nodes, steps, drawn=drawn, screens="checked"
+            )
+            assert checked_extents == extents, shards
