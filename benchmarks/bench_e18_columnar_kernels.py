@@ -4,7 +4,7 @@ Four claims, each its own table:
 
 1. **Recompute speedup** — scope-free view recomputation through the
    bitset kernel versus the interpreted set-at-a-time evaluator on a
-   66k-object layered tree: byte-equal member sets, ≥3x wall-clock.
+   66k-object layered tree: byte-equal member sets.
 2. **Cold-miss serving speedup** — the same kernel behind the
    :class:`~repro.serving.server.QueryServer`'s cold misses.
 3. **Delta-refresh scaling** — a fixed update delta costs the same
@@ -19,9 +19,11 @@ counts, extent hashes, row/access counters, mismatch counts) must
 reproduce exactly — across runs *and* across ``PYTHONHASHSEED`` (the
 CI kernels job diffs the extent hash between two hash seeds).
 
-``REPRO_E18_SCALE=ci`` shrinks the fixture for CI smoke runs and skips
-the wall-clock speedup assertions (shared-runner clocks are noise);
-the committed artifacts come from the full-scale run.
+The wall-clock columns are written, never asserted: a speedup claim is
+judged by ``bench/compare.py``, which carries a noise model.
+
+``REPRO_E18_SCALE=ci`` shrinks the fixture for CI smoke runs; the
+committed artifacts come from the full-scale run.
 """
 
 from __future__ import annotations
@@ -178,10 +180,6 @@ def test_e18_recompute_speedup():
     )
     if not CI_MODE:
         assert view.nrows >= 50_000, view.nrows
-        # The tentpole claim: >=3x on full recomputation.
-        assert speedups["path"] >= 3, speedups
-        assert speedups["deep"] >= 3, speedups
-        assert speedups["wild"] >= 2, speedups
 
 
 def serving_env(store, columnar: bool):
@@ -212,50 +210,34 @@ def test_e18_cold_miss_speedup():
         return server.evaluate_oids(text)
 
     manager = enable_columnar(store)
-
-    def measure():
-        manager.disable()
-        interp_ms = {}
-        interp_answers = {}
-        for key, text in texts.items():
-            interp_ms[key] = best_ms(
-                lambda: interp_answers.__setitem__(key, cold_miss(text))
-            )
-        manager.enable()
-        manager.current()
-        fallbacks_before = store.counters.kernel_fallbacks
-        rows = []
-        speedups = {}
-        for key, text in texts.items():
-            answers = {}
-            kernel_ms = best_ms(
-                lambda: answers.__setitem__(key, cold_miss(text))
-            )
-            assert answers[key] == interp_answers[key], key
-            speedups[key] = round(
-                interp_ms[key] / max(kernel_ms, 1e-9), 2
-            )
-            rows.append(
-                [
-                    key,
-                    len(answers[key]),
-                    interp_ms[key],
-                    kernel_ms,
-                    speedups[key],
-                    extent_sha(answers[key]),
-                ]
-            )
-        assert store.counters.kernel_fallbacks == fallbacks_before
-        return rows, speedups
-
-    # The 'path' row is ~3 ms absolute, so a transient load spike can
-    # sink its ratio; re-measure (bounded) before declaring a miss.
-    for _ in range(3):
-        rows, speedups = measure()
-        if CI_MODE or (
-            speedups["deep"] >= 3 and speedups["path"] >= 2.5
-        ):
-            break
+    manager.disable()
+    interp_ms = {}
+    interp_answers = {}
+    for key, text in texts.items():
+        interp_ms[key] = best_ms(
+            lambda: interp_answers.__setitem__(key, cold_miss(text))
+        )
+    manager.enable()
+    manager.current()
+    fallbacks_before = store.counters.kernel_fallbacks
+    rows = []
+    for key, text in texts.items():
+        answers = {}
+        kernel_ms = best_ms(
+            lambda: answers.__setitem__(key, cold_miss(text))
+        )
+        assert answers[key] == interp_answers[key], key
+        rows.append(
+            [
+                key,
+                len(answers[key]),
+                interp_ms[key],
+                kernel_ms,
+                round(interp_ms[key] / max(kernel_ms, 1e-9), 2),
+                extent_sha(answers[key]),
+            ]
+        )
+    assert store.counters.kernel_fallbacks == fallbacks_before
     emit(
         "E18b: cold-miss serving — QueryServer first-touch evaluation, "
         "interpreted vs columnar kernel (best-of-N wall ms)",
@@ -274,12 +256,6 @@ def test_e18_cold_miss_speedup():
             "scale": "ci" if CI_MODE else "full",
         },
     )
-    if not CI_MODE:
-        # 'deep' (a 59k-object extent) carries the >=3x claim; 'path'
-        # runs ~4x but its ~3ms absolute scale leaves the ratio noisy
-        # on a loaded machine, so its floor sits under the target.
-        assert speedups["deep"] >= 3, speedups
-        assert speedups["path"] >= 2.5, speedups
 
 
 def churn(store, root: str, pairs: int) -> int:

@@ -113,12 +113,7 @@ class ChaosHarness:
         history_limit: int = 256,
         max_hold: int = 4,
         downtime: float = 2.0,
-        shards: int | None = None,
     ) -> None:
-        """*shards* > 1 runs the warehouse over an OID-hash-partitioned
-        view store (see :class:`~repro.gsdb.sharding.ShardedStore`), so
-        the quiescence oracle also guards sharded delegate placement —
-        the CI ``sharded-stress`` job drives this."""
         self.seed = seed
         self.labels = labels
         self.level = ReportingLevel(level)
@@ -134,7 +129,7 @@ class ChaosHarness:
         )
         self.channel = FaultyChannel(self.schedule)
         self.channel.armed = False  # setup runs fault-free
-        self.warehouse = Warehouse(shards=shards)
+        self.warehouse = Warehouse()
         self.warehouse.connect(
             self.source,
             level=self.level,

@@ -30,7 +30,6 @@ Commands (``help`` prints this at the prompt):
 ``members NAME``         list a view's members
 ``check [NAME]``         audit one view (or all) against recomputation
 ``counters``             show cost counters
-``shards``               show shard layout (sharded stores only)
 ``columnar [on|off|status]``  enable/disable the columnar snapshot
 ``chaos [SEED [STEPS [RATE [LEVEL]]]]``  run a fault-injection round
 ``serve SELECT ...``     run a query through the cached serving layer
@@ -98,7 +97,6 @@ class Shell:
             "members": self.cmd_members,
             "check": self.cmd_check,
             "counters": self.cmd_counters,
-            "shards": self.cmd_shards,
             "columnar": self.cmd_columnar,
             "chaos": self.cmd_chaos,
             "bench-serve": self.cmd_bench_serve,
@@ -294,23 +292,12 @@ class Shell:
             self._print(f"{name}: {report.describe()}")
 
     def cmd_counters(self, args: list[str]) -> None:
-        store = self.catalog.store
-        combined = getattr(store, "combined_counters", None)
-        counters = (
-            combined() if combined is not None else store.counters
-        ).as_dict()
+        counters = self.catalog.store.counters.as_dict()
         if not counters:
             self._print("(all zero)")
             return
         for key, value in counters.items():
             self._print(f"{key}: {value:,}")
-
-    def cmd_shards(self, args: list[str]) -> None:
-        describe = getattr(self.catalog.store, "describe", None)
-        if describe is None:
-            self._print("store is not sharded (start with --shards N)")
-            return
-        self._print(describe())
 
     def cmd_columnar(self, args: list[str]) -> None:
         """columnar [on|off|status] — manage the store's epoch-versioned
@@ -514,39 +501,17 @@ def _profile_main(args: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point: ``python -m repro [--shards N] [script.gsdbsh | data.gsdb]``.
+    """Entry point: ``python -m repro [script.gsdbsh | data.gsdb]``.
 
     A ``.gsdb`` argument is loaded as data before the REPL starts; any
-    other argument is executed as a command script.  ``--shards N``
-    (N > 1) backs the session with an OID-hash-partitioned
-    :class:`~repro.gsdb.sharding.ShardedStore` and parallel view
-    maintenance — the ``shards`` command then shows the layout.
+    other argument is executed as a command script.
     ``profile`` as the first argument runs the canned profiling
     workload instead of a session (see :func:`_profile_main`).
     """
     args = list(sys.argv[1:] if argv is None else argv)
     if args and args[0] == "profile":
         return _profile_main(args[1:])
-    shards: int | None = None
-    remaining: list[str] = []
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--shards":
-            if index + 1 >= len(args):
-                print("usage: --shards N", file=sys.stderr)
-                return 2
-            shards = int(args[index + 1])
-            index += 2
-            continue
-        if arg.startswith("--shards="):
-            shards = int(arg.split("=", 1)[1])
-            index += 1
-            continue
-        remaining.append(arg)
-        index += 1
-    args = remaining
-    shell = Shell(ViewCatalog(shards=shards) if shards else None)
+    shell = Shell()
     for arg in args:
         if arg.endswith(".gsdb"):
             shell.cmd_load([arg])

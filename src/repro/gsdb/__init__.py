@@ -16,8 +16,6 @@ from repro.gsdb.columnar import (
     ColumnarSnapshot,
     EpochView,
     PublishedEpoch,
-    ShardedColumnarSnapshot,
-    ShardedSnapshotView,
     SnapshotRetention,
     enable_columnar,
 )
@@ -44,18 +42,11 @@ from repro.gsdb.serialization import (
     load_store,
     parse_object,
 )
-from repro.gsdb.sharding import (
-    BorderIndex,
-    ShardedParentIndex,
-    ShardedStore,
-    shard_of,
-)
 from repro.gsdb.store import ObjectStore
 from repro.gsdb.updates import Delete, Insert, Modify, Update, UpdateLog
 from repro.gsdb.validation import Shape, validate_store
 
 __all__ = [
-    "BorderIndex",
     "ColumnarSnapshot",
     "DatabaseRegistry",
     "Delete",
@@ -69,11 +60,7 @@ __all__ = [
     "ParentIndex",
     "PublishedEpoch",
     "Shape",
-    "ShardedColumnarSnapshot",
     "SnapshotRetention",
-    "ShardedParentIndex",
-    "ShardedSnapshotView",
-    "ShardedStore",
     "Update",
     "UpdateLog",
     "base_of_delegate",
@@ -90,7 +77,6 @@ __all__ = [
     "load_store",
     "parse_object",
     "reachable_from",
-    "shard_of",
     "split_delegate_oid",
     "union",
     "validate_store",

@@ -37,17 +37,6 @@ unapplied creation/removal events.  Re-creating a previously removed
 OID is the one event delta replay refuses to patch (old CSR edges
 reference the tombstoned row); it flags a full rebuild instead.
 
-Sharding: :class:`ShardedColumnarSnapshot` keeps one per-shard snapshot
-(each seeing only its shard's objects and intra-shard edges; edges to
-other shards are *not* pended) and stitches them into a global-row
-:class:`ShardedSnapshotView` using the store's
-:class:`~repro.gsdb.sharding.BorderIndex` for cross-shard edges.  Any
-border mutation bumps at least one shard's event/log stream, so the
-tuple of shard epochs fingerprints the stitched view.  With
-``stitch_borders=False`` the facade refuses to serve
-(``current() is None``) and every reader degrades fail-open to the
-interpreted path, exactly as the unstitched parent index does.
-
 Work is charged in the kernel's own currency: ``snapshot_refreshes``
 per epoch advanced, ``snapshot_rows_scanned`` per row touched by
 builds, deltas, and :meth:`gather` sweeps.  Columnar rows are copies,
@@ -75,7 +64,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import PinnedEpochError
 from repro.gsdb.object import Object
@@ -108,9 +97,6 @@ class ColumnarSnapshot:
             stale snapshot in place; when False a stale snapshot
             answers ``current() -> None`` and readers fall back to the
             interpreted path until :meth:`refresh` is called.
-        external: predicate marking OIDs that live outside this store
-            (another shard); edges to external children are omitted —
-            the sharded facade supplies them from the border index.
         counters: where snapshot work is charged; defaults to the
             store's counters.
     """
@@ -121,7 +107,6 @@ class ColumnarSnapshot:
         *,
         rebuild_threshold: float = 0.25,
         auto_refresh: bool = True,
-        external: Callable[[str], bool] | None = None,
         counters=None,
     ) -> None:
         if rebuild_threshold <= 0:
@@ -129,7 +114,6 @@ class ColumnarSnapshot:
         self._store = store
         self.rebuild_threshold = rebuild_threshold
         self.auto_refresh = auto_refresh
-        self._external = external
         self.counters = counters if counters is not None else store.counters
         self.enabled = True
         #: Epoch counter: bumped once per refresh that changed anything.
@@ -248,9 +232,6 @@ class ColumnarSnapshot:
         self.counters.snapshot_refreshes += 1
         return self
 
-    def _is_external(self, oid: str) -> bool:
-        return self._external is not None and self._external(oid)
-
     def _rebuild(self) -> None:
         store = self._store
         peek = store.peek
@@ -286,8 +267,7 @@ class ColumnarSnapshot:
             for child in sorted(obj.children()):
                 crow = row_of.get(child)
                 if crow is None:
-                    if not self._is_external(child):
-                        pending.setdefault(child, set()).add(row)
+                    pending.setdefault(child, set()).add(row)
                     continue
                 all_counts[row + 1] += 1
                 counts = label_counts.get(label_of[crow])
@@ -374,11 +354,9 @@ class ColumnarSnapshot:
 
     def _apply_update(self, update: Update) -> None:
         if isinstance(update, Modify):
-            # Structure is unchanged; patch the value cell in place.  A
-            # missing row is another shard's object (its own snapshot
-            # images the value) — never a rebuild trigger.  Uncharged:
-            # a column write, not a row scan, so the charged shape of
-            # delta refreshes (E18) is unchanged.
+            # Structure is unchanged; patch the value cell in place.
+            # Uncharged: a column write, not a row scan, so the charged
+            # shape of delta refreshes (E18) is unchanged.
             row = self.row_of.get(update.oid)
             if row is not None:
                 self.value_of[row] = update.new_value
@@ -393,19 +371,17 @@ class ColumnarSnapshot:
         self.counters.snapshot_rows_scanned += 1
         if isinstance(update, Insert):
             if crow is None:
-                if not self._is_external(update.child):
-                    self._pending.setdefault(update.child, set()).add(prow)
+                self._pending.setdefault(update.child, set()).add(prow)
                 return
             adj = self._adjacency_of(prow)
             adj.setdefault(self.label_of[crow], set()).add(crow)
         elif isinstance(update, Delete):
             if crow is None:
-                if not self._is_external(update.child):
-                    parents = self._pending.get(update.child)
-                    if parents is not None:
-                        parents.discard(prow)
-                        if not parents:
-                            del self._pending[update.child]
+                parents = self._pending.get(update.child)
+                if parents is not None:
+                    parents.discard(prow)
+                    if not parents:
+                        del self._pending[update.child]
                 return
             adj = self._adjacency_of(prow)
             children = adj.get(self.label_of[crow])
@@ -435,8 +411,7 @@ class ColumnarSnapshot:
                 for child in children:
                     crow = self.row_of.get(child)
                     if crow is None:
-                        if not self._is_external(child):
-                            self._pending.setdefault(child, set()).add(row)
+                        self._pending.setdefault(child, set()).add(row)
                         continue
                     adj.setdefault(self.label_of[crow], set()).add(crow)
                 self._patched[row] = adj
@@ -654,215 +629,6 @@ class EpochView:
         )
 
 
-class ShardedSnapshotView:
-    """Per-shard snapshots stitched into one global row space.
-
-    Shard *k*'s local row *r* appears as global row ``base[k] + r``;
-    cross-shard edges come from the sharded store's border index,
-    resolved to global rows when the view is stitched (one
-    ``border_probes`` charge per border parent expanded by
-    :meth:`gather`).  The view is immutable — the facade replaces it
-    whenever any shard's epoch moves.
-    """
-
-    def __init__(
-        self, store, snapshots: list[ColumnarSnapshot], counters
-    ) -> None:
-        self._store = store
-        self._snapshots = snapshots
-        self.counters = counters
-        self._base: list[int] = []
-        total = 0
-        for snap in snapshots:
-            self._base.append(total)
-            total += snap.nrows
-        self.nrows = total
-        self.epochs = tuple(snap.epoch for snap in snapshots)
-        #: Scalar fingerprint mirroring ShardedColumnarSnapshot.epoch,
-        #: so retention/freshness code treats both view kinds alike.
-        self.epoch = sum(self.epochs)
-        labels: set[str] = set()
-        for snap in snapshots:
-            labels.update(snap._labels)
-        self._labels = sorted(labels)
-        #: global parent row -> {label -> [global child rows]}.
-        self._border_children: dict[int, dict[str, list[int]]] = {}
-        for parent, children in store.border._children.items():
-            prow = self.row(parent)
-            if prow is None:
-                continue
-            buckets: dict[str, list[int]] = {}
-            for child in sorted(children):
-                crow = self.row(child)
-                if crow is None:
-                    continue
-                k = store.shard_of(child)
-                label = snapshots[k].label_of[crow - self._base[k]]
-                buckets.setdefault(label, []).append(crow)
-            if buckets:
-                self._border_children[prow] = buckets
-
-    def row(self, oid: str) -> int | None:
-        k = self._store.shard_of(oid)
-        local = self._snapshots[k].row(oid)
-        if local is None:
-            return None
-        return self._base[k] + local
-
-    def oid(self, row: int) -> str:
-        k = self._shard_of_row(row)
-        return self._snapshots[k].oid_of[row - self._base[k]]
-
-    def label(self, row: int) -> str:
-        k = self._shard_of_row(row)
-        return self._snapshots[k].label_of[row - self._base[k]]
-
-    def _shard_of_row(self, row: int) -> int:
-        from bisect import bisect_right
-
-        return bisect_right(self._base, row) - 1
-
-    def label_names(self) -> list[str]:
-        return self._labels
-
-    def atomic_value(self, row: int) -> object | None:
-        k = self._shard_of_row(row)
-        return self._snapshots[k].atomic_value(row - self._base[k])
-
-    def gather(self, rows: Sequence[int], label: str | None = None) -> list[int]:
-        base = self._base
-        by_shard: dict[int, list[int]] = {}
-        border = self._border_children
-        out: list[int] = []
-        counters = self.counters
-        for row in rows:
-            k = self._shard_of_row(row)
-            by_shard.setdefault(k, []).append(row - base[k])
-            buckets = border.get(row)
-            if buckets is not None:
-                counters.border_probes += 1
-                if label is None:
-                    for bucket in buckets.values():
-                        out.extend(bucket)
-                else:
-                    out.extend(buckets.get(label, ()))
-        counters.snapshot_rows_scanned += len(out)
-        for k in sorted(by_shard):
-            offset = base[k]
-            local = self._snapshots[k].gather(by_shard[k], label)
-            if offset:
-                out.extend(crow + offset for crow in local)
-            else:
-                out.extend(local)
-        return out
-
-
-class ShardedColumnarSnapshot:
-    """Snapshot facade for a :class:`~repro.gsdb.sharding.ShardedStore`.
-
-    Holds one :class:`ColumnarSnapshot` per shard (intra-shard edges
-    only; each shard's ``external`` predicate excludes foreign OIDs so
-    cross-shard edges never pend) and serves a stitched
-    :class:`ShardedSnapshotView`, cached until any shard's epoch moves.
-    Every border mutation reaches some shard's log or event stream, so
-    the epoch tuple is a sound view fingerprint.
-
-    With ``stitch_borders=False`` the facade never serves
-    (:meth:`current` is always None) and readers degrade fail-open to
-    the interpreted path — the same contract as the unstitched
-    :class:`~repro.gsdb.sharding.ShardedParentIndex`.
-    """
-
-    def __init__(
-        self,
-        store,
-        *,
-        rebuild_threshold: float = 0.25,
-        auto_refresh: bool = True,
-        stitch_borders: bool = True,
-    ) -> None:
-        self._store = store
-        self.stitch_borders = stitch_borders
-        self.auto_refresh = auto_refresh
-        self.enabled = True
-        self.counters = store.counters
-        self._shard_snapshots = [
-            ColumnarSnapshot(
-                shard,
-                rebuild_threshold=rebuild_threshold,
-                auto_refresh=auto_refresh,
-                external=(lambda oid, k=k: store.shard_of(oid) != k),
-                counters=store.counters,
-            )
-            for k, shard in enumerate(store.shard_stores())
-        ]
-        self._view: ShardedSnapshotView | None = None
-
-    @property
-    def epoch(self) -> int:
-        return sum(snap.epoch for snap in self._shard_snapshots)
-
-    def shard_snapshots(self) -> list[ColumnarSnapshot]:
-        return list(self._shard_snapshots)
-
-    def is_fresh(self) -> bool:
-        return all(snap.is_fresh() for snap in self._shard_snapshots)
-
-    def refresh(self) -> None:
-        for snap in self._shard_snapshots:
-            snap.refresh()
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def current(self) -> ShardedSnapshotView | None:
-        if not self.enabled or not self.stitch_borders:
-            return None
-        if not self.auto_refresh and not self.is_fresh():
-            return None
-        self.refresh()
-        view = self._view
-        epochs = tuple(snap.epoch for snap in self._shard_snapshots)
-        if view is None or view.epochs != epochs:
-            view = ShardedSnapshotView(
-                self._store, self._shard_snapshots, self.counters
-            )
-            self._view = view
-        return view
-
-    def freeze(self, counters=None) -> ShardedSnapshotView:
-        """An immutable stitched view of the current epoch tuple.
-
-        Each shard snapshot freezes into an :class:`EpochView`; the
-        stitched view captures border children at construction and is
-        never re-stitched, so the whole object is immutable.  Requires
-        ``stitch_borders`` (an unstitchable facade cannot serve frozen
-        epochs any more than live ones).
-        """
-        if not self.stitch_borders:
-            raise ValueError("cannot freeze an unstitched sharded snapshot")
-        self.refresh()
-        if counters is None:
-            counters = self.counters
-        return ShardedSnapshotView(
-            self._store,
-            [snap.freeze(counters) for snap in self._shard_snapshots],
-            counters,
-        )
-
-    def describe(self) -> str:
-        state = "fresh" if self.is_fresh() else "stale"
-        rows = sum(snap.nrows for snap in self._shard_snapshots)
-        return (
-            f"epoch {self.epoch} ({state}): {rows} rows across "
-            f"{len(self._shard_snapshots)} shard snapshots; "
-            f"stitch_borders={self.stitch_borders}"
-        )
-
-
 class PublishedEpoch:
     """One retained publication: a frozen view plus pin accounting.
 
@@ -1041,27 +807,18 @@ def enable_columnar(
     *,
     rebuild_threshold: float = 0.25,
     auto_refresh: bool = True,
-    stitch_borders: bool = True,
 ):
     """Attach a columnar snapshot manager to *store* as ``.columnar``.
 
     Readers discover it with ``getattr(store, "columnar", None)`` and
-    consult ``manager.current()``; a None answer (disabled, stale with
-    ``auto_refresh=False``, or unstitched shards) sends them down the
-    interpreted path, charging ``kernel_fallbacks``.
+    consult ``manager.current()``; a None answer (disabled, or stale
+    with ``auto_refresh=False``) sends them down the interpreted path,
+    charging ``kernel_fallbacks``.
     """
-    if hasattr(store, "shard_stores"):
-        manager = ShardedColumnarSnapshot(
-            store,
-            rebuild_threshold=rebuild_threshold,
-            auto_refresh=auto_refresh,
-            stitch_borders=stitch_borders,
-        )
-    else:
-        manager = ColumnarSnapshot(
-            store,
-            rebuild_threshold=rebuild_threshold,
-            auto_refresh=auto_refresh,
-        )
+    manager = ColumnarSnapshot(
+        store,
+        rebuild_threshold=rebuild_threshold,
+        auto_refresh=auto_refresh,
+    )
     store.columnar = manager
     return manager

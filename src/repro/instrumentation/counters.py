@@ -44,14 +44,6 @@ Counter semantics
 ``query_cache_evictions`` entries dropped by the cache's LRU bound
 ``query_cache_invalidations`` entries precisely invalidated because an
                       update could affect their answer (experiment E16)
-``border_probes``     lookups in a sharded store's border index (the
-                      cross-shard edge catalogue, experiment E17);
-                      counted apart from ``index_probes`` so the cost
-                      of crossing shard boundaries is visible
-``failopen_cross_shard`` serving-cache invalidations that failed open
-                      because the anchor's ancestry could not be
-                      resolved past a shard border (the invalidator's
-                      reachability screen gave up, experiment E17)
 ``snapshot_refreshes`` columnar snapshot epochs brought up to date
                       (delta-applied or fully rebuilt, experiment E18)
 ``snapshot_rows_scanned`` columnar rows touched by snapshot builds,
@@ -59,8 +51,8 @@ Counter semantics
                       the kernel's analogue of reads + traversals
 ``kernel_fallbacks``  evaluations that wanted the columnar kernel but
                       fell back to the interpreted path because no
-                      fresh snapshot was available (disabled, stale
-                      mid-refresh, or unstitched shard borders)
+                      fresh snapshot was available (disabled or stale
+                      mid-refresh)
 ``epochs_published``  frozen snapshot epochs published into the MVCC
                       retention ring (experiment E20)
 ``epochs_reclaimed``  retained epochs whose frozen views were released
@@ -125,8 +117,6 @@ class CostCounters:
     query_cache_misses: int = 0
     query_cache_evictions: int = 0
     query_cache_invalidations: int = 0
-    border_probes: int = 0
-    failopen_cross_shard: int = 0
     snapshot_refreshes: int = 0
     snapshot_rows_scanned: int = 0
     kernel_fallbacks: int = 0

@@ -28,9 +28,9 @@ the interpreted path's ``object_reads``/``edge_traversals`` stay
 untouched and benchmark tables compare the two currencies explicitly.
 
 The functions take any object implementing the snapshot view protocol
-(``nrows``/``row``/``oid``/``label_names``/``gather``), so a sharded
-:class:`~repro.gsdb.columnar.ShardedSnapshotView` works unchanged —
-border edges simply show up in ``gather``.
+(``nrows``/``row``/``oid``/``label_names``/``gather``): a live
+:class:`~repro.gsdb.columnar.ColumnarSnapshot` or a frozen
+:class:`~repro.gsdb.columnar.EpochView`.
 """
 
 from __future__ import annotations

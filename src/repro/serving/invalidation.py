@@ -151,19 +151,11 @@ class Invalidator:
         cache: QueryCache,
         *,
         parent_index: ParentIndex | None = None,
-        border_index=None,
         subscribe: bool = True,
     ) -> None:
         self._store = store
         self._cache = cache
         self._parent_index = parent_index
-        #: Cross-shard edge catalogue of a sharded store (see
-        #: :class:`~repro.gsdb.sharding.BorderIndex`).  When present,
-        #: an upward chain ending at a node with cross-shard parents is
-        #: *truncated at a shard border*, not complete — the
-        #: reachability screen must fail open (and count it) or risk
-        #: serving stale answers for entries on other shards.
-        self._border_index = border_index
         self._screens: dict[CacheKey, QueryScreen] = {}
         self._edge: dict[str, set[CacheKey]] = {}
         self._edge_any: set[CacheKey] = set()
@@ -268,57 +260,14 @@ class Invalidator:
                 return view_memo[0]
 
             chain = ctx.chain_set(anchor)
-            if self._stopped_at_border(anchor, chain):
-                view = snapshot_view()
-                if view is not None:
-                    for key in candidates:
-                        if reaches_on_snapshot(
-                            view, self._screens[key].entry_oid, anchor
-                        ):
-                            hit.add(key)
-                else:
-                    # Ancestry unresolvable past a shard border: every
-                    # candidate fails open, attributed to its own
-                    # counter (not the generic miss bucket) so
-                    # experiment E17 can report cross-shard
-                    # invalidation precision.
-                    self._store.counters.failopen_cross_shard += 1
-                    hit |= candidates
-            else:
-                for key in candidates:
-                    if self._reaches_entry(
-                        self._screens[key], chain, anchor, snapshot_view
-                    ):
-                        hit.add(key)
+            for key in candidates:
+                if self._reaches_entry(
+                    self._screens[key], chain, anchor, snapshot_view
+                ):
+                    hit.add(key)
         for key in sorted(hit, key=str):
             self._cache.invalidate(key)
         return len(hit)
-
-    def _stopped_at_border(
-        self,
-        anchor: str,
-        chain: tuple[frozenset[str], bool] | None,
-    ) -> bool:
-        """Did *anchor*'s upward walk die at a shard border?
-
-        Only meaningful when serving a sharded store (a border index
-        was supplied).  True when there is no chain at all, or when the
-        chain's top node has parents recorded on another shard — the
-        per-shard walk ended not at a root but at an edge it cannot
-        see.  A border-stitched index
-        (:class:`~repro.gsdb.sharding.ShardedParentIndex`) resolves
-        such chains fully, so this stays False and invalidation stays
-        precise.
-        """
-        border = self._border_index
-        if border is None:
-            return False
-        if chain is None:
-            return True
-        if self._parent_index is None:
-            return True
-        oids, _stopped = self._parent_index.chain_to_top(anchor)
-        return bool(oids) and border.has_cross_parents(oids[-1])
 
     def _snapshot_view(self):
         """The store's fresh columnar view, if one is being maintained.

@@ -174,7 +174,6 @@ class EpochServer:
         retention_capacity: int = 4,
         cache_size: int = 128,
         parent_index=None,
-        border_index=None,
         cacheable: Callable[[Query], bool] | None = None,
         apply_fn: Callable[[Sequence[Update]], int] | None = None,
         rebuild_threshold: float = 0.25,
@@ -198,14 +197,11 @@ class EpochServer:
         self._cacheable = cacheable
         self._apply_fn = apply_fn
         self._evaluator = QueryEvaluator(registry)
-        if border_index is None:
-            border_index = getattr(self.store, "border", None)
         self.carry = QueryCache(cache_size, counters=self.read_counters)
         self.invalidator = Invalidator(
             self.store,
             self.carry,
             parent_index=parent_index,
-            border_index=border_index,
             subscribe=False,
         )
         self.carry.on_evict = self.invalidator.forget

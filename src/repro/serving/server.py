@@ -48,7 +48,6 @@ class QueryServer:
         *,
         parent_index: ParentIndex | None = None,
         label_index: LabelIndex | None = None,
-        border_index=None,
         cache_size: int = 128,
         use_frontier: bool = True,
         cacheable: Callable[[Query], bool] | None = None,
@@ -58,9 +57,6 @@ class QueryServer:
         self.store = registry.store
         self.parent_index = parent_index
         self.label_index = label_index
-        if border_index is None:
-            border_index = getattr(self.store, "border", None)
-        self.border_index = border_index
         self.use_frontier = use_frontier
         self._cacheable = cacheable
         self._evaluator = QueryEvaluator(registry)
@@ -69,7 +65,6 @@ class QueryServer:
             self.store,
             self.cache,
             parent_index=parent_index,
-            border_index=border_index,
             subscribe=subscribe,
         )
         self.cache.on_evict = self.invalidator.forget

@@ -36,7 +36,6 @@ from repro.views.dispatcher import (
 from repro.views.extended import ExtendedViewMaintainer
 from repro.views.maintenance import SimpleViewMaintainer
 from repro.views.materialized import MaterializedView, SwizzleMode
-from repro.views.parallel import ParallelDispatcher, critical_path_cost
 from repro.views.recompute import (
     compute_view_members,
     populate_view,
@@ -55,7 +54,6 @@ __all__ = [
     "ExtendedViewMaintainer",
     "MaintenanceDispatcher",
     "MaterializedView",
-    "ParallelDispatcher",
     "PathContext",
     "SimpleViewMaintainer",
     "SwizzleMode",
@@ -67,7 +65,6 @@ __all__ = [
     "check_consistency",
     "coalesce_updates",
     "compute_view_members",
-    "critical_path_cost",
     "populate_view",
     "recompute_view",
 ]

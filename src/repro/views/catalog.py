@@ -72,60 +72,22 @@ class ViewCatalog:
         *,
         with_parent_index: bool = True,
         with_label_index: bool = False,
-        shards: int | None = None,
-        workers: int = 4,
     ) -> None:
         """Args:
         store: an existing store to wrap; a fresh one is created when
-            omitted (sharded when *shards* > 1).
-        shards: partition the catalog's store into this many
-            OID-hashed shards (see :mod:`repro.gsdb.sharding`) and
-            maintain views with the parallel dispatcher.  Only valid
-            when *store* is omitted; passing a
-            :class:`~repro.gsdb.sharding.ShardedStore` as *store* has
-            the same effect.
-        workers: screening thread-pool width of the
-            :class:`~repro.views.parallel.ParallelDispatcher` (sharded
-            catalogs only; results are worker-count-invariant).
+            omitted.
         """
-        if store is not None and shards is not None:
-            raise ValueError("pass either a store or a shard count")
-        if store is None:
-            if shards is not None and shards > 1:
-                from repro.gsdb.sharding import ShardedStore
-
-                store = ShardedStore(shards)
-            else:
-                store = ObjectStore()
-        self.store = store
-        sharded = getattr(store, "shard_count", 1) > 1
+        self.store = store if store is not None else ObjectStore()
         self.registry = DatabaseRegistry(self.store)
-        if not with_parent_index:
-            self.parent_index = None
-        elif sharded:
-            from repro.gsdb.sharding import ShardedParentIndex
-
-            self.parent_index = ShardedParentIndex(self.store)
-        else:
-            self.parent_index = ParentIndex(self.store)
+        self.parent_index = ParentIndex(self.store) if with_parent_index else None
         self.label_index = LabelIndex(self.store) if with_label_index else None
         # The single store subscriber fanning updates to all view
         # maintainers (screened, with a shared per-update PathContext).
         # Subscribed after the indexes so they are fresh when
         # maintenance runs.
-        if sharded:
-            from repro.views.parallel import ParallelDispatcher
-
-            self.dispatcher = ParallelDispatcher(
-                self.store,
-                parent_index=self.parent_index,
-                subscribe=True,
-                workers=workers,
-            )
-        else:
-            self.dispatcher = MaintenanceDispatcher(
-                self.store, parent_index=self.parent_index, subscribe=True
-            )
+        self.dispatcher = MaintenanceDispatcher(
+            self.store, parent_index=self.parent_index, subscribe=True
+        )
         self.evaluator = QueryEvaluator(self.registry)
         #: Optional read-path server (see :meth:`enable_serving`).
         self.server = None
@@ -454,7 +416,6 @@ class ViewCatalog:
         *,
         rebuild_threshold: float = 0.25,
         auto_refresh: bool = True,
-        stitch_borders: bool = True,
     ):
         """Attach an epoch-versioned columnar snapshot to the store.
 
@@ -473,7 +434,6 @@ class ViewCatalog:
                 self.store,
                 rebuild_threshold=rebuild_threshold,
                 auto_refresh=auto_refresh,
-                stitch_borders=stitch_borders,
             )
         return manager
 

@@ -439,28 +439,10 @@ class _SourceIngress:
 
 
 class Warehouse:
-    """Views + caches over one or more monitored sources (Figure 6).
+    """Views + caches over one or more monitored sources (Figure 6)."""
 
-    Args:
-        shards: when > 1, the view store is an OID-hash-partitioned
-            :class:`~repro.gsdb.sharding.ShardedStore` — view delegates
-            distribute over the shards, per-shard counters expose the
-            maintenance critical path, and the serving layer (see
-            :meth:`enable_serving`) consults the border index so
-            cross-shard invalidation stays sound.  Multiple concurrent
-            sources may then feed different shards; delivery protection
-            (sequence dedup + reorder buffering) is per-source ingress,
-            which under that partitioning *is* per-shard — two sources'
-            streams never contend on one cursor.
-    """
-
-    def __init__(self, *, shards: int | None = None) -> None:
-        if shards is not None and shards > 1:
-            from repro.gsdb.sharding import ShardedStore
-
-            self.view_store = ShardedStore(shards)
-        else:
-            self.view_store = ObjectStore()
+    def __init__(self) -> None:
+        self.view_store = ObjectStore()
         self.counters = self.view_store.counters
         self.log = MessageLog()
         self.links: dict[str, SourceLink] = {}

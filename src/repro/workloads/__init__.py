@@ -7,11 +7,6 @@ from repro.workloads.generators import (
     layered_tree,
     random_labelled_tree,
 )
-from repro.workloads.multiview import (
-    build_store as build_multiview_store,
-    build_views as build_multiview_views,
-    run_stream as run_multiview_stream,
-)
 from repro.workloads.scenarios import (
     PERSON_OIDS,
     insert_tuple,
@@ -39,11 +34,8 @@ __all__ = [
     "UpdateStream",
     "build_traffic_env",
     "poisson_schedule",
-    "build_multiview_store",
-    "build_multiview_views",
     "burst_of_tuples",
     "count_objects",
-    "run_multiview_stream",
     "insert_tuple",
     "layered_dag",
     "layered_tree",

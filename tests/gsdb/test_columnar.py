@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.gsdb import ObjectStore, ShardedStore
-from repro.gsdb.columnar import (
-    ColumnarSnapshot,
-    ShardedColumnarSnapshot,
-    enable_columnar,
-)
+from repro.gsdb import ObjectStore
+from repro.gsdb.columnar import ColumnarSnapshot, enable_columnar
 
 
 def small_store() -> ObjectStore:
@@ -219,80 +215,3 @@ class TestDeltaReplay:
         assert "fresh" in manager.describe()
         store.modify_value("a1", 46)
         assert "stale" in manager.describe()
-
-
-def sharded_pair(shards: int = 4):
-    """The same objects in a sharded store and a plain reference."""
-    sharded, plain = ShardedStore(shards), ObjectStore()
-    for store in (sharded, plain):
-        for i in range(12):
-            store.add_atomic(f"a{i}", "age", i)
-        for i in range(6):
-            store.add_set(f"p{i}", "professor", [f"a{2 * i}", f"a{2 * i + 1}"])
-        store.add_set("root", "root", [f"p{i}" for i in range(6)])
-    return sharded, plain
-
-
-class TestSharded:
-    def test_stitched_view_sees_border_edges(self):
-        sharded, plain = sharded_pair()
-        view = enable_columnar(sharded).current()
-        ref = enable_columnar(plain).current()
-        root_children = sorted(
-            view.oid(r) for r in view.gather([view.row("root")], "professor")
-        )
-        assert root_children == sorted(
-            ref.oid(r) for r in ref.gather([ref.row("root")], "professor")
-        )
-
-    def test_unstitched_facade_never_serves(self):
-        sharded, _plain = sharded_pair()
-        manager = enable_columnar(sharded, stitch_borders=False)
-        assert manager.current() is None
-
-    def test_view_cached_until_epoch_moves(self):
-        sharded, _plain = sharded_pair()
-        manager = enable_columnar(sharded)
-        view1 = manager.current()
-        view2 = manager.current()
-        assert view1 is view2
-        sharded.insert_edge("p0", "a5")
-        view3 = manager.current()
-        assert view3 is not view1
-        kids = sorted(
-            view3.oid(r) for r in view3.gather([view3.row("p0")], "age")
-        )
-        assert kids == ["a0", "a1", "a5"]
-
-    def test_cross_shard_removal_invalidates_view(self):
-        sharded, _plain = sharded_pair()
-        manager = enable_columnar(sharded)
-        view = manager.current()
-        sharded.delete_edge("p2", "a4")
-        sharded.remove_object("a4")
-        fresh = manager.current()
-        assert fresh is not view
-        assert fresh.row("a4") is None
-        kids = [fresh.oid(r) for r in fresh.gather([fresh.row("p2")], "age")]
-        assert kids == ["a5"]
-
-    def test_border_probe_charged_per_border_parent(self):
-        sharded, _plain = sharded_pair()
-        manager = enable_columnar(sharded)
-        view = manager.current()
-        before = sharded.counters.border_probes
-        view.gather([view.row("root")], "professor")
-        after = sharded.counters.border_probes
-        assert after - before in (0, 1)  # 1 iff root has cross-shard kids
-
-    def test_global_row_oid_roundtrip(self):
-        sharded, _plain = sharded_pair()
-        view = enable_columnar(sharded).current()
-        for oid in sharded.oids():
-            row = view.row(oid)
-            assert row is not None
-            assert view.oid(row) == oid
-
-    def test_facade_type(self):
-        sharded, _plain = sharded_pair()
-        assert isinstance(enable_columnar(sharded), ShardedColumnarSnapshot)

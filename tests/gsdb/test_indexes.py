@@ -3,7 +3,6 @@
 import pytest
 
 from repro.gsdb import LabelIndex, ObjectStore, ParentIndex
-from repro.gsdb.sharding import ShardedParentIndex, ShardedStore
 
 
 @pytest.fixture
@@ -100,12 +99,7 @@ def _plain():
     return store, lambda: ParentIndex(store)
 
 
-def _sharded():
-    store = ShardedStore(shards=3)
-    return store, lambda: ShardedParentIndex(store)
-
-
-@pytest.mark.parametrize("make", [_plain, _sharded], ids=["plain", "sharded"])
+@pytest.mark.parametrize("make", [_plain], ids=["plain"])
 class TestIgnoredViews:
     """Which parents a view name ignores — and which it must not."""
 

@@ -6,7 +6,6 @@ from repro.errors import PinnedEpochError
 from repro.gsdb import (
     EpochView,
     ObjectStore,
-    ShardedStore,
     SnapshotRetention,
     enable_columnar,
 )
@@ -64,16 +63,6 @@ class TestEpochView:
         view = manager.current().freeze()
         assert view.atomic_value(view.row("a1")) == "ann"
         assert view.atomic_value(view.row("A")) is None  # set object
-
-    def test_sharded_freeze(self):
-        store = ShardedStore(shards=2)
-        store.add_atomic("a1", "name", "ann")
-        store.add_set("A", "emp", ["a1"])
-        manager = enable_columnar(store)
-        view = manager.freeze()
-        row = view.row("a1")
-        assert view.atomic_value(row) == "ann"
-        assert view.label(row) == "name"
 
 
 class TestSnapshotRetention:

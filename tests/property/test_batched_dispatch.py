@@ -1,21 +1,19 @@
-"""Property suite: batched dispatch, serial ≡ 2-shard ≡ 4-shard ≡ recompute.
+"""Property suite: batched dispatch ≡ recompute.
 
 Every batch goes through ``dispatcher.batch()`` — applied in full,
 coalesced, then dispatched against the final state — and must leave
-every view extent equal to recomputation and identical whether the
-store is plain (serial dispatcher) or sharded 2/4 ways (parallel
-dispatcher, screening precomputed per owner shard).  Random tree bases,
-random batched update streams (attach / detach / move / modify, random
-batch sizes — the only property generator driving *move* mutations
-through a batch), with simple, condition-free, and extended (wildcard)
-views together in one catalog.  Hypothesis draws seeds; every generator
-is a deterministic function of them, so failures replay.
+every view extent equal to recomputation.  Random tree bases, random
+batched update streams (attach / detach / move / modify, random batch
+sizes — the only property generator driving *move* mutations through a
+batch), with simple, condition-free, and extended (wildcard) views
+together in one catalog.  Hypothesis draws seeds; every generator is a
+deterministic function of them, so failures replay.
 
 A second property draws the *catalog* too (shared prefixes, several
 roots, empty select paths, partial, extended, unscreened and
-context-free maintainers interleaved) and holds the dispatchers'
-definition index to the per-view screens at every shard count: same
-matches per update, same charges per shard.
+context-free maintainers interleaved) and holds the dispatcher's
+definition index to the per-view screens: same matches per update,
+same charges.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gsdb import ObjectStore, ParentIndex
-from repro.gsdb.sharding import ShardedParentIndex, ShardedStore
 from repro.gsdb.traversal import descendants
 from repro.views import (
     ExtendedViewMaintainer,
@@ -37,7 +34,6 @@ from repro.views import (
     populate_view,
 )
 from repro.views.dispatcher import MaintenanceDispatcher
-from repro.views.parallel import ParallelDispatcher
 from tests.property.support import (
     check_matching_against_screens,
     common_settings,
@@ -58,11 +54,9 @@ VIEW_DEFS = (
     ("extended", "define mview EV as: SELECT root0.* X WHERE X.c > 50"),
 )
 
-SHARD_COUNTS = (1, 2, 4)
-
 
 def build_tree(store, seed: int, nodes: int) -> None:
-    """A deterministic random tree under root0, on any store."""
+    """A deterministic random tree under root0."""
     rng = random.Random(seed)
     store.add_set("root0", "root")
     sets = ["root0"]
@@ -132,7 +126,6 @@ def mutate(store, rng: random.Random, tag: int) -> None:
 
 
 def run_stream(
-    shards: int,
     seed: int,
     nodes: int,
     steps: int,
@@ -140,25 +133,16 @@ def run_stream(
     drawn: int = 0,
     screens: str = "index",
 ):
-    """One batched stream over *shards* shards.  ``drawn`` > 0 replaces
+    """One batched stream.  ``drawn`` > 0 replaces
     ``VIEW_DEFS`` by that many views drawn from the seed; ``screens``
     is ``"index"`` (the dispatcher as shipped), ``"per-view"`` (the
     reference loop over every screen) or ``"checked"`` (the index, each
     answer asserted against the screens)."""
-    sharded = shards > 1
-    store = ShardedStore(shards=shards) if sharded else ObjectStore()
+    store = ObjectStore()
     build_tree(store, seed, nodes)
-    parent_index = (
-        ShardedParentIndex(store) if sharded else ParentIndex(store)
-    )
-    dispatcher = (
-        ParallelDispatcher(
-            store, parent_index=parent_index, subscribe=True, workers=2
-        )
-        if sharded
-        else MaintenanceDispatcher(
-            store, parent_index=parent_index, subscribe=True
-        )
+    parent_index = ParentIndex(store)
+    dispatcher = MaintenanceDispatcher(
+        store, parent_index=parent_index, subscribe=True
     )
     if drawn:
         pick = random.Random(seed ^ 0xCA7A)
@@ -213,15 +197,9 @@ def run_stream(
 
 
 def _charges(dispatcher):
-    """Global and per-shard counters (``updates_screened``, every
-    base-access field, chain-memo hits/misses) plus dispatch counts."""
-    store = dispatcher.store
-    shard_stores = getattr(store, "shard_stores", lambda: [])()
-    return (
-        store.counters.as_dict(),
-        [shard.counters.as_dict() for shard in shard_stores],
-        dispatcher.updates_dispatched,
-    )
+    """Every counter (``updates_screened``, every base-access field,
+    chain-memo hits/misses) plus the dispatch count."""
+    return dispatcher.store.counters.as_dict(), dispatcher.updates_dispatched
 
 
 class TestBatchedDispatch:
@@ -231,18 +209,11 @@ class TestBatchedDispatch:
         steps=st.integers(1, 24),
     )
     @settings(**COMMON)
-    def test_shard_counts_agree_and_audit_clean(self, seed, nodes, steps):
-        baseline = None
-        for shards in SHARD_COUNTS:
-            extents, views, dispatcher = run_stream(shards, seed, nodes, steps)
-            for view in views:
-                report = check_consistency(view)
-                assert report.ok, (shards, report.describe())
-            outcome = (extents, dispatcher.updates_dispatched)
-            if baseline is None:
-                baseline = outcome
-            else:
-                assert outcome == baseline, shards
+    def test_batched_extents_equal_recompute(self, seed, nodes, steps):
+        _, views, _ = run_stream(seed, nodes, steps)
+        for view in views:
+            report = check_consistency(view)
+            assert report.ok, report.describe()
 
     @given(
         seed=st.integers(0, 10_000),
@@ -251,21 +222,18 @@ class TestBatchedDispatch:
         drawn=st.integers(1, 8),
     )
     @settings(**COMMON)
-    def test_index_equals_per_view_screens_at_every_shard_count(
+    def test_index_equals_per_view_screens_at_every_update(
         self, seed, nodes, steps, drawn
     ):
-        for shards in SHARD_COUNTS:
-            extents, _, indexed = run_stream(
-                shards, seed, nodes, steps, drawn=drawn
-            )
-            reference_extents, _, per_view = run_stream(
-                shards, seed, nodes, steps, drawn=drawn, screens="per-view"
-            )
-            assert extents == reference_extents, shards
-            assert _charges(indexed) == _charges(per_view), shards
-            # ... and update by update, the matched registrations are
-            # exactly those whose own screen says yes.
-            checked_extents, _, _ = run_stream(
-                shards, seed, nodes, steps, drawn=drawn, screens="checked"
-            )
-            assert checked_extents == extents, shards
+        extents, _, indexed = run_stream(seed, nodes, steps, drawn=drawn)
+        reference_extents, _, per_view = run_stream(
+            seed, nodes, steps, drawn=drawn, screens="per-view"
+        )
+        assert extents == reference_extents
+        assert _charges(indexed) == _charges(per_view)
+        # ... and update by update, the matched registrations are
+        # exactly those whose own screen says yes.
+        checked_extents, _, _ = run_stream(
+            seed, nodes, steps, drawn=drawn, screens="checked"
+        )
+        assert checked_extents == extents

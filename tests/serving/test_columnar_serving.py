@@ -22,7 +22,7 @@ QUERIES = (
 )
 
 
-def build_env(**server_kwargs):
+def build_env(*, with_parent_index: bool = True):
     store = ObjectStore()
     store.add_atomic("A1", "name", "ann")
     store.add_atomic("A2", "age", 30)
@@ -33,10 +33,9 @@ def build_env(**server_kwargs):
     registry = DatabaseRegistry(store)
     server = QueryServer(
         registry,
-        parent_index=ParentIndex(store),
+        parent_index=ParentIndex(store) if with_parent_index else None,
         label_index=LabelIndex(store),
         cache_size=8,
-        **server_kwargs,
     )
     return store, registry, server
 
@@ -110,59 +109,74 @@ class TestKernelServing:
         assert server.stats()["hits"] == 1
 
 
-class TestShardedRefinement:
-    """A fresh columnar snapshot turns cross-shard fail-opens into
-    exact downward-reachability tests: same evictions where the anchor
-    really sits under the entry, retained entries (and zero
-    ``failopen_cross_shard``) where it does not."""
+class TestFailOpenRefinement:
+    """A fresh columnar snapshot turns the invalidator's fail-opens (no
+    parent index; an upward chain that stops at a multi-parent node)
+    into exact downward-reachability tests: same evictions where the
+    anchor really sits under the entry, retained entries where it does
+    not."""
 
-    def env(self, **columnar_kwargs):
-        from tests.serving.test_sharded_failopen import (
-            build_server,
-            cross_shard_tree,
-        )
+    def dag_env(self, *, columnar: bool):
+        """R -> A, B, D; ``S`` is shared by A and B (a DAG), so every
+        chain from below S stops there.  One entry that reaches S and
+        one (under D) that does not."""
+        store, _, server = build_env()
+        store.add_atomic("S1", "name", "sam")
+        store.add_set("S", "team", ["S1"])
+        store.insert_edge("A", "S")
+        store.insert_edge("B", "S")
+        store.add_atomic("D1", "name", "dee")
+        store.add_set("D", "emp", ["D1"])
+        store.insert_edge("R", "D")
+        if columnar:
+            enable_columnar(store)
+        assert server.evaluate_oids("SELECT A.team.name X") == {"S1"}
+        assert server.evaluate_oids("SELECT D.name X") == {"D1"}
+        return store, server
 
-        store, grp, val = cross_shard_tree()
-        manager = enable_columnar(store, **columnar_kwargs)
-        server = build_server(store, parent_index=None)
-        return store, grp, val, manager, server
+    def grow_team(self, store):
+        store.add_atomic("S2", "name", "sue")
+        store.insert_edge("S", "S2")  # anchor S has two parents
 
-    QUERY = "SELECT root.emp X WHERE X.age > 20"
-
-    def test_refined_screen_still_invalidates_dependents(self):
-        store, grp, val, _manager, server = self.env()
-        assert server.evaluate_oids(self.QUERY) == {grp}
-        store.modify_value(val, 10)
-        # Refined, not failed open — and still never stale.
-        assert store.counters.failopen_cross_shard == 0
-        assert server.evaluate_oids(self.QUERY) == set()
-
-    def test_refined_screen_retains_unrelated_entries(self):
-        store, grp, val, _manager, server = self.env()
-        assert server.evaluate_oids(self.QUERY) == {grp}
+    def test_multi_parent_stop_fails_open_without_snapshot(self):
+        store, server = self.dag_env(columnar=False)
         hits = server.stats()["hits"]
-        store.add_atomic("lone", "age", 5)  # not under root
-        store.modify_value("lone", 99)
-        # Without the snapshot this update fails open (same label as
-        # the witness); the kernel proves root never reaches it.
-        assert store.counters.failopen_cross_shard == 0
-        assert server.evaluate_oids(self.QUERY) == {grp}
+        self.grow_team(store)
+        assert server.evaluate_oids("SELECT A.team.name X") == {"S1", "S2"}
+        # Sound but imprecise: D's entry shares the label and goes too.
+        assert server.evaluate_oids("SELECT D.name X") == {"D1"}
+        assert server.stats()["hits"] == hits
+
+    def test_snapshot_refines_multi_parent_stop(self):
+        store, server = self.dag_env(columnar=True)
+        hits = server.stats()["hits"]
+        self.grow_team(store)
+        # Still never stale for the entry that reaches S ...
+        assert server.evaluate_oids("SELECT A.team.name X") == {"S1", "S2"}
+        # ... while the kernel proves D never does: entry retained.
+        assert server.evaluate_oids("SELECT D.name X") == {"D1"}
         assert server.stats()["hits"] == hits + 1
 
-    def test_unstitched_facade_keeps_failopen_behaviour(self):
-        store, grp, val, _manager, server = self.env(stitch_borders=False)
-        assert server.evaluate_oids(self.QUERY) == {grp}
-        store.modify_value(val, 10)
-        # No servable view: the pre-columnar fail-open path, counter
-        # and all, is byte-for-byte what runs.
-        assert store.counters.failopen_cross_shard == 1
-        assert server.evaluate_oids(self.QUERY) == set()
+    def test_snapshot_refines_missing_parent_index(self):
+        store, _, server = build_env(with_parent_index=False)
+        enable_columnar(store)
+        assert server.evaluate_oids("SELECT A.name X") == {"A1"}
+        assert server.evaluate_oids("SELECT B.name X") == {"B1"}
+        hits = server.stats()["hits"]
+        store.add_atomic("B2", "name", "beth")
+        store.insert_edge("B", "B2")
+        # Without the snapshot both entries fail open (see
+        # test_invalidation's test_no_parent_index_fails_open).
+        assert server.evaluate_oids("SELECT A.name X") == {"A1"}
+        assert server.stats()["hits"] == hits + 1
+        assert server.evaluate_oids("SELECT B.name X") == {"B1", "B2"}
 
 
 class TestInvalidatorRefinement:
     def test_single_store_invalidation_unchanged(self):
-        # On a plain store the refinement branches never fire; this
-        # pins that enabling columnar does not alter hit/miss flow.
+        # On a tree with a parent index the refinement branches never
+        # fire; this pins that enabling columnar does not alter
+        # hit/miss flow.
         plain_store, plain_reg, plain_server = build_env()
         col_store, col_reg, col_server = build_env()
         enable_columnar(col_store)

@@ -194,60 +194,6 @@ class TestMain:
         assert "loaded 15 objects" in out.getvalue()
 
 
-class TestSharded:
-    def test_shards_command_requires_sharded_store(self):
-        assert "not sharded" in run("shards")
-
-    def test_sharded_session(self):
-        from repro.views import ViewCatalog
-
-        out = run(
-            "newset root dbroot",
-            "newset s0 section",
-            "insert root s0",
-            "new a1 item 70",
-            "insert s0 a1",
-            "define mview V as: SELECT root.section X WHERE X.item > 50",
-            "members V",
-            "shards",
-            "counters",
-            catalog=ViewCatalog(shards=4),
-        )
-        assert "view V defined (1 member)" in out
-        assert "s0" in out
-        assert "4 shards" in out
-        # combined counters fold in the per-shard charges
-        assert "object_writes" in out
-
-    def test_main_shards_flag(self, tmp_path):
-        script = tmp_path / "session.gsdbsh"
-        script.write_text("newset root dbroot\nshards\n")
-        import contextlib
-        import io as _io
-
-        buffer = _io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = main(["--shards", "2", str(script)])
-        assert code == 0
-        assert "2 shards" in buffer.getvalue()
-
-    def test_main_shards_flag_equals_form(self, tmp_path):
-        script = tmp_path / "session.gsdbsh"
-        script.write_text("shards\n")
-        import contextlib
-        import io as _io
-
-        buffer = _io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = main([f"--shards=4", str(script)])
-        assert code == 0
-        assert "4 shards" in buffer.getvalue()
-
-    def test_main_shards_flag_missing_value(self, capsys):
-        assert main(["--shards"]) == 2
-        assert "usage" in capsys.readouterr().err
-
-
 class TestColumnarCommand:
     def test_on_status_off(self, person_file):
         out = run(
