@@ -9,6 +9,12 @@ metric rows without parsing tables.
 Run everything with::
 
     pytest benchmarks/ --benchmark-only -s
+
+Plain runs print their tables and leave ``results/`` alone, so the test
+suite never dirties the tracked tree; regenerate the committed artifacts
+with ``REPRO_BENCH_REGEN=1``::
+
+    REPRO_BENCH_REGEN=1 pytest benchmarks/ -q
 """
 
 from __future__ import annotations
@@ -68,7 +74,8 @@ def emit(
     config: Mapping[str, object] | None = None,
     counters: Mapping[str, int] | None = None,
 ) -> str:
-    """Render a results table, print it, and persist it to disk.
+    """Render a results table, print it, and — under
+    ``REPRO_BENCH_REGEN=1`` — persist it to disk.
 
     Writes ``results/<filename>`` (the rendered table) and
     ``results/<stem>.json`` with the schema::
@@ -88,6 +95,8 @@ def emit(
     text = render_table(title, headers, rows, note=note)
     print()
     print(text)
+    if os.environ.get("REPRO_BENCH_REGEN") != "1":
+        return text
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / filename).write_text(text + "\n")
     stem = Path(filename).stem

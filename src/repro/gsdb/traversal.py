@@ -117,14 +117,23 @@ def eval_path_condition(
     condition (``cond()`` "accepts a set of atomic objects", Section 2).
     With an empty path, the condition is tested on *start* itself.
     """
-    satisfied: set[str] = set()
-    for oid in follow_path(store, start, path):
+    atoms = atomic_values(store, follow_path(store, start, path))
+    return {oid for oid, value in atoms.items() if cond(value)}
+
+
+def atomic_values(
+    store: ObjectStore, oids: Iterable[str]
+) -> dict[str, AtomicValue]:
+    """The atomic objects among *oids*, with their values — one charged
+    read per OID.  :func:`eval_path_condition` is this over
+    ``start.path`` filtered by ``cond``; maintainers sharing one
+    ``start.path`` read it once and filter per view."""
+    values: dict[str, AtomicValue] = {}
+    for oid in oids:
         obj = store.get_optional(oid)
-        if obj is None or obj.is_set:
-            continue
-        if cond(obj.atomic_value()):
-            satisfied.add(oid)
-    return satisfied
+        if obj is not None and not obj.is_set:
+            values[oid] = obj.atomic_value()
+    return values
 
 
 def descendants(store: ObjectStore, start: str) -> set[str]:

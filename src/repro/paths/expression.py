@@ -80,10 +80,12 @@ class PathExpression:
     False
     """
 
-    __slots__ = ("_segments",)
+    __slots__ = ("_segments", "_hash")
 
     def __init__(self, segments: Sequence[Segment] = ()) -> None:
         self._segments = tuple(segments)
+        # Immutable, and hashed on every compile_expression lookup.
+        self._hash = hash(self._segments)
 
     @classmethod
     def parse(cls, text: str) -> "PathExpression":
@@ -187,7 +189,7 @@ class PathExpression:
         return self._segments == other._segments
 
     def __hash__(self) -> int:
-        return hash(self._segments)
+        return self._hash
 
     def __len__(self) -> int:
         return len(self._segments)

@@ -11,6 +11,8 @@ remark in Section 2) evaluate compositionally on top of the atoms.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.gsdb.store import ObjectStore
 from repro.paths.automaton import compile_expression
 from repro.paths.expression import PathExpression
@@ -37,26 +39,40 @@ def atomic_values_on_path(
 
 
 def evaluate_condition(
-    store: ObjectStore, start: str, condition: Condition
+    store: ObjectStore,
+    start: str,
+    condition: Condition,
+    *,
+    values: Callable[[str, PathExpression], list] | None = None,
 ) -> bool:
-    """Evaluate a condition tree for candidate object *start*."""
+    """Evaluate a condition tree for candidate object *start*.
+
+    *values* answers ``(start, comparison path)`` in place of
+    :func:`atomic_values_on_path` — view maintainers pass a memoized
+    one so views comparing the same witnesses against different
+    constants read them once.
+    """
     if isinstance(condition, Comparison):
-        return any(
-            condition.test_value(value)
-            for value in atomic_values_on_path(store, start, condition.path)
+        witnessed = (
+            atomic_values_on_path(store, start, condition.path)
+            if values is None
+            else values(start, condition.path)
         )
+        return any(condition.test_value(value) for value in witnessed)
     if isinstance(condition, Exists):
         return bool(objects_on_path(store, start, condition.path))
     if isinstance(condition, Not):
-        return not evaluate_condition(store, start, condition.operand)
+        return not evaluate_condition(
+            store, start, condition.operand, values=values
+        )
     if isinstance(condition, And):
         return all(
-            evaluate_condition(store, start, operand)
+            evaluate_condition(store, start, operand, values=values)
             for operand in condition.operands
         )
     if isinstance(condition, Or):
         return any(
-            evaluate_condition(store, start, operand)
+            evaluate_condition(store, start, operand, values=values)
             for operand in condition.operands
         )
     raise TypeError(f"unknown condition node: {condition!r}")

@@ -8,9 +8,41 @@ update even when most views are unaffected.  This module makes the
 multi-view hot path scale with the *affected* views instead:
 
 :class:`PathContext`
-    A per-update (or per-batch) memo of the root chains every
+    A per-update (or per-batch) memo of the base reads every
     maintainer needs.  ``path(ROOT, N1)`` / ``chain(ROOT, N1)`` are
-    computed once and shared by all views rooted at the same entry.
+    computed once and shared by all views rooted at the same entry,
+    and so is the rest of the apply phase (below).
+
+shared apply (:meth:`PathContext.shared`)
+    Algorithm 1 touches the base only through ``path()``,
+    ``ancestor()`` and ``eval()`` (Section 4.3), and those depend on
+    the view's *definition parts*, not on the view.  So each distinct
+    part is evaluated once per update (once per batch) by the first
+    view that needs it, charged exactly as that view would have been,
+    and handed to every later view as is: extended up-candidates by
+    (root, select NFA, N1) and down-candidates by (root, select NFA,
+    N1, N2); atomic witness values by (candidate, comparison path);
+    ``N.p`` and its atomic values by (N, p); ``ancestor(X, p)`` by
+    (search root, X, p); the N2 object ``_decompose`` reads; a batched
+    delete's subtree by N2.  What stays per view is Algorithm 1's own
+    logic — the ``cond()`` test against the view's constant and
+    ``V_insert``/``V_delete``/refresh — so views differing only in a
+    literal (or in nothing) pay for their path work once.  Extended
+    screens with the same root and label sets likewise answer the
+    label/region test once per update.  Without a context,
+    ``maintainer.handle(update)`` computes every part itself.
+
+    *Soundness*: dispatch evaluates every maintainer against one base
+    state — the state after the update (the whole batch) — and
+    maintenance never changes it: maintainers write only delegates and
+    view objects, whose edges the :class:`~repro.gsdb.indexes.ParentIndex`
+    ignores and which no base object points to, so no memoized chain,
+    subtree or ``N.p`` can pass through them (a view defined over
+    another view's object is maintained by recomputation, which reads
+    no memo).  Every key holds all the
+    inputs of its answer — the view root among them wherever the answer
+    depends on where the view starts — so views with different entry
+    points share only what is the same from both.
 
 screening (:class:`_SimpleScreen` / :class:`_ExtendedScreen`)
     Before a maintainer runs, the dispatcher decides from the view's
@@ -77,11 +109,12 @@ screening (:class:`_SimpleScreen` / :class:`_ExtendedScreen`)
     and later updates in the same batch may have detached or moved
     parts of that subtree before dispatch runs.  Maintainers therefore
     treat a batched delete specially (see
-    ``SimpleViewMaintainer._membership_after_delete`` /
-    ``ExtendedViewMaintainer._on_edge_change``): they purge every view
-    member found in the deleted child's final-state subtree by direct
-    ``contains`` inspection — complete where witness-driven discovery
-    under-approximates — and skip the no-lost-witness shortcut before
+    :func:`~repro.views.maintenance.purge_stranded`): they purge the
+    view members found in the deleted child's final-state subtree by
+    direct ``contains`` inspection — complete where witness-driven
+    discovery under-approximates — except those the final state still
+    derives from the view's own root when that root lies inside the
+    subtree, and skip the no-lost-witness shortcut before
     re-evaluating the surviving ancestor.  Members moved out of the
     subtree mid-batch are covered inductively: whatever op moved them
     is itself in the batch and dispatched in order.  Screens likewise
@@ -98,7 +131,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.gsdb.indexes import ParentIndex
 from repro.gsdb.store import ObjectStore
@@ -110,15 +143,22 @@ from repro.query.ast import And, Comparison
 from repro.views.extended import ExtendedViewMaintainer
 from repro.views.maintenance import SimpleViewMaintainer
 
+T = TypeVar("T")
+
+#: Marks a :meth:`PathContext.shared` miss (None is a valid answer).
+_MISSING = object()
+
 
 class PathContext:
-    """Per-update memo of root chains, shared across maintainers.
+    """Per-update memo of base reads, shared across maintainers.
 
-    All lookups are keyed ``(root, oid)`` so views with different entry
-    points share nothing by accident.  Labels are resolved through the
-    store's uncharged ``peek`` when it has one (screening must not
-    charge base accesses); remote store shims without a free ``peek``
-    fall back to the charged lookup.
+    Chain and path lookups are keyed ``(root, oid)`` so views with
+    different entry points share nothing by accident; :meth:`shared`
+    holds the maintainers' definition parts (see "shared apply" in the
+    module docstring).  Labels are resolved through the store's
+    uncharged ``peek`` when it has one (screening must not charge base
+    accesses); remote store shims without a free ``peek`` fall back to
+    the charged lookup.
 
     A context may serve a whole batch *only after* the batch has been
     fully applied to the base: every memoized answer reflects the final
@@ -143,6 +183,18 @@ class PathContext:
         self._paths: dict[tuple[str, str], list[str] | None] = {}
         self._chains: dict[tuple[str, str], list[str] | None] = {}
         self._chain_sets: dict[str, tuple[frozenset[str], bool]] = {}
+        self._shared: dict[tuple, object] = {}
+
+    def shared(self, key: tuple, compute: Callable[[], T]) -> T:
+        """The answer for one definition part: computed — and charged —
+        by the first view asking, returned as is to every later one
+        (callers must not mutate it).  *key* starts with a tag naming
+        the part and includes every input the answer depends on,
+        the view root among them wherever the answer has one."""
+        value = self._shared.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._shared[key] = compute()
+        return value  # type: ignore[return-value]
 
     def label(self, oid: str) -> str | None:
         """The label of *oid*, or None when absent (uncharged)."""
@@ -292,22 +344,49 @@ class _ExtendedScreen:
                 break
             witness_labels.update(segments[-1].labels)
         self._witness_labels = witness_labels
+        #: What the label/region verdict depends on: screens agreeing
+        #: here answer it once per update.
+        self._signature = (
+            maintainer.root,
+            None if edge_labels is None else frozenset(edge_labels),
+            None if witness_labels is None else frozenset(witness_labels),
+        )
 
-    def relevant(self, update: Update, ctx: PathContext) -> bool:
+    def relevant(
+        self,
+        update: Update,
+        ctx: PathContext,
+        verdicts: dict[tuple, bool] | None = None,
+    ) -> bool:
+        """*verdicts* collects :meth:`_reaches` by signature for one
+        update, so identical screens answer it once.  (A dict local to
+        the update, not :meth:`PathContext.shared`: keying the context
+        memo by the update costs more than the screen it saves.)"""
         m = self.m
         if isinstance(update, Modify):
             if m.view.contains(update.oid):
                 return True
             if m.condition is None:
                 return False
+        elif m.view.contains(update.parent):
+            return True
+        if verdicts is None:
+            return self._reaches(update, ctx)
+        verdict = verdicts.get(self._signature)
+        if verdict is None:
+            verdict = verdicts[self._signature] = self._reaches(update, ctx)
+        return verdict
+
+    def _reaches(self, update: Update, ctx: PathContext) -> bool:
+        """The view-independent half: label gate, then reachable region."""
+        root = self.m.root
+        if isinstance(update, Modify):
             if (
                 self._witness_labels is not None
                 and ctx.label(update.oid) not in self._witness_labels
             ):
                 return False
-            return ctx.chain_between(m.root, update.oid) is not None
-        if m.view.contains(update.parent):
-            return True
+            return ctx.chain_between(root, update.oid) is not None
         if (
             self._edge_labels is not None
             and ctx.label(update.child) not in self._edge_labels
@@ -315,7 +394,7 @@ class _ExtendedScreen:
             return False
         if ctx.batched and isinstance(update, Delete):
             return True  # removals are history-dependent; label gate only
-        return ctx.chain_between(m.root, update.parent) is not None
+        return ctx.chain_between(root, update.parent) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +684,7 @@ class _DefinitionIndex:
                         pending.append((entry.order, _RESOLVE, root))
                         break
         heapify(pending)
+        verdicts: dict[tuple, bool] = {}  # extended screens, this update
         while pending:
             _order, kind, item = heappop(pending)
             if kind == _RESOLVE:
@@ -622,7 +702,7 @@ class _DefinitionIndex:
             elif (
                 kind == _MATCHED
                 or item.screen is None
-                or item.screen.relevant(update, ctx)
+                or item.screen.relevant(update, ctx, verdicts)
             ):
                 yield item
 

@@ -43,10 +43,12 @@ from typing import TYPE_CHECKING
 from repro.errors import MaintenanceError
 from repro.gsdb.indexes import ParentIndex
 from repro.gsdb.store import ObjectStore
-from repro.gsdb.traversal import chain_between, descendants
+from repro.gsdb.traversal import chain_between
 from repro.gsdb.updates import Delete, Insert, Modify, Update
 from repro.paths.automaton import compile_expression
-from repro.query.conditions import evaluate_condition
+from repro.paths.expression import PathExpression
+from repro.query.conditions import atomic_values_on_path, evaluate_condition
+from repro.views.maintenance import purge_stranded, unshared
 from repro.views.materialized import MaterializedView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -82,6 +84,7 @@ class ExtendedViewMaintainer:
         self.condition = view.definition.condition
         self.updates_processed = 0
         self._context: "PathContext | None" = None
+        self._shared = unshared
         if subscribe:
             self.base.subscribe(self.handle)
 
@@ -92,9 +95,11 @@ class ExtendedViewMaintainer:
     ) -> None:
         """Process one applied update, optionally with a shared
         per-update :class:`~repro.views.dispatcher.PathContext` so
-        ROOT→N1 chains are computed once across views."""
+        ROOT→N1 chains, candidate sets and condition witnesses are
+        computed once across views sharing the definition part."""
         self.updates_processed += 1
         self._context = context
+        self._shared = unshared if context is None else context.shared
         try:
             if isinstance(update, (Insert, Delete)):
                 self._on_edge_change(update)
@@ -104,6 +109,7 @@ class ExtendedViewMaintainer:
                 raise MaintenanceError(f"unknown update: {update!r}")
         finally:
             self._context = None
+            self._shared = unshared
 
     def handle_all(self, updates) -> None:
         for update in updates:
@@ -119,52 +125,83 @@ class ExtendedViewMaintainer:
         )
 
     def _up_candidates(self, chain: list[str]) -> set[str]:
-        """Nodes on the ROOT→N1 chain lying on a sel-path instance."""
-        candidates: set[str] = set()
-        states = self.sel_nfa.initial()
-        if self.sel_nfa.is_accepting(states):
-            candidates.add(chain[0])
-        for node in chain[1:]:
-            obj = self.base.get_optional(node)
-            if obj is None:
-                break
-            states = self.sel_nfa.step(states, obj.label)
-            if not states:
-                break
-            if self.sel_nfa.is_accepting(states):
-                candidates.add(node)
-        return candidates
+        """Nodes on the ROOT→N1 chain lying on a sel-path instance
+        (shared per root, select path and N1; do not mutate)."""
+        nfa = self.sel_nfa
+
+        def walk() -> set[str]:
+            candidates: set[str] = set()
+            states = nfa.initial()
+            if nfa.is_accepting(states):
+                candidates.add(chain[0])
+            for node in chain[1:]:
+                obj = self.base.get_optional(node)
+                if obj is None:
+                    break
+                states = nfa.step(states, obj.label)
+                if not states:
+                    break
+                if nfa.is_accepting(states):
+                    candidates.add(node)
+            return candidates
+
+        return self._shared(("up", self.root, nfa, chain[-1]), walk)
 
     def _down_candidates(
         self, chain: list[str], child_oid: str
     ) -> set[str]:
         """Objects in *child_oid*'s subtree on a sel instance through the
-        updated edge."""
-        states = self.sel_nfa.initial()
-        for node in chain[1:]:
-            obj = self.base.get_optional(node)
-            if obj is None:
+        updated edge (shared per root, select path, N1 and N2)."""
+        nfa = self.sel_nfa
+
+        def walk() -> set[str]:
+            states = nfa.initial()
+            for node in chain[1:]:
+                obj = self.base.get_optional(node)
+                if obj is None:
+                    return set()
+                states = nfa.step(states, obj.label)
+                if not states:
+                    return set()
+            child = self.base.get_optional(child_oid)
+            if child is None:
                 return set()
-            states = self.sel_nfa.step(states, obj.label)
+            states = nfa.step(states, child.label)
             if not states:
                 return set()
-        child = self.base.get_optional(child_oid)
-        if child is None:
-            return set()
-        states = self.sel_nfa.step(states, child.label)
-        if not states:
-            return set()
-        return self.sel_nfa.evaluate(self.base, child_oid, from_states=states)
+            return nfa.evaluate(self.base, child_oid, from_states=states)
+
+        return self._shared(
+            ("down", self.root, nfa, chain[-1], child_oid), walk
+        )
 
     # -- membership decision ----------------------------------------------------------
 
+    def _witness_values(self, candidate: str, path: PathExpression) -> list:
+        """Atomic values on ``candidate.path``, read once per context;
+        each view tests them against its own constant."""
+        return self._shared(
+            ("witness", candidate, compile_expression(path)),
+            lambda: atomic_values_on_path(self.base, candidate, path),
+        )
+
+    def _holds(self, candidate: str) -> bool:
+        return self.condition is None or evaluate_condition(
+            self.base, candidate, self.condition, values=self._witness_values
+        )
+
+    def _derives(self, oid: str) -> bool:
+        """Does the current base derive *oid* from ROOT: a sel-path
+        instance ends at it and the condition holds?"""
+        chain = self._chain_to(oid)
+        return (
+            chain is not None
+            and oid in self._up_candidates(chain)
+            and self._holds(oid)
+        )
+
     def _decide(self, candidate: str, *, reachable: bool) -> None:
-        if not reachable:
-            self.view.v_delete(candidate)
-            return
-        if self.condition is None or evaluate_condition(
-            self.base, candidate, self.condition
-        ):
+        if reachable and self._holds(candidate):
             self.view.v_insert(candidate)
         else:
             self.view.v_delete(candidate)
@@ -176,14 +213,9 @@ class ExtendedViewMaintainer:
             attached = isinstance(update, Insert)
             batched = self._context is not None and self._context.batched
             if batched and not attached:
-                # Batched dispatch sees the *final* state; later batch
-                # updates may have detached or moved parts of the
-                # subtree this delete cut off, so the NFA walk below
-                # under-approximates.  Complete discovery: evict every
-                # member stranded in N2's current subtree (exact on
-                # trees).  Members moved elsewhere mid-batch are
-                # re-decided by their own updates, dispatched in order.
-                self._purge_members_below(update.child)
+                # Batched dispatch sees the *final* state, so the NFA
+                # walk below would under-approximate: purge instead.
+                purge_stranded(self, update.child)
             chain = self._chain_to(update.parent)
             if chain is None:
                 return  # update in a detached region; no member involved
@@ -197,14 +229,6 @@ class ExtendedViewMaintainer:
         finally:
             if self.view.contains(update.parent):
                 self.view.refresh(update.parent)
-
-    def _purge_members_below(self, child_oid: str) -> None:
-        """Evict every view member in *child_oid*'s current subtree."""
-        if self.view.contains(child_oid):
-            self.view.v_delete(child_oid)
-        for oid in sorted(descendants(self.base, child_oid)):
-            if self.view.contains(oid):
-                self.view.v_delete(oid)
 
     def _on_modify(self, update: Modify) -> None:
         try:

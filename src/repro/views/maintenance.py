@@ -39,7 +39,7 @@ experiment E8).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.errors import MaintenanceError
 from repro.gsdb.indexes import ParentIndex
@@ -47,9 +47,9 @@ from repro.gsdb.store import ObjectStore
 from repro.gsdb.traversal import (
     ancestor_by_path,
     ancestor_via_root,
+    atomic_values,
     chain_between,
     descendants,
-    eval_path_condition,
     follow_path,
     path_between,
 )
@@ -59,6 +59,45 @@ from repro.views.materialized import MaterializedView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.views.dispatcher import PathContext
+
+T = TypeVar("T")
+
+
+def unshared(key: tuple, compute: Callable[[], T]) -> T:
+    """A maintainer's ``_shared`` without a context: every call
+    computes, and charges, afresh (see
+    :meth:`~repro.views.dispatcher.PathContext.shared`)."""
+    return compute()
+
+
+def purge_stranded(maintainer, child_oid: str) -> None:
+    """Batched delete: evict the members stranded at or below N2.
+
+    Under batched dispatch the base is already at the *final* state,
+    where later batch updates may have detached or moved parts of the
+    subtree the delete cut off, so witness-driven discovery
+    under-approximates the members to evict.  Complete discovery
+    instead: inspect every object in N2's final-state subtree (walked
+    once per context, whichever view asks first).  A member found there
+    leaves the view unless the final state still derives it from the
+    view's own root — possible only when that root lies inside the
+    subtree (an inner-rooted view), and then decided by the
+    maintainer's ``_derives``, the test recomputation applies to one
+    object.  With the root outside, a stranded member is derivable
+    only through an edge that re-attached the subtree later in the
+    batch, and that edge's own insert, dispatched after this delete,
+    re-decides it; members moved out of the subtree mid-batch are
+    likewise re-decided by the updates that moved them.
+    """
+    subtree = maintainer._shared(
+        ("subtree", child_oid),
+        lambda: (child_oid, *sorted(descendants(maintainer.base, child_oid))),
+    )
+    view = maintainer.view
+    inner = maintainer.root in subtree
+    for oid in subtree:
+        if view.contains(oid) and not (inner and maintainer._derives(oid)):
+            view.v_delete(oid)
 
 
 class SimpleViewMaintainer:
@@ -99,6 +138,7 @@ class SimpleViewMaintainer:
         self.cond = view.definition.predicate()
         self.updates_processed = 0
         self._context: "PathContext | None" = None
+        self._shared = unshared
         if subscribe:
             self.base.subscribe(self.handle)
 
@@ -111,12 +151,14 @@ class SimpleViewMaintainer:
 
         *context* is an optional per-update
         :class:`~repro.views.dispatcher.PathContext` supplied by a
-        dispatcher so ``path(ROOT, N1)`` / ancestor chains computed for
-        one view are reused by every other view handling the same
-        update.
+        dispatcher so the base reads of ``path()``, ``ancestor()`` and
+        ``eval()`` made for one view are reused by every other view
+        handling the same update; only the ``cond`` filter and the
+        ``V_insert``/``V_delete``/refresh calls stay per view.
         """
         self.updates_processed += 1
         self._context = context
+        self._shared = unshared if context is None else context.shared
         try:
             if isinstance(update, Insert):
                 self._on_insert(update)
@@ -128,6 +170,7 @@ class SimpleViewMaintainer:
                 raise MaintenanceError(f"unknown update: {update!r}")
         finally:
             self._context = None
+            self._shared = unshared
 
     def handle_all(self, updates) -> None:
         for update in updates:
@@ -154,13 +197,34 @@ class SimpleViewMaintainer:
         from *search_root* (ROOT in general, or the detached subtree's
         root for the delete case).
         """
-        if self.parent_index is not None:
-            return ancestor_by_path(self.base, oid, path.labels, self.parent_index)
-        return ancestor_via_root(self.base, search_root, oid, path.labels)
+        labels = path.labels
+
+        def walk() -> str | None:
+            if self.parent_index is not None:
+                return ancestor_by_path(self.base, oid, labels, self.parent_index)
+            return ancestor_via_root(self.base, search_root, oid, labels)
+
+        return self._shared(("ancestor", search_root, oid, labels), walk)
+
+    def _follow(self, oid: str, path: Path) -> set[str]:
+        """``N.p`` — shared by every view asking for it (do not mutate)."""
+        labels = path.labels
+        return self._shared(
+            ("follow", oid, labels),
+            lambda: follow_path(self.base, oid, labels),
+        )
 
     def _eval(self, oid: str, path: Path) -> set[str]:
-        """``eval(N, p, cond)`` — witnesses of the condition under N."""
-        return eval_path_condition(self.base, oid, path.labels, self.cond)
+        """``eval(N, p, cond)`` — witnesses of the condition under N.
+
+        The objects of ``N.p`` and their values are read once per
+        context; only the filter by this view's ``cond`` is per view.
+        """
+        atoms = self._shared(
+            ("eval", oid, path.labels),
+            lambda: atomic_values(self.base, self._follow(oid, path)),
+        )
+        return {witness for witness, value in atoms.items() if self.cond(value)}
 
     # -- insert -------------------------------------------------------------
 
@@ -176,7 +240,7 @@ class SimpleViewMaintainer:
             return
         child = update.child
         if not self.has_condition:
-            for member in sorted(follow_path(self.base, child, remainder.labels)):
+            for member in sorted(self._follow(child, remainder)):
                 self.view.v_insert(member)
             return
         witnesses = self._eval(child, remainder)
@@ -199,17 +263,10 @@ class SimpleViewMaintainer:
             self._refresh_affected(update.parent)
 
     def _membership_after_delete(self, update: Delete) -> None:
-        # Under batched dispatch the base is already at the *final*
-        # state, where later batch updates may have detached or moved
-        # parts of the subtree this delete cut off — witness-driven
-        # discovery then under-approximates the members to evict.
-        # Complete discovery instead: every member stranded at or below
-        # N2 leaves the view (exact on trees — membership requires
-        # reachability from ROOT).  Members moved elsewhere mid-batch
-        # are re-decided by their own updates, dispatched in order.
+        # Batched deletes are history-dependent: see purge_stranded.
         batched = self._context is not None and self._context.batched
         if batched:
-            self._purge_members_below(update.child)
+            purge_stranded(self, update.child)
         remainder = self._decompose(update.parent, update.child)
         if remainder is None:
             return
@@ -218,7 +275,7 @@ class SimpleViewMaintainer:
             if batched:
                 return  # purge above is a superset of N2.p
             # Tree base: everything on N2.p lost its only derivation.
-            for member in sorted(follow_path(self.base, child, remainder.labels)):
+            for member in sorted(self._follow(child, remainder)):
                 self.view.v_delete(member)
             return
         inside_subtree = remainder.endswith(self.cond_path)
@@ -251,13 +308,13 @@ class SimpleViewMaintainer:
         if not self._eval(target, self.cond_path):
             self.view.v_delete(target)
 
-    def _purge_members_below(self, child_oid: str) -> None:
-        """Evict every view member in *child_oid*'s current subtree."""
-        if self.view.contains(child_oid):
-            self.view.v_delete(child_oid)
-        for oid in sorted(descendants(self.base, child_oid)):
-            if self.view.contains(oid):
-                self.view.v_delete(oid)
+    def _derives(self, oid: str) -> bool:
+        """Does the current base derive *oid* from ROOT — is
+        ``path(ROOT, oid) = sel_path`` with ``cond`` witnessed below it?"""
+        path = self._path_from_root(oid)
+        if path is None or path != self.sel_path:
+            return False
+        return not self.has_condition or bool(self._eval(oid, self.cond_path))
 
     def _surviving_ancestor(self, parent_oid: str) -> str | None:
         """The Y above the deleted edge: the node at depth |sel_path| on
@@ -310,7 +367,10 @@ class SimpleViewMaintainer:
         prefix = self._path_from_root(parent_oid)
         if prefix is None:
             return None
-        child = self.base.get_optional(child_oid)
+        child = self._shared(
+            ("read", child_oid),
+            lambda: self.base.get_optional(child_oid),
+        )
         if child is None:
             return None
         return self.full_path.strip_prefix(prefix + Path((child.label,)))

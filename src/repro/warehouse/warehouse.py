@@ -55,7 +55,7 @@ from repro.instrumentation.counters import CostCounters
 from repro.paths.path import Path
 from repro.views.definition import ViewDefinition
 from repro.views.dispatcher import coalesce_updates, screen_replayed
-from repro.views.maintenance import SimpleViewMaintainer
+from repro.views.maintenance import SimpleViewMaintainer, unshared
 from repro.views.materialized import MaterializedView
 from repro.views.recompute import compute_view_members
 from repro.warehouse.caching import AuxiliaryCache, CachePolicy
@@ -79,14 +79,16 @@ class _StaleContext:
     dispatch, where the base is already at the final state.  Flagging
     ``batched`` makes the maintainer's delete handling history-aware
     (purge-by-inspection; see
-    ``SimpleViewMaintainer._membership_after_delete``) instead of
+    :func:`~repro.views.maintenance.purge_stranded`) instead of
     witness-driven.  The chain lookups of
     :class:`~repro.views.dispatcher.PathContext` are not needed: the
     remote maintainer overrides every evaluation function that would
-    consult them.
+    consult them.  Nothing is shared either — each remote view keeps
+    charging its own source queries.
     """
 
     batched = True
+    shared = staticmethod(unshared)
 
 
 _STALE_CONTEXT = _StaleContext()

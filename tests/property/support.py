@@ -44,27 +44,37 @@ def common_settings(default_examples: int) -> dict:
 
 #: Definition templates over an entry ``{e}``: shared prefixes, a
 #: repeated label, condition-less views, conditions on the member
-#: itself, and the empty select path (the view of ROOT itself).
+#: itself, the empty select path (the view of ROOT itself), and
+#: constant-varied duplicates — same paths, another literal — whose
+#: path work the dispatcher's context shares.
 SIMPLE_TEMPLATES = (
     "SELECT {e}.a X",
     "SELECT {e}.a.b X",
     "SELECT {e}.a.b.c X",
     "SELECT {e}.a.a X",
     "SELECT {e}.b X WHERE X > 30",
+    "SELECT {e}.b X WHERE X > 70",
     "SELECT {e}.a X WHERE X.b > 40",
+    "SELECT {e}.a X WHERE X.b <= 60",
     "SELECT {e}.a X WHERE X.a > 40",
     "SELECT {e}.a X WHERE X.b.c <= 60",
+    "SELECT {e}.a X WHERE X.b.c > 20",
     "SELECT {e}.a.b X WHERE X.c > 50",
+    "SELECT {e}.a.b X WHERE X.c < 35",
     "SELECT {e}.c X WHERE X.a = 77",
     "SELECT {e} X",
     "SELECT {e} X WHERE X.a > 40",
+    "SELECT {e} X WHERE X.a < 60",
     "SELECT {e} X WHERE X > 30",
 )
 
 EXTENDED_TEMPLATES = (
     "SELECT {e}.* X WHERE X.c > 50",
+    "SELECT {e}.* X WHERE X.c <= 25",
     "SELECT {e}.?.b X",
+    "SELECT {e}.?.b X WHERE X > 45",
     "SELECT {e}.a X WHERE X.b > 20 AND X.c < 80",
+    "SELECT {e}.a X WHERE X.b > 60 AND X.c < 40",
 )
 
 #: How a drawn view is maintained: ``simple`` and ``extended`` get their
@@ -115,10 +125,14 @@ def draw_catalog(rng, roots: list[str], count: int) -> list[tuple[str, str]]:
     return specs
 
 
-def register_catalog(dispatcher, store, parent_index, specs, log=None):
-    """Build every drawn view (delegates in a private view store, so
-    maintenance never perturbs the base) and register its maintainer in
-    spec order.  Returns the views; a view-less kind contributes None."""
+def register_catalog(
+    dispatcher, store, parent_index, specs, log=None, *, central=False
+):
+    """Build every drawn view and register its maintainer in spec
+    order.  Delegates live in a private view store, so maintenance
+    never perturbs the base — or, with *central*, in the base store
+    itself, as :class:`~repro.views.ViewCatalog` keeps them.  Returns
+    the views; a view-less kind contributes None."""
     log = [] if log is None else log
     views = []
     for ordinal, (kind, query) in enumerate(specs):
@@ -131,11 +145,12 @@ def register_catalog(dispatcher, store, parent_index, specs, log=None):
             views.append(None)
             continue
         definition = ViewDefinition.parse(f"define mview V{ordinal} as: {query}")
+        view_store = None if central else ObjectStore()
         if kind == "partial":
-            view = PartialMaterializedView(definition, store, ObjectStore(), depth=2)
+            view = PartialMaterializedView(definition, store, view_store, depth=2)
             view.load_members(compute_view_members(definition, store))
         else:
-            view = MaterializedView(definition, store, ObjectStore())
+            view = MaterializedView(definition, store, view_store)
             populate_view(view)
         maintainer_cls = (
             ExtendedViewMaintainer if kind == "extended" else SimpleViewMaintainer

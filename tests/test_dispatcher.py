@@ -225,16 +225,13 @@ class TestDefinitionIndex:
         checked = check_matching_against_screens(dispatcher)
         _drive(store, root, dispatcher, seed + 1, steps, batched)
         assert len(checked) == dispatcher.updates_dispatched
-        # Extents are compared with recomputation only under the
-        # protected tree root: a batched delete *above* an inner view
-        # root makes the maintainers purge members that are still
-        # derivable (found here; the screens, and so the index, are not
-        # involved — see CHANGES.md, PR 13).
+        # Every drawn view, inner-rooted ones included: a batched delete
+        # above an inner root must not purge what that root derives.
         for view in views:
-            if view is not None and view.definition.entry == root:
+            if view is not None:
                 assert view.members() == compute_view_members(
                     view.definition, store
-                )
+                ), view.definition.query
 
     @given(
         seed=st.integers(0, 10_000),
@@ -554,6 +551,40 @@ class TestBatchedCascadingDeletes:
         assert not catalog.materialized_views["V"].contains("B")
         assert catalog.check("V").ok
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT B.a X",
+            "SELECT B.a X WHERE X > 5",
+            "SELECT B.? X",
+            "SELECT B.* X WHERE X > 5",
+        ],
+    )
+    def test_detach_above_an_inner_root_keeps_what_it_derives(self, query):
+        catalog = ViewCatalog()
+        catalog.store.add_tree(
+            ("root0", "root", [("A", "a", [("B", "b", [("C", "a", 60)])])])
+        )
+        catalog.define("define mview R as: SELECT root0.a X")
+        catalog.define(f"define mview V as: {query}")
+        assert catalog.materialized_views["V"].members() == {"C"}
+        # The purge walks A's subtree, which holds V's own root B: C is
+        # still derived from B and stays; R's A is stranded and goes.
+        catalog.apply_batch([Delete("root0", "A")])
+        assert catalog.materialized_views["V"].members() == {"C"}
+        assert not catalog.materialized_views["R"].contains("A")
+        assert all(r.ok for r in catalog.check_all().values())
+
+    def test_inner_root_member_lost_in_the_same_batch_goes(self):
+        catalog = ViewCatalog()
+        catalog.store.add_tree(
+            ("root0", "root", [("A", "a", [("B", "b", [("C", "a", 60)])])])
+        )
+        catalog.define("define mview V as: SELECT B.a X WHERE X > 5")
+        catalog.apply_batch([Delete("root0", "A"), Modify("C", 60, 1)])
+        assert not catalog.materialized_views["V"].contains("C")
+        assert catalog.check("V").ok
+
 
 def _two_branch_catalog():
     catalog = ViewCatalog()
@@ -663,6 +694,80 @@ class TestPathContext:
         delta = store.counters.delta_since(snapshot)
         assert second == first
         assert delta.total_base_accesses() == 0
+
+    @staticmethod
+    def _wildcard_views_charge(constants, *, context_free=False):
+        """Base accesses one price modify charges the views
+        ``SELECT root.?.item X WHERE X.price > k``, k in *constants*."""
+        catalog = ViewCatalog()
+        catalog.store.add_tree(
+            ("root", "root", [("C0", "c0", [("I1", "item", [("P1", "price", 5)])])])
+        )
+        for i, constant in enumerate(constants):
+            catalog.define(
+                f"define mview W{i} as: "
+                f"SELECT root.?.item X WHERE X.price > {constant}"
+            )
+        if context_free:
+            for maintainer in catalog.maintainers.values():
+                catalog.dispatcher.unregister(maintainer)
+                catalog.store.subscribe(maintainer.handle)
+        snapshot = catalog.store.counters.snapshot()
+        catalog.store.modify_value("P1", 50)
+        charged = catalog.store.counters.delta_since(snapshot)
+        assert all(r.ok for r in catalog.check_all().values())
+        assert all(
+            view.contains("I1") for view in catalog.materialized_views.values()
+        )
+        return charged.total_base_accesses()
+
+    def test_definition_parts_are_read_once_per_update(self):
+        charge = self._wildcard_views_charge
+        # Alone, a view charges what it charges without a context ...
+        assert charge([10]) == charge([10], context_free=True)
+        # ... and each view differing only in its constant adds just the
+        # read its own V_insert makes: candidates, chain and the price
+        # witness are shared.
+        assert charge([10, 20]) == charge([10]) + 1
+        assert charge([10, 20, 30]) == charge([10]) + 2
+        assert charge([10, 20, 30]) < charge([10, 20, 30], context_free=True)
+
+    def test_views_over_different_roots_share_nothing(self):
+        catalog = ViewCatalog()
+        catalog.store.add_tree(
+            ("root0", "root", [("K", "c", 60), ("A", "a", [("B", "b", [])])])
+        )
+        catalog.define("define mview R as: SELECT root0.* X WHERE X.c > 50")
+        catalog.define("define mview V as: SELECT A.* X WHERE X.c > 50")
+        catalog.store.add_atomic("D", "c", 70)
+        # One select path, two roots: the candidates on root0's chain to
+        # B are not the candidates on A's.
+        catalog.store.insert_edge("B", "D")
+        assert catalog.materialized_views["R"].members() == {"root0", "B"}
+        assert catalog.materialized_views["V"].members() == {"B"}
+        assert all(r.ok for r in catalog.check_all().values())
+
+    def test_parts_below_one_object_are_keyed_by_their_path(self):
+        catalog = ViewCatalog()
+        catalog.store.add_tree(
+            (
+                "root0",
+                "root",
+                [("A", "a", [("Bn", "b", 50), ("Bs", "b", [("Cs", "c", 30)])])],
+            )
+        )
+        catalog.define("define mview V1 as: SELECT root0.a X WHERE X.b > 40")
+        catalog.define("define mview V2 as: SELECT root0.a X WHERE X.b.c <= 60")
+        assert all(
+            view.members() == {"A"}
+            for view in catalog.materialized_views.values()
+        )
+        # eval(A, b) and eval(A, b.c) start at one object, yet differ.
+        catalog.store.delete_edge("root0", "A")
+        assert all(
+            not view.members() for view in catalog.materialized_views.values()
+        )
+        assert all(r.ok for r in catalog.check_all().values())
 
     def test_label_lookup_is_uncharged(self):
         store = ObjectStore()
