@@ -29,8 +29,9 @@ Two evaluation strategies exist side by side:
   adjacency skips out-edges whose label has no automaton transition,
   charging one ``index_probes`` per expanded parent instead of one
   ``edge_traversals`` per skipped edge (the same accounting indexed
-  traversal uses elsewhere).  Used by the read-path serving layer
-  (:mod:`repro.serving`) and experiment E16.
+  traversal uses elsewhere).  Used by query evaluation and view
+  recomputation whenever a label index is at hand
+  (:mod:`repro.query.evaluator`), and by the serving layer.
 
 ``step`` results are memoized per automaton in a
 ``(state-set, label) → state-set`` transition table: the inner loop of
@@ -75,12 +76,13 @@ class PathNFA:
         self._alphabet_cache: dict[StateSet, frozenset[str] | None] = {}
         self.step_computations = 0
         self.step_cache_hits = 0
+        self._initial = self._closure({0})
 
     # -- core NFA operations -----------------------------------------------------
 
     def initial(self) -> StateSet:
-        """The ε-closure of the start state."""
-        return self._closure({0})
+        """The ε-closure of the start state (computed once)."""
+        return self._initial
 
     def _closure(self, states: Iterable[int]) -> StateSet:
         """ε-closure: skip over ``*`` segments without consuming."""
@@ -123,7 +125,7 @@ class PathNFA:
 
         Wildcard segments (``*`` self-loops, ``?``) consume every label,
         so any live state sitting on one makes the alphabet unbounded.
-        The serving layer's frontier evaluation uses a bounded alphabet
+        Indexed frontier evaluation uses a bounded alphabet
         to probe the label index instead of scanning out-edges.
         """
         cached = self._alphabet_cache.get(states, _ALPHABET_MISS)
@@ -243,14 +245,24 @@ class PathNFA:
         scan path so out-of-scope children stay invisible (and charge
         their probe reads).  Results are identical to :meth:`evaluate`
         in all cases; cycle-safe the same way (each (object, state-set)
-        pair expands once).
+        pair expands once).  Without an index the charges are identical
+        too: the same pairs expand, each charging its own read plus an
+        edge and a read per out-edge.
+
+        Expansion order is free.  The search is level-synchronous and
+        deduplicates on (object, state-set): a pair enters the next
+        frontier only if no earlier level (nor this one) produced it,
+        so the set of pairs expanded at each level — and with it every
+        charge and the result set — is the same whichever order the
+        frontier's state sets, OIDs and labels are visited in.
         """
-        initial = self.initial() if from_states is None else from_states
+        initial = self._initial if from_states is None else from_states
         if not initial:
             return set()
-        results: set[str] = set()
-        if self.is_accepting(initial):
-            results.add(start)
+        accept = self._accept
+        step = self.step
+        get_optional = store.get_optional
+        results: set[str] = {start} if accept in initial else set()
         seen: set[tuple[str, StateSet]] = {(start, initial)}
         peek = getattr(store, "peek", None)
         indexed = label_index is not None and peek is not None
@@ -258,48 +270,56 @@ class PathNFA:
         frontier: dict[StateSet, set[str]] = {initial: {start}}
         while frontier:
             next_frontier: dict[StateSet, set[str]] = {}
-
-            def admit(child: str, next_states: StateSet) -> None:
-                if self.is_accepting(next_states):
-                    results.add(child)
-                key = (child, next_states)
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.setdefault(next_states, set()).add(child)
-
-            # Deterministic expansion order keeps charged counts
-            # reproducible (sorted state sets, then sorted OIDs).
-            for states in sorted(frontier, key=sorted):
+            for states, oids in frontier.items():
                 alphabet = (
                     self.transition_labels(states) if indexed else None
                 )
                 if alphabet is not None and not alphabet:
                     continue  # no live transition: nothing to expand
-                for oid in sorted(frontier[states]):
-                    obj = store.get_optional(oid)
+                for oid in oids:
+                    obj = get_optional(oid)
                     if obj is None or not obj.is_set:
                         continue
                     if alphabet is not None:
                         by_label = label_index.children_by_label(oid)
-                        for label in sorted(alphabet & by_label.keys()):
-                            next_states = self.step(states, label)
+                        for label in alphabet:
+                            children = by_label.get(label)
+                            if not children:
+                                continue
+                            next_states = step(states, label)
                             if not next_states:
                                 continue
-                            for child in by_label[label]:
+                            accepting = accept in next_states
+                            for child in children:
                                 if peek(child) is None:
                                     continue
                                 counters.edge_traversals += 1
                                 counters.object_reads += 1
-                                admit(child, next_states)
+                                if accepting:
+                                    results.add(child)
+                                key = (child, next_states)
+                                if key not in seen:
+                                    seen.add(key)
+                                    next_frontier.setdefault(
+                                        next_states, set()
+                                    ).add(child)
                     else:
                         for child in obj.children():
                             counters.edge_traversals += 1
-                            child_obj = store.get_optional(child)
+                            child_obj = get_optional(child)
                             if child_obj is None:
                                 continue
-                            next_states = self.step(states, child_obj.label)
-                            if next_states:
-                                admit(child, next_states)
+                            next_states = step(states, child_obj.label)
+                            if not next_states:
+                                continue
+                            if accept in next_states:
+                                results.add(child)
+                            key = (child, next_states)
+                            if key not in seen:
+                                seen.add(key)
+                                next_frontier.setdefault(
+                                    next_states, set()
+                                ).add(child)
             frontier = next_frontier
         return results
 

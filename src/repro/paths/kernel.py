@@ -69,9 +69,8 @@ def evaluate_on_snapshot(view, nfa: PathNFA, start: str) -> set[str]:
     frontier: dict[StateSet, list[int]] = {initial: [start_row]}
     while frontier:
         next_frontier: dict[StateSet, list[int]] = {}
-        # Sorted state-set order mirrors evaluate_frontier's
-        # deterministic expansion (charges must not depend on dict
-        # iteration order).
+        # Sorted state-set order: charges must not depend on dict
+        # iteration order.
         for states in sorted(frontier, key=sorted):
             rows = frontier[states]
             alphabet = nfa.transition_labels(states)

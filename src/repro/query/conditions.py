@@ -7,12 +7,20 @@ objects reached by the path never satisfy an atomic comparison.
 
 Boolean connectives (our extension, anticipated by the paper's closing
 remark in Section 2) evaluate compositionally on top of the atoms.
+
+Every helper takes an optional *label_index*: with one, condition paths
+resolve through its children-by-label adjacency
+(:meth:`~repro.paths.automaton.PathNFA.evaluate_frontier`); without
+one, they scan out-edges (:meth:`~repro.paths.automaton.PathNFA.
+evaluate`).  Pass an index only for the unscoped store it was built
+over.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.gsdb.indexes import LabelIndex
 from repro.gsdb.store import ObjectStore
 from repro.paths.automaton import compile_expression
 from repro.paths.expression import PathExpression
@@ -20,18 +28,31 @@ from repro.query.ast import And, Comparison, Condition, Exists, Not, Or
 
 
 def objects_on_path(
-    store: ObjectStore, start: str, path: PathExpression
+    store: ObjectStore,
+    start: str,
+    path: PathExpression,
+    *,
+    label_index: LabelIndex | None = None,
 ) -> set[str]:
-    """``start.path`` for a (possibly wildcard) condition path."""
-    return compile_expression(path).evaluate(store, start)
+    """``start.path`` for a (possibly wildcard) path."""
+    nfa = compile_expression(path)
+    if label_index is None:
+        return nfa.evaluate(store, start)
+    return nfa.evaluate_frontier(store, start, label_index=label_index)
 
 
 def atomic_values_on_path(
-    store: ObjectStore, start: str, path: PathExpression
+    store: ObjectStore,
+    start: str,
+    path: PathExpression,
+    *,
+    label_index: LabelIndex | None = None,
 ) -> list:
     """Values of atomic objects in ``start.path`` (sorted by OID)."""
     values = []
-    for oid in sorted(objects_on_path(store, start, path)):
+    for oid in sorted(
+        objects_on_path(store, start, path, label_index=label_index)
+    ):
         obj = store.get_optional(oid)
         if obj is not None and obj.is_atomic:
             values.append(obj.atomic_value())
@@ -44,6 +65,7 @@ def evaluate_condition(
     condition: Condition,
     *,
     values: Callable[[str, PathExpression], list] | None = None,
+    label_index: LabelIndex | None = None,
 ) -> bool:
     """Evaluate a condition tree for candidate object *start*.
 
@@ -54,25 +76,39 @@ def evaluate_condition(
     """
     if isinstance(condition, Comparison):
         witnessed = (
-            atomic_values_on_path(store, start, condition.path)
+            atomic_values_on_path(
+                store, start, condition.path, label_index=label_index
+            )
             if values is None
             else values(start, condition.path)
         )
         return any(condition.test_value(value) for value in witnessed)
     if isinstance(condition, Exists):
-        return bool(objects_on_path(store, start, condition.path))
+        return bool(
+            objects_on_path(
+                store, start, condition.path, label_index=label_index
+            )
+        )
     if isinstance(condition, Not):
         return not evaluate_condition(
-            store, start, condition.operand, values=values
+            store,
+            start,
+            condition.operand,
+            values=values,
+            label_index=label_index,
         )
     if isinstance(condition, And):
         return all(
-            evaluate_condition(store, start, operand, values=values)
+            evaluate_condition(
+                store, start, operand, values=values, label_index=label_index
+            )
             for operand in condition.operands
         )
     if isinstance(condition, Or):
         return any(
-            evaluate_condition(store, start, operand, values=values)
+            evaluate_condition(
+                store, start, operand, values=values, label_index=label_index
+            )
             for operand in condition.operands
         )
     raise TypeError(f"unknown condition node: {condition!r}")

@@ -14,20 +14,37 @@ the query": we evaluate against a :class:`ScopedStore` that pretends
 out-of-scope objects do not exist, so they are invisible both as
 intermediate path nodes and in conditions (the paper's example: with
 ``WITHIN D1`` and ``A1`` stored elsewhere, ``X.age > 40`` fails).
+
+Given a :class:`~repro.gsdb.indexes.LabelIndex` (the view catalog
+passes the one it builds with ``with_label_index=True``), an unscoped
+query resolves its select path and every condition path through the
+index's children-by-label adjacency
+(:meth:`~repro.paths.automaton.PathNFA.evaluate_frontier`): an
+expanded object costs one uncharged index probe, and only out-edges
+whose label the path can consume are read — the base accesses the
+paper's indexes exist to avoid (Section 4.4).  A ``WITHIN`` query keeps
+the scan: the index sees the whole store, so it would reach children
+the :class:`ScopedStore` must hide, and skip the probe reads an
+out-of-scope child charges.  So does a query entered at a registered
+database or view, or at an object in one's namespace (a delegate
+``MV.P1``): view maintenance rewires view objects and delegates without
+store updates, so the index, fed by those updates, never sees their
+edges (:func:`index_applies`).  Without an index every query scans;
+answers are the same either way.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from repro.errors import QueryEvaluationError
 from repro.gsdb.database import DatabaseRegistry
+from repro.gsdb.indexes import LabelIndex
 from repro.gsdb.object import Object
 from repro.gsdb.store import ObjectStore
-from repro.paths.automaton import compile_expression
 from repro.query.answer import make_answer
 from repro.query.ast import Query
-from repro.query.conditions import evaluate_condition
+from repro.query.conditions import evaluate_condition, objects_on_path
 from repro.query.parser import parse_query
 
 
@@ -70,12 +87,39 @@ class ScopedStore:
         return oid in self._scope and oid in self._store
 
 
-class QueryEvaluator:
-    """Evaluates parsed queries against a store + database registry."""
+def index_applies(query: Query, names: AbstractSet[str]) -> bool:
+    """May *query* resolve its paths through a label index?
 
-    def __init__(self, registry: DatabaseRegistry) -> None:
+    Not under ``WITHIN`` (see the module docstring), and not when the
+    entry is one of the registered *names* or dotted below one: the
+    registry does not tell views from databases, and view objects and
+    their delegates change without the store updates the index follows.
+    """
+    if query.within is not None:
+        return False
+    entry = query.entry
+    return entry not in names and not any(
+        entry[:i] in names for i, char in enumerate(entry) if char == "."
+    )
+
+
+class QueryEvaluator:
+    """Evaluates parsed queries against a store + database registry.
+
+    *label_index*, when given, must be built over ``registry.store``;
+    queries :func:`index_applies` admits then resolve their select and
+    condition paths through it.
+    """
+
+    def __init__(
+        self,
+        registry: DatabaseRegistry,
+        *,
+        label_index: LabelIndex | None = None,
+    ) -> None:
         self.registry = registry
         self.store = registry.store
+        self.label_index = label_index
 
     # -- public API ----------------------------------------------------------
 
@@ -88,16 +132,39 @@ class QueryEvaluator:
         """Evaluate and return the raw answer OID set."""
         if isinstance(query, str):
             query = parse_query(query)
+        return self.evaluate_from(query, self._resolve_entry(query.entry))
+
+    def evaluate_from(
+        self,
+        query: Query,
+        entry_oid: str,
+        *,
+        candidates: set[str] | None = None,
+    ) -> set[str]:
+        """Steps 2–4 from the resolved *entry_oid*: select, filter by the
+        WHERE clause, intersect with ``ANS INT``.
+
+        *candidates*, when given, stands in for ``entry.sel_path_exp``
+        (a caller that computed it another way, e.g. on a columnar
+        snapshot); it may be updated in place.
+        """
         store = self._scoped_store(query)
-        entry_oid = self._resolve_entry(query.entry)
-        candidates = compile_expression(query.select_path).evaluate(
-            store, entry_oid
-        )
+        index = self.label_index
+        if index is not None and not index_applies(
+            query, self.registry.names()
+        ):
+            index = None
+        if candidates is None:
+            candidates = objects_on_path(
+                store, entry_oid, query.select_path, label_index=index
+            )
         if query.condition is not None:
             candidates = {
                 oid
                 for oid in candidates
-                if evaluate_condition(store, oid, query.condition)
+                if evaluate_condition(
+                    store, oid, query.condition, label_index=index
+                )
             }
         if query.ans_int is not None:
             candidates &= self.registry.members(query.ans_int)

@@ -5,11 +5,11 @@ QueryEvaluator` (``evaluate`` / ``evaluate_oids``) that
 
 1. canonicalizes the parsed query and answers repeats from the
    :class:`~repro.serving.cache.QueryCache`,
-2. evaluates misses set-at-a-time
-   (:meth:`~repro.paths.automaton.PathNFA.evaluate_frontier`, probing
-   the label index when the query is unscoped — a
-   :class:`~repro.query.evaluator.ScopedStore` must keep the scan path
-   so out-of-scope objects stay invisible and charge their probes), and
+2. evaluates misses through :class:`~repro.query.evaluator.
+   QueryEvaluator`, whose select and condition paths probe the label
+   index where :func:`~repro.query.evaluator.index_applies` allows
+   (``use_frontier=False`` evaluates without the index: the unindexed
+   baseline), and
 3. registers each cached answer with the
    :class:`~repro.serving.invalidation.Invalidator` so later updates
    evict exactly the answers they may change.
@@ -31,7 +31,6 @@ from repro.gsdb.object import Object
 from repro.paths.automaton import compile_expression
 from repro.query.answer import make_answer
 from repro.query.ast import Query
-from repro.query.conditions import evaluate_condition
 from repro.query.evaluator import QueryEvaluator
 from repro.paths.kernel import evaluate_on_snapshot
 from repro.query.parser import parse_query
@@ -57,9 +56,10 @@ class QueryServer:
         self.store = registry.store
         self.parent_index = parent_index
         self.label_index = label_index
-        self.use_frontier = use_frontier
         self._cacheable = cacheable
-        self._evaluator = QueryEvaluator(registry)
+        self._evaluator = QueryEvaluator(
+            registry, label_index=label_index if use_frontier else None
+        )
         self.cache = QueryCache(cache_size, counters=self.store.counters)
         self.invalidator = Invalidator(
             self.store,
@@ -94,17 +94,17 @@ class QueryServer:
     # -- miss evaluation ------------------------------------------------------
 
     def _evaluate_fresh(self, query: Query, entry_oid: str) -> set[str]:
-        """One uncached evaluation, kernel- or frontier-style.
+        """One uncached evaluation, kernel- or evaluator-style.
 
         A fresh columnar snapshot (``store.columnar``) serves unscoped
         path sweeps; scoped queries keep the interpreted path — a
         :class:`~repro.query.evaluator.ScopedStore` must stay in the
         loop so out-of-scope objects remain invisible and charge their
         probes.  No snapshot (or a stale one) falls back interpreted,
-        charging ``kernel_fallbacks``.
+        charging ``kernel_fallbacks``.  Everything else — the
+        interpreted select, the WHERE clause, ``ANS INT`` — is the
+        query evaluator's, indexed when the server is.
         """
-        store = self._evaluator._scoped_store(query)
-        nfa = compile_expression(query.select_path)
         candidates = None
         if query.within is None:
             manager = getattr(self.store, "columnar", None)
@@ -112,28 +112,15 @@ class QueryServer:
                 snapshot = manager.current()
                 if snapshot is not None:
                     candidates = evaluate_on_snapshot(
-                        snapshot, nfa, entry_oid
+                        snapshot,
+                        compile_expression(query.select_path),
+                        entry_oid,
                     )
                 else:
                     self.store.counters.kernel_fallbacks += 1
-        if candidates is not None:
-            pass
-        elif self.use_frontier:
-            index = self.label_index if query.within is None else None
-            candidates = nfa.evaluate_frontier(
-                store, entry_oid, label_index=index
-            )
-        else:
-            candidates = nfa.evaluate(store, entry_oid)
-        if query.condition is not None:
-            candidates = {
-                oid
-                for oid in candidates
-                if evaluate_condition(store, oid, query.condition)
-            }
-        if query.ans_int is not None:
-            candidates &= self.registry.members(query.ans_int)
-        return candidates
+        return self._evaluator.evaluate_from(
+            query, entry_oid, candidates=candidates
+        )
 
     # -- out-of-band invalidation & stats -------------------------------------
 

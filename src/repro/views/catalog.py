@@ -88,7 +88,9 @@ class ViewCatalog:
         self.dispatcher = MaintenanceDispatcher(
             self.store, parent_index=self.parent_index, subscribe=True
         )
-        self.evaluator = QueryEvaluator(self.registry)
+        self.evaluator = QueryEvaluator(
+            self.registry, label_index=self.label_index
+        )
         #: Optional read-path server (see :meth:`enable_serving`).
         self.server = None
         #: Optional MVCC tier (see :meth:`enable_async_serving`).
@@ -342,8 +344,9 @@ class ViewCatalog:
         return query
 
     def query_oids(self, text: str | Query) -> set[str]:
-        """Like :meth:`query` but returns the raw OID set."""
-        return set(self.query(text).children())
+        """Like :meth:`query` but returns the raw OID set (and registers
+        no answer object in the store)."""
+        return self.evaluator.evaluate_oids(self._fresh_query(text))
 
     # -- read-path serving (experiment E16) -----------------------------------
 
@@ -499,7 +502,9 @@ class ViewCatalog:
         view = self.materialized_views.get(name)
         if view is None:
             raise ViewError(f"no materialized view named {name!r}")
-        return check_consistency(view, registry=self.registry)
+        return check_consistency(
+            view, registry=self.registry, label_index=self.label_index
+        )
 
     def check_all(self) -> dict[str, ConsistencyReport]:
         return {name: self.check(name) for name in self.materialized_views}
@@ -509,4 +514,6 @@ class ViewCatalog:
         view = self.materialized_views.get(name)
         if view is None:
             raise ViewError(f"no materialized view named {name!r}")
-        return recompute_view(view, registry=self.registry)
+        return recompute_view(
+            view, registry=self.registry, label_index=self.label_index
+        )

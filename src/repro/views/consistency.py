@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ViewConsistencyError
 from repro.gsdb.database import DatabaseRegistry
+from repro.gsdb.indexes import LabelIndex
 from repro.views.materialized import MaterializedView
 from repro.views.recompute import compute_view_members
 
@@ -57,6 +58,7 @@ def check_consistency(
     view: MaterializedView,
     *,
     registry: DatabaseRegistry | None = None,
+    label_index: LabelIndex | None = None,
     check_values: bool = True,
 ) -> ConsistencyReport:
     """Compare *view* against a from-scratch evaluation of its definition.
@@ -64,13 +66,18 @@ def check_consistency(
     Args:
         view: the materialized view to audit.
         registry: needed when the definition has scope clauses.
+        label_index: passed to
+            :func:`~repro.views.recompute.compute_view_members`.
         check_values: also verify each delegate's copied value (disable
             after manual edits such as
             :meth:`~repro.views.materialized.MaterializedView.strip_base_references`).
     """
     report = ConsistencyReport()
     truth = compute_view_members(
-        view.definition, view.base_store, registry=registry
+        view.definition,
+        view.base_store,
+        registry=registry,
+        label_index=label_index,
     )
     members = view.members()
     report.missing = truth - members

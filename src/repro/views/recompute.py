@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from repro.errors import QueryEvaluationError
 from repro.gsdb.database import DatabaseRegistry
+from repro.gsdb.indexes import LabelIndex
 from repro.gsdb.store import ObjectStore
 from repro.paths.automaton import compile_expression
 from repro.paths.kernel import evaluate_on_snapshot
 from repro.query.conditions import evaluate_condition
-from repro.query.evaluator import QueryEvaluator
+from repro.query.evaluator import QueryEvaluator, index_applies
 from repro.views.definition import ViewDefinition
 from repro.views.materialized import MaterializedView
 
@@ -27,12 +28,15 @@ def compute_view_members(
     base_store: ObjectStore,
     *,
     registry: DatabaseRegistry | None = None,
+    label_index: LabelIndex | None = None,
 ) -> set[str]:
     """Evaluate the defining query, returning the member OID set.
 
     When the definition has scope clauses (``WITHIN``/``ANS INT``) a
     registry is required to resolve the database names; scope-free
-    definitions are evaluated directly against the store.
+    definitions are evaluated directly against the store.  A
+    *label_index* over *base_store* resolves the select and condition
+    paths through its adjacency where :func:`index_applies` allows.
     """
     query = definition.query
     if query.within is not None or query.ans_int is not None:
@@ -41,9 +45,14 @@ def compute_view_members(
                 f"view {definition.name!r} has scope clauses; "
                 "a database registry is required"
             )
-        return QueryEvaluator(registry).evaluate_oids(query)
+        return QueryEvaluator(registry, label_index=label_index).evaluate_oids(
+            query
+        )
+    names = registry.names() if registry is not None else frozenset()
+    if label_index is not None and not index_applies(query, names):
+        label_index = None
     entry = query.entry
-    if registry is not None and entry in registry.names():
+    if entry in names:
         entry = registry.resolve(entry).oid
     if entry not in base_store:
         raise QueryEvaluationError(f"entry object {entry!r} not in store")
@@ -57,16 +66,20 @@ def compute_view_members(
     if snapshot is not None:
         candidates = evaluate_on_snapshot(snapshot, nfa, entry)
     else:
-        # Set-at-a-time even without a snapshot: charges are identical
-        # to node-at-a-time evaluate (same (object, state-set) product),
-        # but whole frontiers share each per-label NFA step.
-        candidates = nfa.evaluate_frontier(base_store, entry)
+        # Set-at-a-time even without a snapshot: unindexed, charges are
+        # identical to node-at-a-time evaluate (same (object, state-set)
+        # product), but whole frontiers share each per-label NFA step.
+        candidates = nfa.evaluate_frontier(
+            base_store, entry, label_index=label_index
+        )
     if query.condition is None:
         return candidates
     return {
         oid
         for oid in candidates
-        if evaluate_condition(base_store, oid, query.condition)
+        if evaluate_condition(
+            base_store, oid, query.condition, label_index=label_index
+        )
     }
 
 
@@ -74,15 +87,20 @@ def recompute_view(
     view: MaterializedView,
     *,
     registry: DatabaseRegistry | None = None,
+    label_index: LabelIndex | None = None,
 ) -> tuple[int, int]:
     """Recompute *view* from scratch; returns ``(inserted, deleted)``.
 
     Surviving members are refreshed (their values re-copied), modelling
     the full "recreate the materialized view" cost the paper describes.
+    *label_index* is passed to :func:`compute_view_members`.
     """
     view.view_store.counters.view_recomputations += 1
     new_members = compute_view_members(
-        view.definition, view.base_store, registry=registry
+        view.definition,
+        view.base_store,
+        registry=registry,
+        label_index=label_index,
     )
     old_members = view.members()
     deleted = 0

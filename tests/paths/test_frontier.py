@@ -1,5 +1,7 @@
 """Tests for frontier (set-at-a-time) evaluation and the step memo."""
 
+import pytest
+
 from repro.gsdb import LabelIndex, ObjectStore
 from repro.instrumentation import Meter
 from repro.paths import PathExpression, compile_expression
@@ -84,6 +86,124 @@ class TestFrontierCharging:
             nfa_for("l1").evaluate_frontier(store, root, label_index=index)
         assert meter.delta.index_probes == 1  # the root only
         assert meter.delta.edge_traversals == 4  # one per admitted child
+
+
+CYCLIC_EDGES = {
+    "R": ["A", "B", "C"],
+    "A": ["B", "D", "E"],
+    "B": ["D", "F"],
+    "C": ["F", "R"],
+    "D": ["E", "C"],
+}
+CYCLIC_LABELS = {"R": "r", "A": "a", "B": "b", "C": "a", "D": "b"}
+
+
+def cyclic_dag(name=lambda oid: oid, *, reverse: bool = False) -> ObjectStore:
+    """A DAG with a cycle back to its root ``R``.  *name* renames every
+    OID and *reverse* flips creation order and child lists, so two
+    copies iterate their OID sets (and build frontiers) in different
+    orders over the same shape."""
+    store = ObjectStore(check_references=False)
+    leaves = ["F", "E"] if reverse else ["E", "F"]
+    for oid in leaves:
+        store.add_atomic(name(oid), "c", ord(oid))
+    sets = list(CYCLIC_EDGES)[::-1] if reverse else list(CYCLIC_EDGES)
+    for oid in sets:
+        children = CYCLIC_EDGES[oid][::-1] if reverse else CYCLIC_EDGES[oid]
+        store.add_set(
+            name(oid), CYCLIC_LABELS[oid], [name(child) for child in children]
+        )
+    return store
+
+
+class TestUnindexedFrontierCharging:
+    """Without an index the frontier expands exactly the (object,
+    state-set) pairs :meth:`PathNFA.evaluate` expands, in whatever
+    order: answers and every counter agree."""
+
+    @pytest.mark.parametrize("text", TestFrontierEquivalence.EXPRESSIONS)
+    def test_charges_exactly_evaluate_on_person_dag(self, person_store, text):
+        nfa = nfa_for(text)
+        with Meter(person_store.counters) as classic:
+            expected = nfa.evaluate(person_store, "ROOT")
+        with Meter(person_store.counters) as frontier:
+            assert nfa.evaluate_frontier(person_store, "ROOT") == expected
+        assert frontier.delta.as_dict() == classic.delta.as_dict()
+
+    @pytest.mark.parametrize("text", TestFrontierEquivalence.EXPRESSIONS)
+    def test_indexed_never_charges_more(self, person_store, text):
+        index = LabelIndex(person_store)
+        nfa = nfa_for(text)
+        with Meter(person_store.counters) as classic:
+            expected = nfa.evaluate(person_store, "ROOT")
+        with Meter(person_store.counters) as indexed:
+            assert (
+                nfa.evaluate_frontier(person_store, "ROOT", label_index=index)
+                == expected
+            )
+        assert (
+            indexed.delta.total_base_accesses()
+            <= classic.delta.total_base_accesses()
+        )
+
+    def test_charges_exactly_evaluate_on_a_cycle(self):
+        store = cyclic_dag()
+        for text in ("*", "*.c", "a.*.a", "?.b", "b.a.*"):
+            nfa = nfa_for(text)
+            with Meter(store.counters) as classic:
+                expected = nfa.evaluate(store, "R")
+            with Meter(store.counters) as frontier:
+                assert nfa.evaluate_frontier(store, "R") == expected, text
+            assert frontier.delta.as_dict() == classic.delta.as_dict(), text
+
+    def test_charges_do_not_depend_on_iteration_order(self):
+        copies = [
+            (cyclic_dag(), str),
+            (
+                cyclic_dag(lambda oid: f"obj-{oid}-{ord(oid) * 7919}"),
+                lambda oid: oid.split("-")[1],
+            ),
+            (cyclic_dag(lambda oid: oid * 3, reverse=True), lambda oid: oid[0]),
+        ]
+        for text in ("*", "*.c", "a.*.a", "?.b", "b.a.*"):
+            for use_index in (False, True):
+                runs = []
+                for store, original in copies:
+                    index = LabelIndex(store) if use_index else None
+                    root = next(
+                        oid for oid in store.oids() if original(oid) == "R"
+                    )
+                    with Meter(store.counters) as meter:
+                        answer = nfa_for(text).evaluate_frontier(
+                            store, root, label_index=index
+                        )
+                    renamed = {original(oid) for oid in answer}
+                    runs.append((renamed, meter.delta.as_dict()))
+                assert runs[0] == runs[1] == runs[2], (text, use_index)
+
+    def test_dangling_child_charges_exactly_evaluate(self, person_store):
+        index = LabelIndex(person_store)
+        # P3 goes while ROOT's and P1's edges (and the index) still
+        # name it.
+        person_store.remove_object("P3")
+        for text in ("*.name", "?", "professor.student"):
+            nfa = nfa_for(text)
+            with Meter(person_store.counters) as classic:
+                expected = nfa.evaluate(person_store, "ROOT")
+            with Meter(person_store.counters) as frontier:
+                assert nfa.evaluate_frontier(person_store, "ROOT") == expected
+            assert frontier.delta.as_dict() == classic.delta.as_dict(), text
+            assert "P3" not in expected
+            assert (
+                nfa.evaluate_frontier(person_store, "ROOT", label_index=index)
+                == expected
+            ), text
+
+    def test_initial_is_computed_once(self):
+        nfa = nfa_for("*.name")
+        assert nfa.initial() is nfa.initial()
+        assert not nfa.is_accepting(nfa.initial())
+        assert nfa_for("*").is_accepting(nfa_for("*").initial())
 
 
 class TestStepMemo:

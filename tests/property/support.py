@@ -10,6 +10,7 @@ for a deep soak run (the default keeps the suite fast).
 from __future__ import annotations
 
 import os
+import random
 
 from hypothesis import HealthCheck
 
@@ -217,3 +218,77 @@ def check_matching_against_screens(dispatcher) -> list:
 
     dispatcher._definition_index = checked_index
     return checked
+
+
+# ---------------------------------------------------------------------------
+# random graph stores with cycles, and churn over them
+# ---------------------------------------------------------------------------
+
+
+def build_store(seed: int, nodes: int) -> tuple[ObjectStore, str]:
+    """A random tree over labels a/b/c plus extra edges between set
+    objects (so cycles occur); returns ``(store, "root0")``."""
+    from repro.workloads.generators import random_labelled_tree
+
+    store, root = random_labelled_tree(
+        nodes=nodes,
+        labels=("a", "b", "c"),
+        atomic_fraction=0.4,
+        seed=seed,
+    )
+    # Densify into a DAG with possible cycles: extra edges between
+    # existing set objects (check_references holds — both ends exist).
+    rng = random.Random(seed * 31 + 7)
+    sets = sorted(o for o in store.oids() if store.peek(o).is_set)
+    for _ in range(nodes // 4):
+        parent, child = rng.choice(sets), rng.choice(sorted(store.oids()))
+        if child not in store.peek(parent).children():
+            store.insert_edge(parent, child)
+    return store, root
+
+
+def mutate(
+    store: ObjectStore,
+    rng: random.Random,
+    tag: int,
+    *,
+    protected: frozenset[str] = frozenset({"root0"}),
+) -> None:
+    """One random basic update or (logged-bypassing) create/remove;
+    *protected* objects are never removed."""
+    sets = sorted(o for o in store.oids() if store.peek(o).is_set)
+    op = rng.randrange(5)
+    if op == 0:
+        parent = rng.choice(sets)
+        child = rng.choice(sorted(store.oids()))
+        if child not in store.peek(parent).children():
+            store.insert_edge(parent, child)
+    elif op == 1:
+        parent = rng.choice(sets)
+        children = sorted(store.peek(parent).children())
+        if children:
+            store.delete_edge(parent, rng.choice(children))
+    elif op == 2:
+        atoms = sorted(
+            o for o in store.oids() if not store.peek(o).is_set
+        )
+        if atoms:
+            store.modify_value(rng.choice(atoms), rng.randint(0, 100))
+    elif op == 3:
+        oid = f"new{tag}"
+        label = rng.choice(("a", "b", "c"))
+        if rng.random() < 0.5:
+            store.add_atomic(oid, label, rng.randint(0, 100))
+        else:
+            store.add_set(oid, label, [])
+        store.insert_edge(rng.choice(sets), oid)
+    else:
+        orphan_ok = [o for o in sorted(store.oids()) if o not in protected]
+        if not orphan_ok:
+            return
+        victim = rng.choice(orphan_ok)
+        for parent in sets:
+            if parent in store and victim in store.peek(parent).children():
+                store.delete_edge(parent, victim)
+        if victim in store:
+            store.remove_object(victim)

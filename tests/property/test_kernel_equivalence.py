@@ -16,7 +16,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gsdb import ObjectStore
 from repro.gsdb.columnar import enable_columnar
 from repro.gsdb.gc import reachable_from
 from repro.paths import PathExpression, compile_expression
@@ -25,7 +24,7 @@ from repro.paths.kernel import (
     evaluate_on_snapshot,
     reachable_on_snapshot,
 )
-from tests.property.support import common_settings
+from tests.property.support import build_store, common_settings, mutate
 
 COMMON = common_settings(15)
 
@@ -41,64 +40,6 @@ EXPRESSIONS = (
 )
 
 expression_st = st.sampled_from(EXPRESSIONS)
-
-
-def build_store(seed: int, nodes: int) -> tuple[ObjectStore, str]:
-    from repro.workloads.generators import random_labelled_tree
-
-    store, root = random_labelled_tree(
-        nodes=nodes,
-        labels=("a", "b", "c"),
-        atomic_fraction=0.4,
-        seed=seed,
-    )
-    # Densify into a DAG with possible cycles: extra edges between
-    # existing set objects (check_references holds — both ends exist).
-    rng = random.Random(seed * 31 + 7)
-    sets = sorted(o for o in store.oids() if store.peek(o).is_set)
-    for _ in range(nodes // 4):
-        parent, child = rng.choice(sets), rng.choice(sorted(store.oids()))
-        if child not in store.peek(parent).children():
-            store.insert_edge(parent, child)
-    return store, root
-
-
-def mutate(store: ObjectStore, rng: random.Random, tag: int) -> None:
-    """One random basic update or (logged-bypassing) create/remove."""
-    sets = sorted(o for o in store.oids() if store.peek(o).is_set)
-    op = rng.randrange(5)
-    if op == 0:
-        parent = rng.choice(sets)
-        child = rng.choice(sorted(store.oids()))
-        if child not in store.peek(parent).children():
-            store.insert_edge(parent, child)
-    elif op == 1:
-        parent = rng.choice(sets)
-        children = sorted(store.peek(parent).children())
-        if children:
-            store.delete_edge(parent, rng.choice(children))
-    elif op == 2:
-        atoms = sorted(
-            o for o in store.oids() if not store.peek(o).is_set
-        )
-        if atoms:
-            store.modify_value(rng.choice(atoms), rng.randint(0, 100))
-    elif op == 3:
-        oid = f"new{tag}"
-        label = rng.choice(("a", "b", "c"))
-        if rng.random() < 0.5:
-            store.add_atomic(oid, label, rng.randint(0, 100))
-        else:
-            store.add_set(oid, label, [])
-        store.insert_edge(rng.choice(sets), oid)
-    else:
-        orphan_ok = [o for o in sorted(store.oids()) if o != "root0"]
-        victim = rng.choice(orphan_ok)
-        for parent in sets:
-            if parent in store and victim in store.peek(parent).children():
-                store.delete_edge(parent, victim)
-        if victim in store:
-            store.remove_object(victim)
 
 
 def assert_all_equal(store, view, text: str, starts) -> None:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.paths import PathExpression
+from repro.gsdb import LabelIndex
+from repro.instrumentation import Meter
+from repro.paths import PathExpression, compile_expression
 from repro.query import (
     And,
     Comparison,
@@ -122,3 +124,123 @@ class TestSimpleClassification:
             And((Comparison(p("a"), ">", 1), Comparison(p("b"), ">", 2)))
         )
         assert not is_simple_condition(Exists(p("a")))
+
+
+class TestIndexedConditionPaths:
+    """With a label index, condition paths probe the children-by-label
+    adjacency: same verdicts and values, never more base accesses."""
+
+    CONDITIONS = (
+        Comparison(p("age"), ">", 40),
+        Comparison(p("*.name"), "=", "John"),
+        Comparison(p("?"), "=", 45),
+        Exists(p("salary")),
+        Not(Exists(p("salary"))),
+        Or((Comparison(p("age"), ">", 100), Comparison(p("name"), "=", "Sally"))),
+    )
+
+    def test_same_verdicts_never_more_accesses(self, person_store):
+        index = LabelIndex(person_store)
+        for condition in self.CONDITIONS:
+            for oid in ("P1", "P2", "P3", "P4"):
+                with Meter(person_store.counters) as scanned:
+                    expected = evaluate_condition(person_store, oid, condition)
+                with Meter(person_store.counters) as probed:
+                    got = evaluate_condition(
+                        person_store, oid, condition, label_index=index
+                    )
+                assert got == expected, (condition, oid)
+                assert (
+                    probed.delta.total_base_accesses()
+                    <= scanned.delta.total_base_accesses()
+                ), (condition, oid)
+
+    def test_one_step_lookup_reads_only_the_match(self, person_store):
+        # P1 has age, name and salary children: the scan reads all
+        # three, the index only the ``age`` one.
+        index = LabelIndex(person_store)
+        with Meter(person_store.counters) as probed:
+            values = atomic_values_on_path(
+                person_store, "P1", p("age"), label_index=index
+            )
+        assert values == [45]
+        assert probed.delta.index_probes == 1
+        # P1 read, edge to A1 + its read, A1 re-read for its value.
+        assert probed.delta.total_base_accesses() == 4
+
+    def test_self_path_is_the_start_object(self, person_store):
+        index = LabelIndex(person_store)
+        assert objects_on_path(person_store, "A1", p(""), label_index=index) == {
+            "A1"
+        }
+        assert evaluate_condition(
+            person_store, "A1", Comparison(p(""), "=", 45), label_index=index
+        )
+
+    #: (condition, candidate, verdict) on Example 2 as printed.
+    VERDICTS = (
+        (Comparison(p("age"), ">", 40), "P1", True),
+        (Comparison(p("age"), ">", 40), "P3", False),
+        (Comparison(p("age"), ">", 40), "P2", False),  # no age at all
+        (Comparison(p("*.name"), "=", "John"), "P1", True),
+        (Comparison(p("*.name"), "=", "Tom"), "P1", False),
+        (Comparison(p("?.age"), "<", 30), "P1", True),  # P1.P3.age
+        (Exists(p("student.major")), "P1", True),
+        (Exists(p("student.major")), "P4", False),
+        (Not(Exists(p("salary"))), "P2", True),
+        (
+            And(
+                (
+                    Comparison(p("age"), ">=", 40),
+                    Comparison(p("name"), "=", "Tom"),
+                )
+            ),
+            "P4",
+            True,
+        ),
+        (
+            Or(
+                (
+                    Comparison(p("age"), ">", 100),
+                    Comparison(p("address"), "contains", "Alto"),
+                )
+            ),
+            "P2",
+            True,
+        ),
+        (Comparison(p(""), "=", "Sally"), "N2", True),
+    )
+
+    @pytest.mark.parametrize(
+        "condition, oid, verdict",
+        VERDICTS,
+        ids=[f"{oid}-{i}" for i, (_, oid, _) in enumerate(VERDICTS)],
+    )
+    def test_pinned_verdict_with_and_without_index(
+        self, person_store, condition, oid, verdict
+    ):
+        index = LabelIndex(person_store)
+        with Meter(person_store.counters) as scanned:
+            assert evaluate_condition(person_store, oid, condition) is verdict
+        with Meter(person_store.counters) as probed:
+            assert (
+                evaluate_condition(
+                    person_store, oid, condition, label_index=index
+                )
+                is verdict
+            )
+        assert (
+            probed.delta.total_base_accesses()
+            <= scanned.delta.total_base_accesses()
+        )
+
+    def test_without_index_scans(self, person_store):
+        for text in ("professor", "*.name", "?"):
+            with Meter(person_store.counters) as via_helper:
+                got = objects_on_path(person_store, "ROOT", p(text))
+            with Meter(person_store.counters) as scanned:
+                expected = compile_expression(p(text)).evaluate(
+                    person_store, "ROOT"
+                )
+            assert got == expected
+            assert via_helper.delta.as_dict() == scanned.delta.as_dict()

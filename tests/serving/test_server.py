@@ -1,5 +1,7 @@
 """Tests for the QueryServer front door and its integrations."""
 
+import pytest
+
 from repro.gsdb import ObjectStore
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import LabelIndex, ParentIndex
@@ -87,6 +89,50 @@ class TestServerBasics:
         first = server.evaluate_oids("SELECT R.emp X")
         first.add("tampered")
         assert server.evaluate_oids("SELECT R.emp X") == {"A", "B"}
+
+
+class TestIndexedMisses:
+    """A cold miss is the query evaluator's select-filter-intersect
+    body: indexed by default, unindexed under ``use_frontier=False``."""
+
+    TEXTS = (
+        "SELECT R.emp X",
+        "SELECT R.emp.name X",
+        "SELECT R.* X WHERE X.age > 20",
+        "SELECT R.?.name X",
+        "SELECT R.emp X WHERE X.name = 'bob'",
+        "SELECT R.emp X WHERE NOT EXISTS X.age",
+    )
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_miss_matches_unindexed_and_never_charges_more(self, text):
+        store, registry, _, server = build_env()
+        unindexed_store, unindexed_registry, _, unindexed = build_env(
+            use_frontier=False
+        )
+        fresh = QueryEvaluator(unindexed_registry)
+        with Meter(unindexed_store.counters) as plain:
+            expected = fresh.evaluate_oids(text)
+        with Meter(unindexed_store.counters) as scanned:
+            assert unindexed.evaluate_oids(text) == expected
+        with Meter(store.counters) as probed:
+            assert server.evaluate_oids(text) == expected
+        # Without the index the miss is exactly the plain evaluation.
+        for name in ("object_reads", "edge_traversals", "index_probes"):
+            assert getattr(scanned.delta, name) == getattr(plain.delta, name)
+        assert (
+            probed.delta.total_base_accesses()
+            <= scanned.delta.total_base_accesses()
+        )
+
+    def test_miss_condition_probes_the_index(self):
+        store, _, _, server = build_env()
+        with Meter(store.counters) as meter:
+            assert server.evaluate_oids(
+                "SELECT R.emp X WHERE X.name = 'bob'"
+            ) == {"B"}
+        # R for the select path, then A and B for their ``name``.
+        assert meter.delta.index_probes == 3
 
 
 class TestScopedQueriesShareNothing:

@@ -114,6 +114,15 @@ class TestQueries:
         )
         assert answer == {"P1"}
 
+    def test_query_oids_leaves_no_answer_object(self, catalog):
+        size = len(catalog.store)
+        catalog.query_oids("SELECT ROOT.professor X WHERE X.age > 40")
+        assert len(catalog.store) == size
+        # query() keeps the paper's answer object.
+        answer = catalog.query("SELECT ROOT.professor X WHERE X.age > 40")
+        assert len(catalog.store) == size + 1
+        assert answer.oid in catalog.store
+
     def test_virtual_views_auto_refreshed(self, catalog):
         s = catalog.store
         catalog.define("define view PROFS as: SELECT ROOT.professor X")
@@ -162,3 +171,71 @@ class TestDropView:
         catalog.drop_view("V")
         assert "V" not in catalog.virtual_views
         assert "V" not in catalog.store
+
+
+class TestLabelIndexedCatalog:
+    def test_recompute_and_check_probe_the_label_index(self):
+        catalog = ViewCatalog(with_label_index=True)
+        person_db(catalog.store, tree=True)
+        catalog.define(
+            "define mview A as: SELECT ROOT.professor X WHERE X.age <= 45"
+        )
+        counters = catalog.store.counters
+        before = counters.index_probes
+        assert catalog.recompute("A") == (0, 0)
+        assert catalog.check("A").ok
+        assert counters.index_probes > before
+
+    def test_queries_probe_the_label_index(self):
+        catalog = ViewCatalog(with_label_index=True)
+        person_db(catalog.store, tree=True)
+        counters = catalog.store.counters
+        before = counters.index_probes
+        assert catalog.query_oids(
+            "SELECT ROOT.professor X WHERE X.age > 40"
+        ) == {"P1"}
+        assert counters.index_probes > before
+
+    @staticmethod
+    def updated_catalog(with_label_index: bool) -> ViewCatalog:
+        """Example 2 (tree), PERSON, two maintained views, then updates:
+        P1 ages to 60, professor P9 (30) joins, P2 is detached."""
+        catalog = ViewCatalog(with_label_index=with_label_index)
+        person_db(catalog.store, tree=True)
+        register_person_database(catalog)
+        catalog.define(
+            "define mview YP as: SELECT ROOT.professor X WHERE X.age <= 45"
+        )
+        catalog.define(
+            "define mview JOHNS as: SELECT ROOT.* X WHERE X.name = 'John'"
+        )
+        store = catalog.store
+        store.modify_value("A1", 60)
+        store.add_atomic("A9", "age", 30)
+        store.add_set("P9", "professor", ["A9"])
+        store.insert_edge("ROOT", "P9")
+        store.delete_edge("ROOT", "P2")
+        return catalog
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("SELECT ROOT.professor X WHERE X.age > 40", {"P1"}),
+            ("SELECT ROOT.* X WHERE X.name = 'John'", {"P1", "P3"}),
+            ("SELECT ROOT.?.age X WHERE X < 50", {"A4", "A9"}),
+            (
+                "SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
+                {"P1", "P3"},
+            ),
+            ("SELECT ROOT.professor X ANS INT PERSON", {"P1"}),
+            ("SELECT YP.professor X", {"YP.P9"}),
+            ("SELECT YP.professor.age X", {"A9"}),
+        ],
+    )
+    def test_answers_after_updates_match_unindexed(self, text, expected):
+        indexed = self.updated_catalog(True)
+        unindexed = self.updated_catalog(False)
+        assert unindexed.query_oids(text) == expected
+        assert indexed.query_oids(text) == expected
+        assert indexed.serve_oids(text) == expected
+        assert all(report.ok for report in indexed.check_all().values())

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import QueryEvaluationError
+from repro.gsdb import LabelIndex
+from repro.instrumentation import Meter
 from repro.views import (
     MaterializedView,
     ViewDefinition,
+    check_consistency,
     compute_view_members,
     populate_view,
     recompute_view,
@@ -24,6 +27,39 @@ class TestComputeMembers:
             "define mview V as: SELECT ROOT.* X WHERE X.name = 'John'"
         )
         assert compute_view_members(d, person_store) == {"P1", "P3"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            YP_DEF,
+            "define mview V as: SELECT ROOT.* X WHERE X.name = 'John'",
+            "define mview V as: SELECT ROOT.professor X ANS INT PERSON",
+            "define mview V as: SELECT PERSON.? X WHERE X.age > 40",
+            "define mview V as: SELECT ROOT.professor.student X",
+            "define mview V as: SELECT ROOT.?.? X WHERE X > 30",
+            "define mview V as: SELECT ROOT.* X WHERE EXISTS X.salary",
+            "define mview V as: SELECT ROOT.* X "
+            "WHERE X.name = 'John' WITHIN PERSON",
+        ],
+    )
+    def test_label_index_same_members_never_more_accesses(
+        self, person_registry, person_store, text
+    ):
+        d = ViewDefinition.parse(text)
+        index = LabelIndex(person_store)
+        with Meter(person_store.counters) as scanned:
+            expected = compute_view_members(
+                d, person_store, registry=person_registry
+            )
+        with Meter(person_store.counters) as probed:
+            got = compute_view_members(
+                d, person_store, registry=person_registry, label_index=index
+            )
+        assert got == expected
+        assert (
+            probed.delta.total_base_accesses()
+            <= scanned.delta.total_base_accesses()
+        )
 
     def test_scoped_view_requires_registry(self, person_store):
         d = ViewDefinition.parse(
@@ -74,6 +110,30 @@ class TestPopulateAndRecompute:
         inserted, deleted = recompute_view(view)
         assert (inserted, deleted) == (1, 1)
         assert view.members() == {"P2"}
+
+    def test_recompute_with_label_index(self, person_tree_store):
+        s = person_tree_store
+        index = LabelIndex(s)  # built first: it follows every update
+        view = MaterializedView(ViewDefinition.parse(YP_DEF), s)
+        populate_view(view)
+        s.modify_value("A1", 99)
+        s.add_atomic("A2", "age", 10)
+        s.insert_edge("P2", "A2")
+        with Meter(s.counters) as probed:
+            assert recompute_view(view, label_index=index) == (1, 1)
+        assert view.members() == {"P2"}
+        assert probed.delta.index_probes > 0
+
+    def test_check_consistency_with_label_index(self, person_tree_store):
+        s = person_tree_store
+        index = LabelIndex(s)
+        view = MaterializedView(ViewDefinition.parse(YP_DEF), s)
+        populate_view(view)
+        assert check_consistency(view, label_index=index).ok
+        s.modify_value("A1", 99)  # no maintainer attached: view stale
+        report = check_consistency(view, label_index=index)
+        assert not report.ok
+        assert report.extra == {"P1"}
 
     def test_recompute_refreshes_survivors(self, person_tree_store):
         s = person_tree_store
