@@ -37,6 +37,11 @@ from repro.instrumentation.stats import (  # noqa: F401 - shared bench helpers
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Regenerating the committed artifacts.  Plain runs (tier-1) use each
+#: experiment's CI scale; a regeneration runs the full scale the
+#: committed tables come from.
+REGEN = os.environ.get("REPRO_BENCH_REGEN") == "1"
+
 
 def environment_stamp() -> dict[str, str]:
     """The run environment recorded into every results JSON.
@@ -95,7 +100,7 @@ def emit(
     text = render_table(title, headers, rows, note=note)
     print()
     print(text)
-    if os.environ.get("REPRO_BENCH_REGEN") != "1":
+    if not REGEN:
         return text
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / filename).write_text(text + "\n")

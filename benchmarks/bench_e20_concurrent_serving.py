@@ -39,14 +39,13 @@ Four measurements:
    without 99% read traffic in flight — asserted exactly, not within
    noise.
 
-``REPRO_E20_SCALE=ci`` shrinks the tree and the schedule for smoke
-runs; the committed artifacts come from the full-scale run.
+Plain runs use a small tree and schedule (CI scale); the committed
+artifacts come from the full-scale run under ``REPRO_BENCH_REGEN=1``.
 """
 
-import os
 import time
 
-from _common import emit
+from _common import REGEN, emit
 from repro.serving import AsyncQueryServer, EpochServer
 from repro.serving.server import QueryServer
 from repro.serving.traffic import (
@@ -62,7 +61,7 @@ from repro.workloads.traffic import (
 )
 
 SEED = 7
-CI_MODE = os.environ.get("REPRO_E20_SCALE", "full") == "ci"
+CI_MODE = not REGEN
 
 #: Tree shape: deep/fanned enough that a kernel evaluation is real
 #: work (~thousands of objects) and a write burst invalidates real

@@ -30,7 +30,6 @@ Commands (``help`` prints this at the prompt):
 ``members NAME``         list a view's members
 ``check [NAME]``         audit one view (or all) against recomputation
 ``counters``             show cost counters
-``columnar [on|off|status]``  enable/disable the columnar snapshot
 ``chaos [SEED [STEPS [RATE [LEVEL]]]]``  run a fault-injection round
 ``serve SELECT ...``     run a query through the cached serving layer
 ``bench-serve [STEPS [RATIO [CACHE [SEED]]]]``  mixed read/update round
@@ -97,7 +96,6 @@ class Shell:
             "members": self.cmd_members,
             "check": self.cmd_check,
             "counters": self.cmd_counters,
-            "columnar": self.cmd_columnar,
             "chaos": self.cmd_chaos,
             "bench-serve": self.cmd_bench_serve,
             "traffic": self.cmd_traffic,
@@ -299,34 +297,6 @@ class Shell:
         for key, value in counters.items():
             self._print(f"{key}: {value:,}")
 
-    def cmd_columnar(self, args: list[str]) -> None:
-        """columnar [on|off|status] — manage the store's epoch-versioned
-        columnar snapshot (CSR adjacency + bitset kernels).  ``on``
-        enables (attaching a snapshot if none exists), ``off`` disables
-        (readers fall back to the interpreted path), no argument or
-        ``status`` reports the snapshot lifecycle."""
-        action = args[0] if args else "status"
-        store = self.catalog.store
-        manager = getattr(store, "columnar", None)
-        if action == "on":
-            manager = self.catalog.enable_columnar()
-            manager.enable()
-            self._print(f"columnar snapshot on: {manager.describe()}")
-        elif action == "off":
-            if manager is None:
-                self._print("columnar snapshot was never enabled")
-                return
-            manager.disable()
-            self._print("columnar snapshot off (interpreted fallback)")
-        elif action == "status":
-            if manager is None:
-                self._print("columnar snapshot not enabled (try 'columnar on')")
-            else:
-                state = "on" if manager.enabled else "off"
-                self._print(f"columnar snapshot {state}: {manager.describe()}")
-        else:
-            self._print("usage: columnar [on|off|status]")
-
     def _serve_statement(self, text: str) -> None:
         """serve SELECT ... — query through the catalog's cached read
         path; reports whether the answer came from the cache."""
@@ -472,10 +442,8 @@ class Shell:
 def _profile_main(args: list[str]) -> int:
     """``repro profile [DEPTH [FANOUT [UPDATES [SEED]]]]``.
 
-    Runs the canned workload (:mod:`repro.workloads.profiling`) twice —
-    interpreted, then columnar — and prints the per-phase wall-time and
-    counter breakdown side by side, including the snapshot's
-    refresh/rows-scanned/fallback stats.
+    Runs the canned workload (:mod:`repro.workloads.profiling`) and
+    prints its per-phase wall-time and counter breakdown.
     """
     from repro.workloads.profiling import run_profile
 
@@ -487,16 +455,9 @@ def _profile_main(args: list[str]) -> int:
     except ValueError:
         print("usage: profile [DEPTH [FANOUT [UPDATES [SEED]]]]", file=sys.stderr)
         return 2
-    for columnar in (False, True):
-        report = run_profile(
-            depth=depth,
-            fanout=fanout,
-            updates=updates,
-            seed=seed,
-            columnar=columnar,
-        )
-        for line in report.describe_lines():
-            print(line)
+    report = run_profile(depth=depth, fanout=fanout, updates=updates, seed=seed)
+    for line in report.describe_lines():
+        print(line)
     return 0
 
 

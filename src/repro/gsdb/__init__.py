@@ -17,7 +17,6 @@ from repro.gsdb.columnar import (
     EpochView,
     PublishedEpoch,
     SnapshotRetention,
-    enable_columnar,
 )
 from repro.gsdb.gc import collect_garbage, reachable_from
 from repro.gsdb.database import (
@@ -68,7 +67,6 @@ __all__ = [
     "delegate_oid",
     "difference",
     "dump_object",
-    "enable_columnar",
     "dump_store",
     "dump_subtree",
     "infer_atomic_type",

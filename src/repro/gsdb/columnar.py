@@ -14,6 +14,13 @@ GSDB, built with the stdlib only:
 * a combined all-labels CSR for label-blind sweeps (GC mark), and
 * a ``bytearray`` alive bitset tombstoning removed rows.
 
+The image exists for one consumer: the MVCC serving tier
+(:class:`~repro.serving.mvcc.EpochServer`, experiment E20), which owns
+the only :class:`ColumnarSnapshot` and publishes frozen epochs of it.
+Nothing reads the live snapshot directly; readers see an immutable
+:class:`EpochView`, and the bitset kernels of :mod:`repro.paths.kernel`
+run on that.
+
 Snapshots are **epoch-versioned and refreshed by delta**.  A snapshot
 remembers the store's update-log position it reflects; ``refresh()``
 replays only ``log.since(position)``.  Creations and removals bypass
@@ -22,38 +29,38 @@ snapshot also subscribes to the store's creation/removal listeners and
 stamps each such event with the log position at which it happened;
 delta replay merges the two streams in log order.  When the pending
 delta (or the accumulated patch overlay) grows past
-``rebuild_threshold`` × rows, the snapshot rebuilds from scratch
+:data:`REBUILD_THRESHOLD` × rows, the snapshot rebuilds from scratch
 instead — delta cost is proportional to the delta, rebuild cost to the
 graph, and the threshold picks whichever is cheaper.
 
-Soundness (the staleness guard): every reader goes through
-:meth:`current`, which either brings the snapshot fully up to date
-(one atomic synchronous refresh; the store cannot change mid-refresh
-in this single-threaded design) or returns ``None`` — and a ``None``
-makes the caller fall back to the interpreted path, charging
-``kernel_fallbacks``.  There is no code path that serves rows from a
-snapshot whose ``log_position`` trails the store's log or that has
-unapplied creation/removal events.  Re-creating a previously removed
-OID is the one event delta replay refuses to patch (old CSR edges
-reference the tombstoned row); it flags a full rebuild instead.
+Soundness rests on two methods:
+
+* :meth:`ColumnarSnapshot.refresh` has ``is_fresh()`` as its
+  postcondition: afterwards the snapshot's log position equals the
+  store's and no creation/removal event is pending.  Delta replay
+  refuses three events it cannot patch — a re-created OID (old CSR
+  edges reference the tombstoned row), the removal of an unknown row,
+  and an edge under an unknown parent — and flags a rebuild, which the
+  same ``refresh()`` then performs.  The store cannot change
+  mid-refresh: the writer that refreshes is the writer that applies.
+* :meth:`ColumnarSnapshot.freeze` refreshes first, then copies every
+  column the live snapshot mutates in place, so an :class:`EpochView`
+  is exactly the store's state at the instant it froze and stays so
+  while the live snapshot refreshes underneath it.
 
 Work is charged in the kernel's own currency: ``snapshot_refreshes``
 per epoch advanced, ``snapshot_rows_scanned`` per row touched by
-builds, deltas, and :meth:`gather` sweeps.  Columnar rows are copies,
-not base objects, so none of it lands in ``total_base_accesses`` —
-experiment E18 reports the two currencies side by side.
+builds, deltas, and :meth:`EpochView.gather` sweeps.  Columnar rows
+are copies, not base objects, so none of it lands in
+``total_base_accesses``.
 
-MVCC-by-epoch (experiment E20): :meth:`ColumnarSnapshot.freeze`
-captures the snapshot's exact current state as an immutable
-:class:`EpochView` — columns that only ever grow or get replaced
+MVCC-by-epoch: columns that only ever grow or get replaced
 (``oid_of``/``label_of``/``row_of``/CSR arrays) are shared with a row
 clamp, columns mutated in place (the alive bitset, the patch overlay,
-the value column) are copied — so concurrent readers can keep
-evaluating on a frozen epoch while the live snapshot refreshes
-underneath them.  Atomic *values* are imaged alongside structure
-(``value_of``; ``modify`` replay writes the cell in place, uncharged —
-a column write, not a row scan) so WHERE conditions evaluate on the
-frozen epoch without touching the live store.
+the value column) are copied.  Atomic *values* are imaged alongside
+structure (``value_of``; ``modify`` replay writes the cell in place,
+uncharged — a column write, not a row scan) so WHERE conditions
+evaluate on the frozen epoch without touching the live store.
 :class:`SnapshotRetention` keeps a ring of recently published epochs
 with pin-counted reclamation: a pinned epoch is never reclaimed
 (explicit reclaim raises :class:`~repro.errors.PinnedEpochError`;
@@ -80,45 +87,29 @@ _Event = tuple[str, str, str, bool, tuple[str, ...], object, int]
 #: values can legitimately be any scalar, including falsy ones).
 _SET_VALUE = object()
 
+#: Rebuild from scratch when the pending delta (or the patch overlay +
+#: tombstones) exceeds this fraction of the row count.
+REBUILD_THRESHOLD = 0.25
+
 
 class ColumnarSnapshot:
     """A single store's columnar image, refreshed by delta.
 
-    Implements the *snapshot view protocol* consumed by
-    :mod:`repro.paths.kernel`: ``nrows``, :meth:`row`, :meth:`oid`,
-    :meth:`label_names`, :meth:`gather`, plus ``counters``.
+    The writer-side half of the epoch tier: it only refreshes and
+    freezes.  Readers evaluate on the :class:`EpochView` that
+    :meth:`freeze` returns.
 
     Args:
         store: the :class:`~repro.gsdb.store.ObjectStore` to image.
-        rebuild_threshold: rebuild from scratch when the pending delta
-            (or the patch overlay + tombstones) exceeds this fraction
-            of the row count.
-        auto_refresh: when True (default) :meth:`current` refreshes a
-            stale snapshot in place; when False a stale snapshot
-            answers ``current() -> None`` and readers fall back to the
-            interpreted path until :meth:`refresh` is called.
         counters: where snapshot work is charged; defaults to the
             store's counters.
     """
 
-    def __init__(
-        self,
-        store: ObjectStore,
-        *,
-        rebuild_threshold: float = 0.25,
-        auto_refresh: bool = True,
-        counters=None,
-    ) -> None:
-        if rebuild_threshold <= 0:
-            raise ValueError("rebuild_threshold must be positive")
+    def __init__(self, store: ObjectStore, *, counters=None) -> None:
         self._store = store
-        self.rebuild_threshold = rebuild_threshold
-        self.auto_refresh = auto_refresh
         self.counters = counters if counters is not None else store.counters
-        self.enabled = True
         #: Epoch counter: bumped once per refresh that changed anything.
         self.epoch = 0
-        self.refreshes = 0
         self.full_rebuilds = 0
         self.delta_refreshes = 0
         # -- columnar state (populated by _rebuild) -----------------------
@@ -186,49 +177,34 @@ class ColumnarSnapshot:
             and self._log_pos == len(self._store.log)
         )
 
-    def current(self) -> "ColumnarSnapshot | None":
-        """The snapshot to read from, or None to force a fallback.
-
-        Never returns a stale snapshot: either the refresh runs here
-        (``auto_refresh``) or staleness yields ``None``.
-        """
-        if not self.enabled:
-            return None
-        if self.is_fresh():
-            return self
-        if not self.auto_refresh:
-            return None
-        self.refresh()
-        return self
-
-    def disable(self) -> None:
-        """Stop serving; every reader falls back until re-enabled."""
-        self.enabled = False
-
-    def enable(self) -> None:
-        self.enabled = True
-
     # -- refresh -----------------------------------------------------------
 
     def refresh(self) -> "ColumnarSnapshot":
-        """Bring the snapshot up to date (delta replay or full rebuild)."""
+        """Bring the snapshot up to date (delta replay or full rebuild).
+
+        Postcondition: :meth:`is_fresh`.  A delta replay that met an
+        event it refuses to patch is followed by a rebuild in the same
+        call, never left for a later one.
+        """
         if self.is_fresh():
             return self
         delta = (len(self._store.log) - self._log_pos) + len(self._events)
-        threshold = self.rebuild_threshold * max(1, self.nrows)
-        if self._needs_rebuild or not self._built or delta > threshold:
-            self._rebuild()
-            self.full_rebuilds += 1
-        else:
+        threshold = REBUILD_THRESHOLD * max(1, self.nrows)
+        replay = self._built and delta <= threshold
+        if replay:
             self._apply_delta()
             self.delta_refreshes += 1
-            # Compact when the overlay outgrows the threshold: gather
-            # stays slice-speed only while patches/tombstones are rare.
-            if len(self._patched) + self._dead > threshold:
-                self._rebuild()
-                self.full_rebuilds += 1
+        # Rebuild when replay was not tried or refused an event, and
+        # compact when the overlay outgrows the threshold: gather stays
+        # slice-speed only while patches/tombstones are rare.
+        if (
+            not replay
+            or self._needs_rebuild
+            or len(self._patched) + self._dead > threshold
+        ):
+            self._rebuild()
+            self.full_rebuilds += 1
         self.epoch += 1
-        self.refreshes += 1
         self.counters.snapshot_refreshes += 1
         return self
 
@@ -431,74 +407,6 @@ class ColumnarSnapshot:
                 self._dead += 1
             self.counters.snapshot_rows_scanned += 1
 
-    # -- snapshot view protocol -------------------------------------------
-
-    def row(self, oid: str) -> int | None:
-        """The live row of *oid*, or None (absent or tombstoned)."""
-        row = self.row_of.get(oid)
-        if row is None:
-            return None
-        if self._dead and not (self._alive[row >> 3] & (1 << (row & 7))):
-            return None
-        return row
-
-    def oid(self, row: int) -> str:
-        return self.oid_of[row]
-
-    def label(self, row: int) -> str:
-        """The label of *row* (uncharged — a column lookup)."""
-        return self.label_of[row]
-
-    def label_names(self) -> list[str]:
-        """All labels present, sorted (the wildcard step alphabet)."""
-        return sorted(self._labels)
-
-    def atomic_value(self, row: int) -> object | None:
-        """The imaged atomic value of *row*, or None for a set row
-        (atomic values are scalars, never None — no ambiguity)."""
-        value = self.value_of[row]
-        return None if value is _SET_VALUE else value
-
-    def gather(self, rows: Sequence[int], label: str | None = None) -> list[int]:
-        """Child rows of *rows* (carrying *label*, or any when None).
-
-        One C-level slice per CSR row, a dict lookup per patched row; a
-        tombstone filter runs only while dead rows exist.  Charges one
-        ``snapshot_rows_scanned`` per input row and per emitted child.
-        """
-        counters = self.counters
-        counters.snapshot_rows_scanned += len(rows)
-        out: list[int] = []
-        patched = self._patched
-        csr = self._all_csr if label is None else self._label_csr.get(label)
-        ncsr = self._csr_rows
-        alive = self._alive
-        dead = self._dead
-        for row in rows:
-            adj = patched.get(row)
-            if adj is not None:
-                if label is None:
-                    children: Iterable[int] = [
-                        crow for bucket in adj.values() for crow in bucket
-                    ]
-                else:
-                    children = adj.get(label, ())
-            elif csr is not None and row < ncsr:
-                off, tgt = csr
-                children = tgt[off[row] : off[row + 1]]
-            else:
-                continue
-            if dead:
-                out.extend(
-                    crow
-                    for crow in children
-                    if alive[crow >> 3] & (1 << (crow & 7))
-                )
-            else:
-                out.extend(children)
-        counters.snapshot_rows_scanned += len(out)
-        return out
-
     # -- epoch freezing (MVCC, experiment E20) ------------------------------
 
     def freeze(self, counters=None) -> "EpochView":
@@ -516,26 +424,14 @@ class ColumnarSnapshot:
         self.refresh()
         return EpochView(self, counters if counters is not None else self.counters)
 
-    # -- introspection -----------------------------------------------------
-
-    def describe(self) -> str:
-        state = "fresh" if self.is_fresh() else "stale"
-        return (
-            f"epoch {self.epoch} ({state}): {self.nrows} rows "
-            f"({self._dead} dead), {len(self._label_csr)} label CSRs, "
-            f"{len(self._patched)} patched rows, "
-            f"{self.full_rebuilds} rebuilds / "
-            f"{self.delta_refreshes} delta refreshes"
-        )
-
 
 class EpochView:
     """One store's columnar state frozen at a single epoch (immutable).
 
-    Implements the snapshot view protocol (``nrows`` / :meth:`row` /
-    :meth:`oid` / :meth:`label` / :meth:`label_names` / :meth:`gather`)
-    plus :meth:`atomic_value`, so the PR 5 bitset kernels and the
-    serving tier's condition evaluation run on it unchanged.  Sharing
+    The one implementation of the snapshot view protocol (``nrows`` /
+    :meth:`row` / :meth:`oid` / :meth:`label` / :meth:`label_names` /
+    :meth:`gather`) plus :meth:`atomic_value`: the bitset kernels and
+    the serving tier's condition evaluation run on it.  Sharing
     contract with the live :class:`ColumnarSnapshot` it was frozen
     from: ``oid_of``/``label_of`` only ever *append* between rebuilds
     and a rebuild *replaces* the list objects, so sharing them with an
@@ -587,8 +483,13 @@ class EpochView:
         return None if value is _SET_VALUE else value
 
     def gather(self, rows: Sequence[int], label: str | None = None) -> list[int]:
-        """Identical sweep to :meth:`ColumnarSnapshot.gather`, charged
-        to the frozen view's own counters (the reader currency)."""
+        """Child rows of *rows* (carrying *label*, or any when None).
+
+        One C-level slice per CSR row, a dict lookup per patched row; a
+        tombstone filter runs only while dead rows exist.  Charges one
+        ``snapshot_rows_scanned`` per input row and per emitted child,
+        to the frozen view's own counters (the reader currency).
+        """
         counters = self.counters
         counters.snapshot_rows_scanned += len(rows)
         out: list[int] = []
@@ -621,12 +522,6 @@ class EpochView:
                 out.extend(children)
         counters.snapshot_rows_scanned += len(out)
         return out
-
-    def describe(self) -> str:
-        return (
-            f"frozen epoch {self.epoch}: {self.nrows} rows "
-            f"({self._dead} dead), {len(self._patched)} patched rows"
-        )
 
 
 class PublishedEpoch:
@@ -800,25 +695,3 @@ class SnapshotRetention:
             f"{len(entries)} retained epoch(s) [{seqs}] "
             f"(capacity {self.capacity}, {pins} pin(s))"
         )
-
-
-def enable_columnar(
-    store,
-    *,
-    rebuild_threshold: float = 0.25,
-    auto_refresh: bool = True,
-):
-    """Attach a columnar snapshot manager to *store* as ``.columnar``.
-
-    Readers discover it with ``getattr(store, "columnar", None)`` and
-    consult ``manager.current()``; a None answer (disabled, or stale
-    with ``auto_refresh=False``) sends them down the interpreted path,
-    charging ``kernel_fallbacks``.
-    """
-    manager = ColumnarSnapshot(
-        store,
-        rebuild_threshold=rebuild_threshold,
-        auto_refresh=auto_refresh,
-    )
-    store.columnar = manager
-    return manager

@@ -23,21 +23,8 @@ from repro.gsdb.store import ObjectStore
 def reachable_from(store: ObjectStore, roots: Iterable[str]) -> set[str]:
     """Every OID reachable from *roots* (inclusive) via set values.
 
-    When the store maintains a columnar snapshot (``store.columnar``)
-    the mark runs as a bitset sweep over the all-labels CSR
-    (:func:`~repro.paths.kernel.reachable_on_snapshot`) — same set,
-    label-blind, one C-level slice per row.  The interpreted walk
-    below charges nothing (it uses uncharged peeks), so the kernel
-    path only adds its own ``snapshot_rows_scanned`` bookkeeping.
+    The walk uses uncharged peeks, so marking charges nothing.
     """
-    manager = getattr(store, "columnar", None)
-    if manager is not None:
-        view = manager.current()
-        if view is not None:
-            from repro.paths.kernel import reachable_on_snapshot
-
-            return reachable_on_snapshot(view, roots)
-        store.counters.kernel_fallbacks += 1
     seen: set[str] = set()
     stack = [oid for oid in roots if oid in store]
     seen.update(stack)

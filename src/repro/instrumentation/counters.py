@@ -44,15 +44,13 @@ Counter semantics
 ``query_cache_evictions`` entries dropped by the cache's LRU bound
 ``query_cache_invalidations`` entries precisely invalidated because an
                       update could affect their answer (experiment E16)
-``snapshot_refreshes`` columnar snapshot epochs brought up to date
-                      (delta-applied or fully rebuilt, experiment E18)
-``snapshot_rows_scanned`` columnar rows touched by snapshot builds,
-                      delta refreshes, and kernel frontier sweeps —
-                      the kernel's analogue of reads + traversals
-``kernel_fallbacks``  evaluations that wanted the columnar kernel but
-                      fell back to the interpreted path because no
-                      fresh snapshot was available (disabled or stale
-                      mid-refresh)
+``snapshot_refreshes`` the MVCC tier's columnar snapshot brought up to
+                      date (delta-applied or fully rebuilt; experiment
+                      E18c)
+``snapshot_rows_scanned`` columnar rows touched by snapshot builds and
+                      delta refreshes (writer side) and by kernel
+                      sweeps on frozen epochs (reader side) — the
+                      kernel's analogue of reads + traversals
 ``epochs_published``  frozen snapshot epochs published into the MVCC
                       retention ring (experiment E20)
 ``epochs_reclaimed``  retained epochs whose frozen views were released
@@ -65,9 +63,9 @@ Counter semantics
 The cache/screening counters are bookkeeping, not base accesses, so
 they do not contribute to :meth:`CostCounters.total_base_accesses` —
 they exist to *explain* why base accesses went down (experiment E14).
-The snapshot/kernel counters are likewise kept out of the base-access
-total: columnar rows are copies, not base objects, so kernel work is
-reported in its own currency (``snapshot_rows_scanned``) next to the
+The snapshot counters are likewise kept out of the base-access total:
+columnar rows are copies, not base objects, so kernel work is reported
+in its own currency (``snapshot_rows_scanned``) next to the
 interpreted path's reads + traversals (experiment E18); the MVCC
 ring counters (``epochs_published``, ``epochs_reclaimed``,
 ``snapshot_pins``) are retention bookkeeping in the same spirit
@@ -119,7 +117,6 @@ class CostCounters:
     query_cache_invalidations: int = 0
     snapshot_refreshes: int = 0
     snapshot_rows_scanned: int = 0
-    kernel_fallbacks: int = 0
     epochs_published: int = 0
     epochs_reclaimed: int = 0
     snapshot_pins: int = 0

@@ -24,8 +24,6 @@ from repro.paths.containment import (
 from repro.paths.kernel import (
     evaluate_many_on_snapshot,
     evaluate_on_snapshot,
-    reachable_on_snapshot,
-    reaches_on_snapshot,
 )
 from repro.paths.expression import (
     AnyLabelSegment,
@@ -52,7 +50,5 @@ __all__ = [
     "intersection_witness",
     "is_contained",
     "is_empty_intersection",
-    "reachable_on_snapshot",
-    "reaches_on_snapshot",
     "shortest_instance",
 ]

@@ -4,16 +4,16 @@ The interpreted evaluators (:meth:`~repro.paths.automaton.PathNFA.
 evaluate` / ``evaluate_frontier``) run the NFA product construction
 over Python objects: a dict lookup, a set-membership test, and a
 counter increment per edge.  These kernels run the *same* product
-construction over a :class:`~repro.gsdb.columnar.ColumnarSnapshot`'s
+construction over a frozen :class:`~repro.gsdb.columnar.EpochView`'s
 integer rows: a whole frontier's children arrive as one
-:meth:`~repro.gsdb.columnar.ColumnarSnapshot.gather` (a C-level slice
-per CSR row), and the visited-pair memo of the interpreted path —
+:meth:`~repro.gsdb.columnar.EpochView.gather` (a C-level slice per CSR
+row), and the visited-pair memo of the interpreted path —
 "expand each (object, state-set) pair once" — becomes one ``bytearray``
 bitset per reachable state set, six integer operations per child.
 
 Equivalence contract: for any store and any compiled expression,
 ``evaluate_on_snapshot(snapshot, nfa, start)`` returns exactly
-``nfa.evaluate(store, start)`` whenever the snapshot is fresh — the
+``nfa.evaluate(store, start)`` on the state the snapshot froze — the
 property suite ``tests/property/test_kernel_equivalence.py`` pins
 kernel ≡ ``evaluate_frontier`` ≡ ``evaluate`` member sets under random
 graphs, cycles, shared subtrees, wildcard expressions, and mid-stream
@@ -27,10 +27,10 @@ Cost accounting: kernels charge only ``snapshot_rows_scanned``
 the interpreted path's ``object_reads``/``edge_traversals`` stay
 untouched and benchmark tables compare the two currencies explicitly.
 
-The functions take any object implementing the snapshot view protocol
-(``nrows``/``row``/``oid``/``label_names``/``gather``): a live
-:class:`~repro.gsdb.columnar.ColumnarSnapshot` or a frozen
-:class:`~repro.gsdb.columnar.EpochView`.
+The functions take the snapshot view protocol
+(``nrows``/``row``/``oid``/``label_names``/``gather``), which only
+:class:`~repro.gsdb.columnar.EpochView` implements: the kernels serve
+the MVCC tier's frozen epochs and nothing else.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.paths.automaton import PathNFA, StateSet
 
 
 def evaluate_on_snapshot(view, nfa: PathNFA, start: str) -> set[str]:
-    """``start.e`` over a fresh columnar snapshot (set-at-a-time).
+    """``start.e`` over a frozen columnar epoch (set-at-a-time).
 
     Frontiers are keyed by NFA state set; each level derives the step
     once per (state set, label) and sweeps the whole frontier through
@@ -248,72 +248,3 @@ def evaluate_many_on_snapshot(
             results[order[low.bit_length() - 1]].add(member)
             mask ^= low
     return results
-
-
-def reachable_on_snapshot(view, roots: Iterable[str]) -> set[str]:
-    """Every OID reachable from *roots* (inclusive) via set values.
-
-    Columnar twin of :func:`repro.gsdb.gc.reachable_from`: label-blind
-    BFS over the all-labels CSR with one visited bitset.  Roots that
-    do not exist in the store are skipped, exactly as the interpreted
-    mark does.
-    """
-    nbytes = (view.nrows + 7) >> 3
-    seen = bytearray(nbytes)
-    seen_rows: list[int] = []
-    frontier: list[int] = []
-    for oid in roots:
-        row = view.row(oid)
-        if row is None:
-            continue
-        word = row >> 3
-        mask = 1 << (row & 7)
-        if seen[word] & mask:
-            continue
-        seen[word] |= mask
-        seen_rows.append(row)
-        frontier.append(row)
-    while frontier:
-        next_frontier: list[int] = []
-        for child in view.gather(frontier, None):
-            word = child >> 3
-            mask = 1 << (child & 7)
-            if seen[word] & mask:
-                continue
-            seen[word] |= mask
-            seen_rows.append(child)
-            next_frontier.append(child)
-        frontier = next_frontier
-    oid = view.oid
-    return {oid(row) for row in seen_rows}
-
-
-def reaches_on_snapshot(view, source: str, target: str) -> bool:
-    """Is *target* reachable from *source* (inclusive)?  Early-exit BFS.
-
-    Used by the serving invalidator to refine its fail-open reachability
-    screen: a precise downward sweep replaces "assume affected".
-    """
-    source_row = view.row(source)
-    target_row = view.row(target)
-    if source_row is None or target_row is None:
-        return False
-    if source_row == target_row:
-        return True
-    nbytes = (view.nrows + 7) >> 3
-    seen = bytearray(nbytes)
-    seen[source_row >> 3] |= 1 << (source_row & 7)
-    frontier = [source_row]
-    while frontier:
-        next_frontier: list[int] = []
-        for child in view.gather(frontier, None):
-            if child == target_row:
-                return True
-            word = child >> 3
-            mask = 1 << (child & 7)
-            if seen[word] & mask:
-                continue
-            seen[word] |= mask
-            next_frontier.append(child)
-        frontier = next_frontier
-    return False

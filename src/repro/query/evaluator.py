@@ -134,30 +134,18 @@ class QueryEvaluator:
             query = parse_query(query)
         return self.evaluate_from(query, self._resolve_entry(query.entry))
 
-    def evaluate_from(
-        self,
-        query: Query,
-        entry_oid: str,
-        *,
-        candidates: set[str] | None = None,
-    ) -> set[str]:
+    def evaluate_from(self, query: Query, entry_oid: str) -> set[str]:
         """Steps 2–4 from the resolved *entry_oid*: select, filter by the
-        WHERE clause, intersect with ``ANS INT``.
-
-        *candidates*, when given, stands in for ``entry.sel_path_exp``
-        (a caller that computed it another way, e.g. on a columnar
-        snapshot); it may be updated in place.
-        """
+        WHERE clause, intersect with ``ANS INT``."""
         store = self._scoped_store(query)
         index = self.label_index
         if index is not None and not index_applies(
             query, self.registry.names()
         ):
             index = None
-        if candidates is None:
-            candidates = objects_on_path(
-                store, entry_oid, query.select_path, label_index=index
-            )
+        candidates = objects_on_path(
+            store, entry_oid, query.select_path, label_index=index
+        )
         if query.condition is not None:
             candidates = {
                 oid

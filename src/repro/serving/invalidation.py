@@ -57,7 +57,6 @@ from repro.gsdb.indexes import ParentIndex
 from repro.gsdb.store import ObjectStore
 from repro.gsdb.updates import Modify, Update
 from repro.paths.expression import LabelSegment, PathExpression
-from repro.paths.kernel import reaches_on_snapshot
 from repro.query.ast import condition_paths
 from repro.serving.cache import CacheKey, QueryCache
 from repro.views.dispatcher import PathContext, expression_labels
@@ -246,68 +245,31 @@ class Invalidator:
             anchor = update.parent
         candidates -= hit
         if candidates:
-            # A fresh columnar snapshot refines the fail-open branches
-            # below: downward reachability entry → anchor is the exact
-            # dependency test (it passes through grouping edges and DAG
-            # multi-parent routes the upward chain cannot resolve).
-            # Resolved lazily, at most once per update, and only when a
-            # branch would otherwise fail open.
-            view_memo: list = []
-
-            def snapshot_view():
-                if not view_memo:
-                    view_memo.append(self._snapshot_view())
-                return view_memo[0]
-
             chain = ctx.chain_set(anchor)
             for key in candidates:
-                if self._reaches_entry(
-                    self._screens[key], chain, anchor, snapshot_view
-                ):
+                if self._reaches_entry(self._screens[key], chain):
                     hit.add(key)
         for key in sorted(hit, key=str):
             self._cache.invalidate(key)
         return len(hit)
 
-    def _snapshot_view(self):
-        """The store's fresh columnar view, if one is being maintained.
-
-        Used only to *refine* branches that would otherwise fail open —
-        absence never makes invalidation less precise than today, so no
-        ``kernel_fallbacks`` is charged here.
-        """
-        manager = getattr(self._store, "columnar", None)
-        if manager is None:
-            return None
-        return manager.current()
-
     def _reaches_entry(
         self,
         screen: QueryScreen,
         chain: tuple[frozenset[str], bool] | None,
-        anchor: str,
-        snapshot_view,
     ) -> bool:
         """Is the update's anchor inside the entry point's subtree?
 
-        Fails open without an index or at a multi-parent stop — unless
-        a fresh columnar snapshot can answer the downward reachability
-        question exactly.  A grouping entry (database or view object)
+        Fails open without an index or at a multi-parent stop: the
+        upward chain cannot tell there, and an unneeded eviction is
+        only a later miss.  A grouping entry (database or view object)
         never appears on a parent-index chain — the chain tops out at
         one of its members, so the member set is tested instead.
         """
         if chain is None:
-            view = snapshot_view()
-            if view is not None:
-                return reaches_on_snapshot(view, screen.entry_oid, anchor)
             return True
         oids, stopped_at_multi = chain
-        if stopped_at_multi:
-            view = snapshot_view()
-            if view is not None:
-                return reaches_on_snapshot(view, screen.entry_oid, anchor)
-            return True
-        if screen.entry_oid in oids:
+        if stopped_at_multi or screen.entry_oid in oids:
             return True
         peek = getattr(self._store, "peek", self._store.get_optional)
         entry = peek(screen.entry_oid)

@@ -2,8 +2,9 @@
 
 The PR 3 :class:`~repro.serving.server.QueryServer` serves one request
 at a time against the live store — a maintenance batch stalls every
-reader.  This module is the concurrent tier built on the PR 5 columnar
-snapshots: the write path *publishes* each quiesced state as an
+reader.  This module is the concurrent tier, and the one owner of a
+columnar snapshot (:class:`~repro.gsdb.columnar.ColumnarSnapshot`,
+built per server): the write path *publishes* each quiesced state as an
 immutable :class:`~repro.gsdb.columnar.EpochView` into a
 :class:`~repro.gsdb.columnar.SnapshotRetention` ring, and readers pin a
 retained epoch, evaluate on it with the bitset kernels
@@ -63,9 +64,9 @@ from typing import Callable, ClassVar, Iterable, Sequence
 
 from repro.errors import QueryEvaluationError
 from repro.gsdb.columnar import (
+    ColumnarSnapshot,
     PublishedEpoch,
     SnapshotRetention,
-    enable_columnar,
 )
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.updates import Update
@@ -176,7 +177,6 @@ class EpochServer:
         parent_index=None,
         cacheable: Callable[[Query], bool] | None = None,
         apply_fn: Callable[[Sequence[Update]], int] | None = None,
-        rebuild_threshold: float = 0.25,
     ) -> None:
         self.registry = registry
         self.store = registry.store
@@ -184,14 +184,12 @@ class EpochServer:
         #: and ring bookkeeping.  Kept apart from the store's counters
         #: so writer maintenance cost is comparable with readers on/off.
         self.read_counters = CostCounters()
-        manager = getattr(self.store, "columnar", None)
-        if manager is None:
-            manager = enable_columnar(
-                self.store, rebuild_threshold=rebuild_threshold
-            )
-        self.manager = manager
+        # The server's own columnar image of the store, refreshed and
+        # frozen on the write path only (by the ring's publish).
         self.retention = SnapshotRetention(
-            manager, capacity=retention_capacity, counters=self.read_counters
+            ColumnarSnapshot(self.store),
+            capacity=retention_capacity,
+            counters=self.read_counters,
         )
         self.cache_size = cache_size
         self._cacheable = cacheable

@@ -28,11 +28,9 @@ from typing import Callable
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import LabelIndex, ParentIndex
 from repro.gsdb.object import Object
-from repro.paths.automaton import compile_expression
 from repro.query.answer import make_answer
 from repro.query.ast import Query
 from repro.query.evaluator import QueryEvaluator
-from repro.paths.kernel import evaluate_on_snapshot
 from repro.query.parser import parse_query
 from repro.serving.cache import QueryCache, cache_key
 from repro.serving.invalidation import Invalidator, build_screen
@@ -81,46 +79,15 @@ class QueryServer:
             query = parse_query(query)
         entry_oid = self._evaluator._resolve_entry(query.entry)
         if self._cacheable is not None and not self._cacheable(query):
-            return self._evaluate_fresh(query, entry_oid)
+            return self._evaluator.evaluate_from(query, entry_oid)
         key = cache_key(query, entry_oid)
         cached = self.cache.lookup(key)
         if cached is not None:
             return set(cached)
-        answer = self._evaluate_fresh(query, entry_oid)
+        answer = self._evaluator.evaluate_from(query, entry_oid)
         self.cache.store(key, frozenset(answer))
         self.invalidator.register(build_screen(key, self.registry))
         return answer
-
-    # -- miss evaluation ------------------------------------------------------
-
-    def _evaluate_fresh(self, query: Query, entry_oid: str) -> set[str]:
-        """One uncached evaluation, kernel- or evaluator-style.
-
-        A fresh columnar snapshot (``store.columnar``) serves unscoped
-        path sweeps; scoped queries keep the interpreted path — a
-        :class:`~repro.query.evaluator.ScopedStore` must stay in the
-        loop so out-of-scope objects remain invisible and charge their
-        probes.  No snapshot (or a stale one) falls back interpreted,
-        charging ``kernel_fallbacks``.  Everything else — the
-        interpreted select, the WHERE clause, ``ANS INT`` — is the
-        query evaluator's, indexed when the server is.
-        """
-        candidates = None
-        if query.within is None:
-            manager = getattr(self.store, "columnar", None)
-            if manager is not None:
-                snapshot = manager.current()
-                if snapshot is not None:
-                    candidates = evaluate_on_snapshot(
-                        snapshot,
-                        compile_expression(query.select_path),
-                        entry_oid,
-                    )
-                else:
-                    self.store.counters.kernel_fallbacks += 1
-        return self._evaluator.evaluate_from(
-            query, entry_oid, candidates=candidates
-        )
 
     # -- out-of-band invalidation & stats -------------------------------------
 

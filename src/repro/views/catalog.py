@@ -382,12 +382,11 @@ class ViewCatalog:
         *,
         retention_capacity: int = 4,
         cache_size: int = 128,
-        rebuild_threshold: float = 0.25,
     ):
         """Attach the epoch-pinned MVCC tier (experiment E20).
 
         Builds an :class:`~repro.serving.mvcc.EpochServer` over the
-        catalog's store (enabling the columnar snapshot if needed) and
+        catalog's store (it owns the store's columnar snapshot) and
         returns its :class:`~repro.serving.mvcc.AsyncQueryServer`
         front door.  Writer batches routed through the server run this
         catalog's :meth:`apply_batch` — views are maintained before the
@@ -401,7 +400,6 @@ class ViewCatalog:
         if self.async_server is None:
             from repro.serving.mvcc import AsyncQueryServer, EpochServer
 
-            self.enable_columnar(rebuild_threshold=rebuild_threshold)
             core = EpochServer(
                 self.registry,
                 parent_index=self.parent_index,
@@ -409,36 +407,9 @@ class ViewCatalog:
                 cache_size=cache_size,
                 cacheable=self._cacheable_query,
                 apply_fn=self.apply_batch,
-                rebuild_threshold=rebuild_threshold,
             )
             self.async_server = AsyncQueryServer(core)
         return self.async_server
-
-    def enable_columnar(
-        self,
-        *,
-        rebuild_threshold: float = 0.25,
-        auto_refresh: bool = True,
-    ):
-        """Attach an epoch-versioned columnar snapshot to the store.
-
-        Once enabled, scope-free recomputation, serving cold misses,
-        invalidation reachability refinement, and GC marking all run as
-        bitset kernels over CSR adjacency (:mod:`repro.gsdb.columnar`,
-        :mod:`repro.paths.kernel`) whenever the snapshot is fresh —
-        and fall back to the interpreted path (charging
-        ``kernel_fallbacks``) whenever it is not.  Idempotent.
-        """
-        manager = getattr(self.store, "columnar", None)
-        if manager is None:
-            from repro.gsdb.columnar import enable_columnar
-
-            manager = enable_columnar(
-                self.store,
-                rebuild_threshold=rebuild_threshold,
-                auto_refresh=auto_refresh,
-            )
-        return manager
 
     def _cacheable_query(self, query: Query) -> bool:
         """False when the query's answer depends on view delegates."""

@@ -16,7 +16,6 @@ from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import LabelIndex
 from repro.gsdb.store import ObjectStore
 from repro.paths.automaton import compile_expression
-from repro.paths.kernel import evaluate_on_snapshot
 from repro.query.conditions import evaluate_condition
 from repro.query.evaluator import QueryEvaluator, index_applies
 from repro.views.definition import ViewDefinition
@@ -56,22 +55,12 @@ def compute_view_members(
         entry = registry.resolve(entry).oid
     if entry not in base_store:
         raise QueryEvaluationError(f"entry object {entry!r} not in store")
-    nfa = compile_expression(query.select_path)
-    snapshot = None
-    manager = getattr(base_store, "columnar", None)
-    if manager is not None:
-        snapshot = manager.current()
-        if snapshot is None:
-            base_store.counters.kernel_fallbacks += 1
-    if snapshot is not None:
-        candidates = evaluate_on_snapshot(snapshot, nfa, entry)
-    else:
-        # Set-at-a-time even without a snapshot: unindexed, charges are
-        # identical to node-at-a-time evaluate (same (object, state-set)
-        # product), but whole frontiers share each per-label NFA step.
-        candidates = nfa.evaluate_frontier(
-            base_store, entry, label_index=label_index
-        )
+    # Set-at-a-time: unindexed, charges are identical to node-at-a-time
+    # evaluate (same (object, state-set) product), but whole frontiers
+    # share each per-label NFA step.
+    candidates = compile_expression(query.select_path).evaluate_frontier(
+        base_store, entry, label_index=label_index
+    )
     if query.condition is None:
         return candidates
     return {

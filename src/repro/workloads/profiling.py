@@ -3,10 +3,7 @@
 One deterministic end-to-end round over a layered tree — build, view
 definition, update churn with live maintenance, full recomputation,
 cached serving, and a GC mark — timed phase by phase with the cost
-counters each phase charged.  Run once interpreted and once columnar
-(``repro profile`` does both) the report shows exactly where the
-columnar snapshot pays off and what it costs (refreshes, rows scanned,
-fallbacks).
+counters each phase charged.
 """
 
 from __future__ import annotations
@@ -30,12 +27,10 @@ class PhaseProfile:
 
 @dataclass
 class ProfileReport:
-    """The full profile: ordered phases plus snapshot lifecycle stats."""
+    """The full profile: ordered phases and their total."""
 
-    mode: str
     phases: list[PhaseProfile]
     total_seconds: float
-    snapshot: str | None = None
 
     def phase(self, name: str) -> PhaseProfile:
         for phase in self.phases:
@@ -45,7 +40,7 @@ class ProfileReport:
 
     def describe_lines(self, *, counters_per_phase: int = 4) -> list[str]:
         """Human-readable breakdown for the CLI."""
-        lines = [f"[{self.mode}] total {self.total_seconds * 1000:.1f} ms"]
+        lines = [f"total {self.total_seconds * 1000:.1f} ms"]
         for phase in self.phases:
             lines.append(
                 f"  {phase.name:<12} {phase.seconds * 1000:8.1f} ms"
@@ -55,8 +50,6 @@ class ProfileReport:
             )[:counters_per_phase]
             for key, value in top:
                 lines.append(f"    {key}: {value:,}")
-        if self.snapshot is not None:
-            lines.append(f"  snapshot     {self.snapshot}")
         return lines
 
 
@@ -67,14 +60,11 @@ def run_profile(
     updates: int = 40,
     queries: int = 24,
     seed: int = 7,
-    columnar: bool = True,
 ) -> ProfileReport:
     """Run the canned workload; all phases are seed-deterministic.
 
-    The same phases run in both modes; only the read-path machinery
-    differs.  Phase counters are deltas (``counters.delta_since``), so
-    snapshot refresh/scan/fallback charges land in the phase that
-    incurred them.
+    Phase counters are deltas (``counters.delta_since``), so every
+    charge lands in the phase that incurred it.
     """
     catalog = ViewCatalog(with_label_index=True)
     store = catalog.store
@@ -103,8 +93,6 @@ def run_profile(
         ),
     )
     root = root_holder[0]
-    if columnar:
-        catalog.enable_columnar()
 
     path = ".".join(spec.labels[:-1])
     deep = ".".join(spec.labels)
@@ -159,12 +147,6 @@ def run_profile(
         ),
     )
 
-    total = time.perf_counter() - started
-    manager = getattr(store, "columnar", None)
     return ProfileReport(
-        mode="columnar" if columnar else "interpreted",
-        phases=phases,
-        total_seconds=total,
-        snapshot=manager.describe() if manager is not None else None,
+        phases=phases, total_seconds=time.perf_counter() - started
     )
-

@@ -4,10 +4,10 @@ import pytest
 
 from repro.errors import PinnedEpochError
 from repro.gsdb import (
+    ColumnarSnapshot,
     EpochView,
     ObjectStore,
     SnapshotRetention,
-    enable_columnar,
 )
 from repro.instrumentation.counters import CostCounters
 
@@ -24,11 +24,10 @@ def small_store():
 class TestEpochView:
     def test_freeze_matches_live_snapshot(self):
         store = small_store()
-        manager = enable_columnar(store)
-        snap = manager.current()
-        view = snap.freeze()
+        manager = ColumnarSnapshot(store)
+        view = manager.freeze()
         assert isinstance(view, EpochView)
-        assert view.nrows == snap.nrows
+        assert view.nrows == manager.nrows
         assert view.epoch == manager.epoch
         for oid in store.oids():
             row = view.row(oid)
@@ -40,8 +39,8 @@ class TestEpochView:
 
     def test_frozen_view_is_immune_to_later_writes(self):
         store = small_store()
-        manager = enable_columnar(store)
-        view = manager.current().freeze()
+        manager = ColumnarSnapshot(store)
+        view = manager.freeze()
         before_rows = view.nrows
         a1 = view.row("a1")
         store.add_atomic("a3", "name", "cy")
@@ -59,8 +58,8 @@ class TestEpochView:
 
     def test_value_column_images_atoms_not_sets(self):
         store = small_store()
-        manager = enable_columnar(store)
-        view = manager.current().freeze()
+        manager = ColumnarSnapshot(store)
+        view = manager.freeze()
         assert view.atomic_value(view.row("a1")) == "ann"
         assert view.atomic_value(view.row("A")) is None  # set object
 
@@ -68,7 +67,7 @@ class TestEpochView:
 class TestSnapshotRetention:
     def test_publish_is_idempotent_until_store_moves(self):
         store = small_store()
-        manager = enable_columnar(store)
+        manager = ColumnarSnapshot(store)
         retention = SnapshotRetention(manager)
         first = retention.publish()
         again = retention.publish()
@@ -81,7 +80,7 @@ class TestSnapshotRetention:
 
     def test_reclaiming_a_pinned_epoch_raises(self):
         store = small_store()
-        manager = enable_columnar(store)
+        manager = ColumnarSnapshot(store)
         counters = CostCounters()
         retention = SnapshotRetention(manager, counters=counters)
         entry = retention.publish()
@@ -99,7 +98,7 @@ class TestSnapshotRetention:
 
     def test_capacity_eviction_skips_pinned_epochs(self):
         store = small_store()
-        manager = enable_columnar(store)
+        manager = ColumnarSnapshot(store)
         counters = CostCounters()
         retention = SnapshotRetention(manager, capacity=1, counters=counters)
         first = retention.publish()
@@ -120,7 +119,7 @@ class TestSnapshotRetention:
 
     def test_unpin_without_pin_raises(self):
         store = small_store()
-        manager = enable_columnar(store)
+        manager = ColumnarSnapshot(store)
         retention = SnapshotRetention(manager)
         entry = retention.publish()
         with pytest.raises(ValueError):
@@ -128,7 +127,7 @@ class TestSnapshotRetention:
 
     def test_lag_counts_publications_and_dirty_tail(self):
         store = small_store()
-        manager = enable_columnar(store)
+        manager = ColumnarSnapshot(store)
         retention = SnapshotRetention(manager)
         first = retention.publish()
         assert retention.lag_of(first) == 0
@@ -142,7 +141,7 @@ class TestSnapshotRetention:
 
     def test_pinned_reader_answers_from_its_epoch_after_churn(self):
         store = small_store()
-        manager = enable_columnar(store)
+        manager = ColumnarSnapshot(store)
         retention = SnapshotRetention(manager, capacity=2)
         entry = retention.publish()
         retention.pin(entry)

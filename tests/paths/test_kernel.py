@@ -1,24 +1,25 @@
-"""Tests for the bitset frontier kernel over columnar snapshots.
+"""Tests for the bitset frontier kernel over frozen columnar epochs.
 
 Every assertion here is an equivalence against the interpreted
-evaluators (``PathNFA.evaluate`` / ``evaluate_frontier``) or the
-interpreted GC mark — the kernel's contract is byte-identical member
-sets, corner cases included.
+evaluators (``PathNFA.evaluate`` / ``evaluate_frontier``) — the
+kernel's contract is byte-identical member sets, corner cases included.
 """
 
+import pytest
+
 from repro.gsdb import ObjectStore
-from repro.gsdb.columnar import enable_columnar
-from repro.gsdb.gc import reachable_from
+from repro.gsdb.columnar import ColumnarSnapshot
+from repro.instrumentation.counters import CostCounters
 from repro.paths import PathExpression, compile_expression
-from repro.paths.kernel import (
-    evaluate_on_snapshot,
-    reachable_on_snapshot,
-    reaches_on_snapshot,
-)
+from repro.paths.kernel import evaluate_many_on_snapshot, evaluate_on_snapshot
 
 
 def nfa_for(text: str):
     return compile_expression(PathExpression.parse(text))
+
+
+def frozen(store):
+    return ColumnarSnapshot(store).freeze()
 
 
 EXPRESSIONS = (
@@ -34,7 +35,7 @@ EXPRESSIONS = (
 
 class TestEvaluateEquivalence:
     def test_matches_classic_on_person_dag(self, person_store):
-        view = enable_columnar(person_store).current()
+        view = frozen(person_store)
         for text in EXPRESSIONS:
             nfa = nfa_for(text)
             assert evaluate_on_snapshot(view, nfa, "ROOT") == nfa.evaluate(
@@ -42,17 +43,17 @@ class TestEvaluateEquivalence:
             ), text
 
     def test_tracks_updates_through_delta_refresh(self, person_store):
-        manager = enable_columnar(person_store)
-        manager.current()
+        manager = ColumnarSnapshot(person_store)
+        manager.refresh()
         person_store.delete_edge("ROOT", "P1")
-        view = manager.current()
+        view = manager.freeze()
         nfa = nfa_for("professor.name")
         assert evaluate_on_snapshot(view, nfa, "ROOT") == nfa.evaluate(
             person_store, "ROOT"
         )
 
     def test_missing_entry_matches_interpreted(self, person_store):
-        view = enable_columnar(person_store).current()
+        view = frozen(person_store)
         nfa = nfa_for("professor")
         assert evaluate_on_snapshot(view, nfa, "GHOST") == nfa.evaluate(
             person_store, "GHOST"
@@ -61,7 +62,7 @@ class TestEvaluateEquivalence:
     def test_empty_expression_admits_absent_start(self, person_store):
         # evaluate() admits the start under an initially-accepting NFA
         # even when the OID does not exist; the kernel must mirror that.
-        view = enable_columnar(person_store).current()
+        view = frozen(person_store)
         nfa = nfa_for("*")
         assert "GHOST" in nfa.evaluate(person_store, "GHOST")
         assert evaluate_on_snapshot(view, nfa, "GHOST") == nfa.evaluate(
@@ -69,7 +70,7 @@ class TestEvaluateEquivalence:
         )
 
     def test_non_set_start_never_expands(self, person_store):
-        view = enable_columnar(person_store).current()
+        view = frozen(person_store)
         for text in ("*", "name"):
             nfa = nfa_for(text)
             assert evaluate_on_snapshot(view, nfa, "N1") == nfa.evaluate(
@@ -80,13 +81,13 @@ class TestEvaluateEquivalence:
         store = ObjectStore(check_references=False)
         store.add_set("X", "node", ["Y"])
         store.add_set("Y", "node", ["X"])
-        view = enable_columnar(store).current()
+        view = frozen(store)
         assert evaluate_on_snapshot(view, nfa_for("*"), "X") == {"X", "Y"}
 
     def test_dangling_children_stay_hidden(self):
         store = ObjectStore(check_references=False)
         store.add_set("root", "root", ["gone"])
-        view = enable_columnar(store).current()
+        view = frozen(store)
         nfa = nfa_for("*")
         assert evaluate_on_snapshot(view, nfa, "root") == nfa.evaluate(
             store, "root"
@@ -95,68 +96,45 @@ class TestEvaluateEquivalence:
     def test_shared_subtree_admitted_once(self, person_store):
         # P3 has two parents (DAG); results are sets either way but the
         # traversal must not loop or double-expand.
-        view = enable_columnar(person_store).current()
+        view = frozen(person_store)
         nfa = nfa_for("?.?")
         assert evaluate_on_snapshot(view, nfa, "ROOT") == nfa.evaluate(
             person_store, "ROOT"
         )
 
 
-class TestReachability:
-    def test_reachable_matches_interpreted_mark(self, person_store):
-        view = enable_columnar(person_store).current()
-        roots = {"ROOT"}
-        kernel = reachable_on_snapshot(view, roots)
-        # reachable_from would itself take the kernel path here, so
-        # compare against a columnar-free twin of the same store.
-        twin = ObjectStore(check_references=False)
-        for oid in person_store.oids():
-            obj = person_store.peek(oid)
-            if obj.is_set:
-                twin.add_set(oid, obj.label, sorted(obj.children()))
-            else:
-                twin.add_atomic(oid, obj.label, obj.value)
-        assert kernel == reachable_from(twin, roots)
+class TestFrozenEpoch:
+    """A frozen epoch answers for the state it froze, whatever the
+    store and the live snapshot do afterwards."""
 
-    def test_absent_roots_ignored(self, person_store):
-        view = enable_columnar(person_store).current()
-        assert reachable_on_snapshot(view, {"GHOST"}) == set()
-        assert reachable_on_snapshot(view, {"GHOST", "N1"}) == {"N1"}
-
-    def test_reaches_positive_and_negative(self, person_store):
-        view = enable_columnar(person_store).current()
-        assert reaches_on_snapshot(view, "ROOT", "N1")
-        assert reaches_on_snapshot(view, "ROOT", "ROOT")
-        assert not reaches_on_snapshot(view, "N1", "ROOT")
-        assert not reaches_on_snapshot(view, "ROOT", "GHOST")
-        assert not reaches_on_snapshot(view, "GHOST", "ROOT")
-
-    def test_reaches_through_cycle(self):
-        store = ObjectStore(check_references=False)
-        store.add_set("X", "node", ["Y"])
-        store.add_set("Y", "node", ["X"])
-        store.add_atomic("Z", "leaf", 1)
-        view = enable_columnar(store).current()
-        assert reaches_on_snapshot(view, "X", "Y")
-        assert reaches_on_snapshot(view, "Y", "X")
-        assert not reaches_on_snapshot(view, "X", "Z")
-
-
-class TestGcIntegration:
-    def test_gc_mark_uses_kernel_when_fresh(self, person_store):
-        manager = enable_columnar(person_store)
-        manager.current()
-        before = person_store.counters.snapshot_rows_scanned
-        marked = reachable_from(person_store, {"ROOT"})
-        assert person_store.counters.snapshot_rows_scanned > before
-        assert person_store.counters.kernel_fallbacks == 0
-        assert "ROOT" in marked
-
-    def test_gc_mark_falls_back_when_stale(self, person_store):
-        manager = enable_columnar(person_store, auto_refresh=False)
-        manager.refresh()
+    @pytest.mark.parametrize("text", EXPRESSIONS)
+    def test_answers_its_own_state_after_churn(self, person_store, text):
+        nfa = nfa_for(text)
+        manager = ColumnarSnapshot(person_store)
+        view = manager.freeze()
+        before = nfa.evaluate(person_store, "ROOT")
         person_store.delete_edge("ROOT", "P1")
-        interpreted = reachable_from(person_store, {"ROOT"})
-        assert person_store.counters.kernel_fallbacks == 1
-        manager.refresh()
-        assert reachable_from(person_store, {"ROOT"}) == interpreted
+        person_store.add_atomic("N9", "name", "Nina")
+        person_store.add_set("P9", "professor", ["N9"])
+        person_store.insert_edge("ROOT", "P9")
+        later = manager.freeze()
+        assert evaluate_on_snapshot(view, nfa, "ROOT") == before, text
+        assert evaluate_on_snapshot(later, nfa, "ROOT") == nfa.evaluate(
+            person_store, "ROOT"
+        ), text
+
+    def test_sweeps_charge_the_view_counters(self, person_store):
+        reader = CostCounters()
+        view = ColumnarSnapshot(person_store).freeze(reader)
+        before = person_store.counters.snapshot()
+        evaluate_on_snapshot(view, nfa_for("*"), "ROOT")
+        assert reader.snapshot_rows_scanned > 0
+        assert person_store.counters.delta_since(before).as_dict() == {}
+
+    def test_many_starts_match_single_starts(self, person_store):
+        view = frozen(person_store)
+        nfa = nfa_for("*.name")
+        starts = sorted(person_store.oids()) + ["GHOST"]
+        many = evaluate_many_on_snapshot(view, nfa, starts)
+        for start in starts:
+            assert many[start] == evaluate_on_snapshot(view, nfa, start), start

@@ -171,6 +171,87 @@ class TestEpochServerReads:
         assert server.read_counters.query_cache_hits == 1
 
 
+def fail_open_env(kind: str):
+    """R -> A, B, D; ``S`` is shared by A and B (a DAG).  ``dag``: a
+    parent index whose chains stop at S; ``no-index``: no parent index
+    at all.  Either way the invalidator cannot resolve an update under
+    S and must fail open."""
+    store = ObjectStore()
+    store.add_atomic("S1", "name", "sam")
+    store.add_set("S", "team", ["S1"])
+    store.add_set("A", "emp", ["S"])
+    store.add_set("B", "emp", ["S"])
+    store.add_atomic("D1", "name", "dee")
+    store.add_set("D", "emp", ["D1"])
+    store.add_set("R", "root", ["A", "B", "D"])
+    registry = DatabaseRegistry(store)
+    parent_index = ParentIndex(store) if kind == "dag" else None
+    server = EpochServer(registry, parent_index=parent_index)
+    return store, registry, server
+
+
+def grow_team(store, server):
+    store.add_atomic("S2", "name", "sue")
+    server.apply_batch([Insert("S", "S2")])  # anchor S: two parents
+
+
+FAIL_OPEN_QUERIES = {
+    "a-team": "SELECT A.team.name X",
+    "b-team": "SELECT B.team.name X",
+    "root-path": "SELECT R.emp.team.name X",
+    "root-where": "SELECT R.* X WHERE X.name = 'sue'",
+}
+
+
+class TestFailOpenUnderEpochServer:
+    """The server's snapshot is private, so the invalidator's fail-open
+    branches run here as on any store: an update below the stop evicts
+    the dependent carry entry, and the next fresh read re-evaluates on
+    a new epoch and equals the interpreted evaluator."""
+
+    @pytest.mark.parametrize("kind", ("dag", "no-index"))
+    @pytest.mark.parametrize(
+        "text", FAIL_OPEN_QUERIES.values(), ids=FAIL_OPEN_QUERIES.keys()
+    )
+    def test_update_below_stop_evicts_and_fresh_read_matches(
+        self, kind, text
+    ):
+        store, registry, server = fail_open_env(kind)
+        server.read(text)
+        assert server.read(text).source == "carry"
+        grow_team(store, server)
+        answer = server.read(text, "fresh")
+        assert answer.source == "kernel"
+        assert answer.lag == 0
+        assert set(answer.oids) == QueryEvaluator(registry).evaluate_oids(text)
+
+    @pytest.mark.parametrize("kind", ("dag", "no-index"))
+    def test_fail_open_also_evicts_unrelated_entries(self, kind):
+        store, registry, server = fail_open_env(kind)
+        text = "SELECT D.name X"
+        server.read(text)
+        assert len(server.carry) == 1
+        grow_team(store, server)
+        # Sound but imprecise: D's entry shares the label and goes too.
+        assert len(server.carry) == 0
+        answer = server.read(text, "fresh")
+        assert answer.source == "kernel"
+        assert set(answer.oids) == {"D1"}
+
+    @pytest.mark.parametrize("kind", ("dag", "no-index"))
+    def test_older_epoch_keeps_its_answer(self, kind):
+        store, _, server = fail_open_env(kind)
+        text = "SELECT A.team.name X"
+        assert set(server.read(text).oids) == {"S1"}
+        grow_team(store, server)
+        stale = server.read(text, 1)
+        assert stale.source == "epoch-cache"
+        assert stale.lag == 1
+        assert set(stale.oids) == {"S1"}
+        assert set(server.read(text, "fresh").oids) == {"S1", "S2"}
+        assert server.violations == 0
+
+
 class TestAsyncQueryServer:
     def test_concurrent_reads_and_writes(self):
         store, registry, core = build_env()

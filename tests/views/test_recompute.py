@@ -163,53 +163,39 @@ class TestPopulateAndRecompute:
         assert person_tree_store.counters.view_recomputations == before
 
 
-class TestColumnarRecompute:
-    """Scope-free recomputation through the columnar kernel: same
-    member sets, fallback discipline, counters."""
+class TestRecomputeBesideEpochServer:
+    """An epoch server's columnar snapshot is private: recomputation on
+    the same store reads the live store, charges what it charges
+    without the server, and never refreshes the server's snapshot."""
 
-    def test_members_match_interpreted(self, person_tree_store):
-        from repro.gsdb.columnar import enable_columnar
+    def attach(self, store):
+        from repro.gsdb import DatabaseRegistry
+        from repro.serving import EpochServer
 
+        server = EpochServer(DatabaseRegistry(store))
+        server.publish()
+        return server
+
+    def test_members_and_charges_match_a_bare_store(self, person_tree_store):
+        from repro.workloads import person_db
+
+        bare = person_db(tree=True)
         d = ViewDefinition.parse(YP_DEF)
-        interpreted = compute_view_members(d, person_tree_store)
-        enable_columnar(person_tree_store)
-        assert compute_view_members(d, person_tree_store) == interpreted
-        assert person_tree_store.counters.kernel_fallbacks == 0
-        assert person_tree_store.counters.snapshot_rows_scanned > 0
+        self.attach(person_tree_store)
+        before = person_tree_store.counters.snapshot()
+        members = compute_view_members(d, person_tree_store)
+        delta = person_tree_store.counters.delta_since(before)
+        bare_before = bare.counters.snapshot()
+        assert members == compute_view_members(d, bare) == {"P1"}
+        assert delta.as_dict() == bare.counters.delta_since(bare_before).as_dict()
 
-    def test_members_match_after_updates(self, person_tree_store):
-        from repro.gsdb.columnar import enable_columnar
-
+    def test_sees_updates_the_server_has_not_published(self, person_tree_store):
         d = ViewDefinition.parse(YP_DEF)
-        enable_columnar(person_tree_store)
-        compute_view_members(d, person_tree_store)
+        server = self.attach(person_tree_store)
+        refreshes = person_tree_store.counters.snapshot_refreshes
         person_tree_store.delete_edge("ROOT", "P1")
         assert compute_view_members(d, person_tree_store) == set()
         person_tree_store.insert_edge("ROOT", "P1")
         assert compute_view_members(d, person_tree_store) == {"P1"}
-
-    def test_stale_snapshot_charges_fallback(self, person_tree_store):
-        from repro.gsdb.columnar import enable_columnar
-
-        d = ViewDefinition.parse(YP_DEF)
-        manager = enable_columnar(person_tree_store, auto_refresh=False)
-        manager.refresh()
-        person_tree_store.modify_value("N1", "Jon")
-        assert compute_view_members(d, person_tree_store) == {"P1"}
-        assert person_tree_store.counters.kernel_fallbacks == 1
-
-    def test_scoped_views_never_use_kernel(self, person_registry):
-        from repro.gsdb.columnar import enable_columnar
-
-        d = ViewDefinition.parse(
-            "define mview V as: SELECT ROOT.* X "
-            "WHERE X.name = 'John' WITHIN PERSON"
-        )
-        store = person_registry.store
-        enable_columnar(store)
-        before = store.counters.snapshot_rows_scanned
-        assert compute_view_members(
-            d, store, registry=person_registry
-        ) == {"P1", "P3"}
-        assert store.counters.snapshot_rows_scanned == before
-        assert store.counters.kernel_fallbacks == 0
+        assert person_tree_store.counters.snapshot_refreshes == refreshes
+        assert server.retention.store_dirty()
