@@ -8,13 +8,12 @@ Three measurements over the new :mod:`repro.serving` package:
    uncached evaluation — zero mismatches).
 
 2. *Per-read evaluation cost* for three serving modes on one tree:
-   classic node-at-a-time evaluation, uncached frontier evaluation
-   (set-at-a-time + label-index edge skipping), and the full cached
-   read path.
+   uncached evaluation scanning out-edges (no label index), uncached
+   evaluation probing the label index, and the full cached read path.
 
-3. *Frontier vs classic traversal counts* on the E3 path-depth trees
-   (augmented with off-path noise children): the frontier evaluator
-   must charge strictly fewer ``edge_traversals`` because the
+3. *Indexed vs scanning traversal counts* on the E3 path-depth trees
+   (augmented with off-path noise children): with the label index the
+   evaluator must charge strictly fewer ``edge_traversals`` because the
    children-by-label adjacency skips edges whose label has no automaton
    transition, and the accept-only frontier is never expanded at all.
 
@@ -140,16 +139,15 @@ def run_read_modes():
         ("frontier, uncached", True, False),
         ("frontier + cache", True, True),
     ]
-    for mode_name, use_frontier, cached in modes:
+    for mode_name, indexed, cached in modes:
         store, registry, parent_index, label_index, pool = (
             _serving_environment()
         )
         server = QueryServer(
             registry,
             parent_index=parent_index,
-            label_index=label_index,
+            label_index=label_index if indexed else None,
             cache_size=64,
-            use_frontier=use_frontier,
             cacheable=(None if cached else (lambda query: False)),
         )
         rounds = 5
@@ -226,20 +224,15 @@ def run_depth_sweep():
         nfa = compile_expression(expression)
         with Meter(store.counters) as classic_meter:
             expected = nfa.evaluate(store, root)
-        with Meter(store.counters) as plain_meter:
-            plain = nfa.evaluate_frontier(store, root)
         with Meter(store.counters) as indexed_meter:
-            indexed = nfa.evaluate_frontier(
-                store, root, label_index=label_index
-            )
-        assert expected == plain == indexed
+            indexed = nfa.evaluate(store, root, label_index=label_index)
+        assert expected == indexed
         rows.append(
             [
                 depth,
                 fanout,
                 len(store),
                 classic_meter.delta.edge_traversals,
-                plain_meter.delta.edge_traversals,
                 indexed_meter.delta.edge_traversals,
                 indexed_meter.delta.index_probes,
                 round(
@@ -260,8 +253,8 @@ def test_e16_frontier_traversals():
     rows = run_depth_sweep()
     emit(
         "E16: frontier vs classic traversal on E3 path-depth trees",
-        ["depth", "fanout", "objects", "classic edges", "frontier edges",
-         "indexed edges", "index probes", "edges saved %"],
+        ["depth", "fanout", "objects", "classic edges", "indexed edges",
+         "index probes", "edges saved %"],
         rows,
         note="label-directed expansion skips off-path edges and never "
         "expands the accept-only frontier",
@@ -270,7 +263,7 @@ def test_e16_frontier_traversals():
     )
     for row in rows:
         # (b) strictly fewer edge traversals at every depth.
-        assert row[5] < row[3], f"no saving at depth {row[0]}"
+        assert row[4] < row[3], f"no saving at depth {row[0]}"
 
 
 # -- pytest-benchmark timings -------------------------------------------------
@@ -297,4 +290,4 @@ def test_e16_frontier_evaluate(benchmark):
     store, root = _noisy_tree(6, 3)
     label_index = LabelIndex(store)
     nfa = compile_expression(PathExpression.parse("l1.l2.l3"))
-    benchmark(lambda: nfa.evaluate_frontier(store, root, label_index=label_index))
+    benchmark(lambda: nfa.evaluate(store, root, label_index=label_index))

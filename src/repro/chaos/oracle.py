@@ -194,7 +194,7 @@ def audit_serving(server, queries) -> list[ServingAudit]:
     For each query, the server's (possibly cached) answer is rendered
     to canonical bytes next to a fresh :class:`~repro.query.evaluator.
     QueryEvaluator` run over the same registry — a stale cached read,
-    a missed invalidation, or a frontier/classic divergence all break
+    a missed invalidation, or an indexed/scan divergence all break
     byte equality and report exactly which members differ.
     """
     from repro.query.evaluator import QueryEvaluator

@@ -383,9 +383,9 @@ class LabelIndex:
     Section 5.1 (scenario 2).
 
     The index also maintains a *children-by-label adjacency*: for each
-    set object, its out-edges grouped by the child's label.  Frontier
-    evaluation (:meth:`~repro.paths.automaton.PathNFA.
-    evaluate_frontier`) probes it to touch only the out-edges whose
+    set object, its out-edges grouped by the child's label.  Path
+    evaluation (:meth:`~repro.paths.automaton.PathNFA.evaluate`)
+    probes it to touch only the out-edges whose
     label has an automaton transition, instead of scanning and
     discarding the rest.  The adjacency is maintained incrementally
     from the store's creation and update streams; labels are immutable,

@@ -4,6 +4,7 @@
 * :class:`~repro.paths.expression.PathExpression` — regular expressions
   of paths with ``?`` and ``*`` wildcards (plus ``|`` alternation).
 * :mod:`~repro.paths.automaton` — NFA compilation and ``N.e`` evaluation.
+* :mod:`~repro.paths.kernel` — ``N.e`` over a frozen MVCC epoch.
 * :mod:`~repro.paths.containment` — instance/containment decision
   procedures needed by the Section 6 extended maintainers.
 """
@@ -21,10 +22,7 @@ from repro.paths.containment import (
     is_empty_intersection,
     shortest_instance,
 )
-from repro.paths.kernel import (
-    evaluate_many_on_snapshot,
-    evaluate_on_snapshot,
-)
+from repro.paths.kernel import evaluate_many_on_snapshot
 from repro.paths.expression import (
     AnyLabelSegment,
     AnyPathSegment,
@@ -46,7 +44,6 @@ __all__ = [
     "containment_counterexample",
     "evaluate_expression",
     "evaluate_many_on_snapshot",
-    "evaluate_on_snapshot",
     "intersection_witness",
     "is_contained",
     "is_empty_intersection",

@@ -18,27 +18,18 @@ extended view maintainer (:mod:`repro.views.extended`): feed it a known
 prefix path (``path(ROOT, N1) + label(N2)``) and continue matching only
 in the affected subtree.
 
-Two evaluation strategies exist side by side:
-
-* :meth:`PathNFA.evaluate` — the classic node-at-a-time product search,
-  examining every out-edge of every visited object.  Kept as the
-  unindexed baseline (experiment E8 ablations).
-* :meth:`PathNFA.evaluate_frontier` — set-at-a-time: whole OID
-  frontiers are expanded level by level, and with a
-  :class:`~repro.gsdb.indexes.LabelIndex` the children-by-label
-  adjacency skips out-edges whose label has no automaton transition,
-  charging one ``index_probes`` per expanded parent instead of one
-  ``edge_traversals`` per skipped edge (the same accounting indexed
-  traversal uses elsewhere).  Used by query evaluation and view
-  recomputation whenever a label index is at hand
-  (:mod:`repro.query.evaluator`), and by the serving layer.
+:meth:`PathNFA.evaluate` is the one evaluator over a store.  It expands
+whole OID frontiers level by level; given a
+:class:`~repro.gsdb.indexes.LabelIndex` it probes the children-by-label
+adjacency wherever the residual alphabet is bounded, and otherwise
+scans out-edges.  The frozen epochs of the MVCC tier have their own
+evaluator over integer rows (:mod:`repro.paths.kernel`).
 
 ``step`` results are memoized per automaton in a
-``(state-set, label) → state-set`` transition table: the inner loop of
-both evaluators re-steps the same state set over the same label for
-every sibling carrying that label, and NFA move derivation is pure, so
-repeated steps are answered from the table (``step_cache_hits`` /
-``step_computations`` count the effect).
+``(state-set, label) → state-set`` transition table: evaluation
+re-steps the same state set over the same label for every sibling
+carrying that label, and NFA move derivation is pure, so repeated
+steps are answered from the table.
 """
 
 from __future__ import annotations
@@ -74,8 +65,6 @@ class PathNFA:
         #: label alphabets with a transition out of a state set (None =
         #: every label moves), memoized per state set.
         self._alphabet_cache: dict[StateSet, frozenset[str] | None] = {}
-        self.step_computations = 0
-        self.step_cache_hits = 0
         self._initial = self._closure({0})
 
     # -- core NFA operations -----------------------------------------------------
@@ -104,9 +93,7 @@ class PathNFA:
         key = (states, label)
         cached = self._step_cache.get(key)
         if cached is not None:
-            self.step_cache_hits += 1
             return cached
-        self.step_computations += 1
         moved: set[int] = set()
         for state in states:
             if state >= self._accept:
@@ -125,8 +112,8 @@ class PathNFA:
 
         Wildcard segments (``*`` self-loops, ``?``) consume every label,
         so any live state sitting on one makes the alphabet unbounded.
-        Indexed frontier evaluation uses a bounded alphabet
-        to probe the label index instead of scanning out-edges.
+        :meth:`evaluate` uses a bounded alphabet to probe the label
+        index instead of scanning out-edges.
         """
         cached = self._alphabet_cache.get(states, _ALPHABET_MISS)
         if cached is not _ALPHABET_MISS:
@@ -176,6 +163,7 @@ class PathNFA:
         store: ObjectStore,
         start: str,
         *,
+        label_index=None,
         from_states: StateSet | None = None,
     ) -> set[str]:
         """Return ``start.e`` — every object reached along an instance.
@@ -183,78 +171,37 @@ class PathNFA:
         With *from_states*, evaluation continues an already-consumed
         prefix (the residual trick used for incremental maintenance of
         wildcard views).  The start object itself is included when the
-        (residual) expression accepts the empty path.
-
-        Cycle-safe: each (object, state-set) pair is expanded once.
-        """
-        initial = self.initial() if from_states is None else from_states
-        if not initial:
-            return set()
-        results: set[str] = set()
-        if self.is_accepting(initial):
-            results.add(start)
-        seen: set[tuple[str, StateSet]] = {(start, initial)}
-        stack: list[tuple[str, StateSet]] = [(start, initial)]
-        while stack:
-            oid, states = stack.pop()
-            obj = store.get_optional(oid)
-            if obj is None or not obj.is_set:
-                continue
-            for child in obj.children():
-                store.counters.edge_traversals += 1
-                child_obj = store.get_optional(child)
-                if child_obj is None:
-                    continue
-                next_states = self.step(states, child_obj.label)
-                if not next_states:
-                    continue
-                if self.is_accepting(next_states):
-                    results.add(child)
-                key = (child, next_states)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(key)
-        return results
-
-    def evaluate_frontier(
-        self,
-        store: ObjectStore,
-        start: str,
-        *,
-        label_index=None,
-        from_states: StateSet | None = None,
-    ) -> set[str]:
-        """Set-at-a-time :meth:`evaluate`: expand whole OID frontiers.
+        (residual) expression accepts the empty path, even if no such
+        object exists.
 
         Objects sharing a state set are expanded level by level, so the
         per-label NFA step is derived once per (state set, label) and
         shared across the whole frontier (with :meth:`step`'s memo, once
-        ever).  When *label_index* (a
-        :class:`~repro.gsdb.indexes.LabelIndex`) is given and the
-        residual alphabet is bounded, each parent is expanded through
-        the children-by-label adjacency: one ``index_probes`` per
-        expanded parent replaces one ``edge_traversals`` per out-edge
-        whose label has no transition; admitted children charge one
-        ``edge_traversals`` + ``object_reads`` each (the
+        ever).  Without *label_index*, or where the residual alphabet
+        is unbounded (``*``, ``?``), an expanded object charges its own
+        ``object_reads`` plus one ``edge_traversals`` and one
+        ``object_reads`` per out-edge.  With a
+        :class:`~repro.gsdb.indexes.LabelIndex` and a bounded alphabet,
+        each parent is expanded through the children-by-label
+        adjacency: one ``index_probes`` per expanded parent replaces one
+        ``edge_traversals`` per out-edge whose label has no transition;
+        admitted children charge one ``edge_traversals`` +
+        ``object_reads`` each (the
         :func:`~repro.gsdb.traversal.follow_path` accounting — the
         label test rides on the adjacency, existence on the uncharged
-        ``peek``).
+        ``peek``).  Answers are the same either way.
 
         Only pass a *label_index* built over the *same, unscoped* store:
         a :class:`~repro.query.evaluator.ScopedStore` must keep the
-        scan path so out-of-scope children stay invisible (and charge
-        their probe reads).  Results are identical to :meth:`evaluate`
-        in all cases; cycle-safe the same way (each (object, state-set)
-        pair expands once).  Without an index the charges are identical
-        too: the same pairs expand, each charging its own read plus an
-        edge and a read per out-edge.
+        scan so out-of-scope children stay invisible (and charge their
+        probe reads).
 
-        Expansion order is free.  The search is level-synchronous and
-        deduplicates on (object, state-set): a pair enters the next
-        frontier only if no earlier level (nor this one) produced it,
-        so the set of pairs expanded at each level — and with it every
-        charge and the result set — is the same whichever order the
-        frontier's state sets, OIDs and labels are visited in.
+        Cycle-safe, and expansion order is free: the search is
+        level-synchronous and deduplicates on (object, state-set), so a
+        pair enters the next frontier only if no earlier level (nor
+        this one) produced it.  The set of pairs expanded — and with it
+        every charge and the result set — is the same whichever order
+        the frontier's state sets, OIDs and labels are visited in.
         """
         initial = self._initial if from_states is None else from_states
         if not initial:
@@ -321,45 +268,6 @@ class PathNFA:
                                     next_states, set()
                                 ).add(child)
             frontier = next_frontier
-        return results
-
-    def evaluate_with_paths(
-        self, store: ObjectStore, start: str, *, max_depth: int = 64
-    ) -> dict[str, list[tuple[str, ...]]]:
-        """Like :meth:`evaluate` but also reports matching label paths.
-
-        Used by tests to cross-check NFA evaluation against brute-force
-        instance enumeration, and by the DAG maintainer to count
-        derivations.  *max_depth* bounds exploration on cyclic graphs
-        (each matched path is simple in states but may revisit objects).
-        """
-        results: dict[str, list[tuple[str, ...]]] = {}
-        initial = self.initial()
-        if self.is_accepting(initial):
-            results.setdefault(start, []).append(())
-
-        def _walk(oid: str, states: StateSet, labels: tuple[str, ...]) -> None:
-            if len(labels) >= max_depth:
-                return
-            obj = store.get_optional(oid)
-            if obj is None or not obj.is_set:
-                return
-            for child in sorted(obj.children()):
-                store.counters.edge_traversals += 1
-                child_obj = store.get_optional(child)
-                if child_obj is None:
-                    continue
-                next_states = self.step(states, child_obj.label)
-                if not next_states:
-                    continue
-                next_labels = labels + (child_obj.label,)
-                if self.is_accepting(next_states):
-                    paths = results.setdefault(child, [])
-                    if next_labels not in paths:
-                        paths.append(next_labels)
-                _walk(child, next_states, next_labels)
-
-        _walk(start, initial, ())
         return results
 
 

@@ -8,12 +8,11 @@ objects reached by the path never satisfy an atomic comparison.
 Boolean connectives (our extension, anticipated by the paper's closing
 remark in Section 2) evaluate compositionally on top of the atoms.
 
-Every helper takes an optional *label_index*: with one, condition paths
-resolve through its children-by-label adjacency
-(:meth:`~repro.paths.automaton.PathNFA.evaluate_frontier`); without
-one, they scan out-edges (:meth:`~repro.paths.automaton.PathNFA.
-evaluate`).  Pass an index only for the unscoped store it was built
-over.
+Every helper takes an optional *label_index* and hands it to
+:meth:`~repro.paths.automaton.PathNFA.evaluate`: with one, condition
+paths resolve through its children-by-label adjacency; without one,
+they scan out-edges.  Pass an index only for the unscoped store it was
+built over.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ def objects_on_path(
     label_index: LabelIndex | None = None,
 ) -> set[str]:
     """``start.path`` for a (possibly wildcard) path."""
-    nfa = compile_expression(path)
-    if label_index is None:
-        return nfa.evaluate(store, start)
-    return nfa.evaluate_frontier(store, start, label_index=label_index)
+    return compile_expression(path).evaluate(
+        store, start, label_index=label_index
+    )
 
 
 def atomic_values_on_path(

@@ -19,8 +19,8 @@ Given a :class:`~repro.gsdb.indexes.LabelIndex` (the view catalog
 passes the one it builds with ``with_label_index=True``), an unscoped
 query resolves its select path and every condition path through the
 index's children-by-label adjacency
-(:meth:`~repro.paths.automaton.PathNFA.evaluate_frontier`): an
-expanded object costs one uncharged index probe, and only out-edges
+(:meth:`~repro.paths.automaton.PathNFA.evaluate` with the index): an
+expanded object costs one index probe, and only out-edges
 whose label the path can consume are read — the base accesses the
 paper's indexes exist to avoid (Section 4.4).  A ``WITHIN`` query keeps
 the scan: the index sees the whole store, so it would reach children

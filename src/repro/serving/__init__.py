@@ -7,8 +7,8 @@ by the canonical form of a parsed query, kept consistent by a precise
 :class:`~repro.serving.invalidation.Invalidator` that reuses the
 maintenance dispatcher's label screening and chain memos, and a
 :class:`~repro.serving.server.QueryServer` front door that evaluates
-misses with set-at-a-time frontier evaluation
-(:meth:`~repro.paths.automaton.PathNFA.evaluate_frontier`).
+misses through the query evaluator, probing the label index where it
+applies (:meth:`~repro.paths.automaton.PathNFA.evaluate`).
 
 The server exposes the :class:`~repro.query.evaluator.QueryEvaluator`
 interface (``evaluate`` / ``evaluate_oids``) so callers swap it in

@@ -7,9 +7,9 @@ columnar snapshot (:class:`~repro.gsdb.columnar.ColumnarSnapshot`,
 built per server): the write path *publishes* each quiesced state as an
 immutable :class:`~repro.gsdb.columnar.EpochView` into a
 :class:`~repro.gsdb.columnar.SnapshotRetention` ring, and readers pin a
-retained epoch, evaluate on it with the bitset kernels
-(:func:`~repro.paths.kernel.evaluate_on_snapshot`, WHERE conditions
-included via the imaged value column), and unpin — never reading the
+retained epoch, evaluate on it with the bitset kernel
+(:func:`~repro.paths.kernel.evaluate_many_on_snapshot`, WHERE
+conditions included via the imaged value column), and unpin — never reading the
 live store, never blocking maintenance, never blocked by it.
 
 Freshness is an explicit per-request policy (:class:`FreshnessPolicy`):
@@ -72,7 +72,7 @@ from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.updates import Update
 from repro.instrumentation.counters import CostCounters
 from repro.paths.automaton import compile_expression
-from repro.paths.kernel import evaluate_many_on_snapshot, evaluate_on_snapshot
+from repro.paths.kernel import evaluate_many_on_snapshot
 from repro.query.ast import And, Comparison, Condition, Exists, Not, Or, Query
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
@@ -379,7 +379,7 @@ class EpochServer:
         key = cache_key(query, entry_oid)
         # 3. Miss: pin the newest allowed epoch (publishing one when
         #    nothing retained satisfies the policy) and evaluate on its
-        #    frozen view with the bitset kernels.
+        #    frozen view with the bitset kernel.
         target, lag = self._pin_target(self._candidates(allowed))
         try:
             oids = frozenset(
@@ -485,7 +485,9 @@ class EpochServer:
 
     def _evaluate_on_epoch(self, view, query: Query, entry_oid: str) -> set[str]:
         nfa = compile_expression(query.select_path)
-        candidates = evaluate_on_snapshot(view, nfa, entry_oid)
+        candidates = evaluate_many_on_snapshot(view, nfa, [entry_oid])[
+            entry_oid
+        ]
         if query.condition is not None:
             candidates = _filter_on_epoch(view, candidates, query.condition)
         return candidates

@@ -1,4 +1,4 @@
-"""The query server: cache + frontier evaluation + invalidation.
+"""The query server: cache + indexed evaluation + invalidation.
 
 :class:`QueryServer` is a drop-in for :class:`~repro.query.evaluator.
 QueryEvaluator` (``evaluate`` / ``evaluate_oids``) that
@@ -6,10 +6,9 @@ QueryEvaluator` (``evaluate`` / ``evaluate_oids``) that
 1. canonicalizes the parsed query and answers repeats from the
    :class:`~repro.serving.cache.QueryCache`,
 2. evaluates misses through :class:`~repro.query.evaluator.
-   QueryEvaluator`, whose select and condition paths probe the label
-   index where :func:`~repro.query.evaluator.index_applies` allows
-   (``use_frontier=False`` evaluates without the index: the unindexed
-   baseline), and
+   QueryEvaluator`, whose select and condition paths probe the
+   *label_index* where :func:`~repro.query.evaluator.index_applies`
+   allows (without one, misses scan out-edges), and
 3. registers each cached answer with the
    :class:`~repro.serving.invalidation.Invalidator` so later updates
    evict exactly the answers they may change.
@@ -46,7 +45,6 @@ class QueryServer:
         parent_index: ParentIndex | None = None,
         label_index: LabelIndex | None = None,
         cache_size: int = 128,
-        use_frontier: bool = True,
         cacheable: Callable[[Query], bool] | None = None,
         subscribe: bool = True,
     ) -> None:
@@ -55,9 +53,7 @@ class QueryServer:
         self.parent_index = parent_index
         self.label_index = label_index
         self._cacheable = cacheable
-        self._evaluator = QueryEvaluator(
-            registry, label_index=label_index if use_frontier else None
-        )
+        self._evaluator = QueryEvaluator(registry, label_index=label_index)
         self.cache = QueryCache(cache_size, counters=self.store.counters)
         self.invalidator = Invalidator(
             self.store,

@@ -350,14 +350,12 @@ class ViewCatalog:
 
     # -- read-path serving (experiment E16) -----------------------------------
 
-    def enable_serving(
-        self, *, cache_size: int = 128, use_frontier: bool = True
-    ):
+    def enable_serving(self, *, cache_size: int = 128):
         """Attach a :class:`~repro.serving.server.QueryServer`.
 
         The server shares the catalog's store, registry, parent index,
         and label index (build the catalog with
-        ``with_label_index=True`` to give frontier evaluation its
+        ``with_label_index=True`` to give path evaluation its
         children-by-label adjacency).  Queries resolving through a
         virtual or materialized view are served fresh, never cached:
         view maintenance rewires delegates without emitting store
@@ -372,7 +370,6 @@ class ViewCatalog:
                 parent_index=self.parent_index,
                 label_index=self.label_index,
                 cache_size=cache_size,
-                use_frontier=use_frontier,
                 cacheable=self._cacheable_query,
             )
         return self.server

@@ -55,10 +55,7 @@ def compute_view_members(
         entry = registry.resolve(entry).oid
     if entry not in base_store:
         raise QueryEvaluationError(f"entry object {entry!r} not in store")
-    # Set-at-a-time: unindexed, charges are identical to node-at-a-time
-    # evaluate (same (object, state-set) product), but whole frontiers
-    # share each per-label NFA step.
-    candidates = compile_expression(query.select_path).evaluate_frontier(
+    candidates = compile_expression(query.select_path).evaluate(
         base_store, entry, label_index=label_index
     )
     if query.condition is None:

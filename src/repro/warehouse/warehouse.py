@@ -542,9 +542,7 @@ class Warehouse:
             )
         return wview
 
-    def enable_serving(
-        self, *, cache_size: int = 128, use_frontier: bool = True
-    ):
+    def enable_serving(self, *, cache_size: int = 128):
         """Attach a :class:`~repro.serving.server.QueryServer` over the
         view store, so clients query warehouse views through a cached
         read path.
@@ -564,11 +562,7 @@ class Warehouse:
             registry = DatabaseRegistry(self.view_store)
             for name in self.views:
                 registry.register(name, name)
-            self.query_server = QueryServer(
-                registry,
-                cache_size=cache_size,
-                use_frontier=use_frontier,
-            )
+            self.query_server = QueryServer(registry, cache_size=cache_size)
         return self.query_server
 
     # -- bulk updates (Section 6, fourth open issue) -----------------------------------

@@ -103,7 +103,6 @@ def run_serving_workload(
     read_ratio: float = 0.9,
     cache_size: int = 64,
     spec: TreeSpec | None = None,
-    use_frontier: bool = True,
     with_label_index: bool = True,
     audit_every: int = 50,
     mix: UpdateMix | None = None,
@@ -133,7 +132,6 @@ def run_serving_workload(
             parent_index=parent_index,
             label_index=label_index,
             cache_size=cache_size,
-            use_frontier=use_frontier,
         )
         protected.add(root)
         if pool is None:

@@ -8,7 +8,7 @@ from repro.gsdb import ObjectStore
 from repro.gsdb import columnar
 from repro.gsdb.columnar import ColumnarSnapshot, EpochView, SnapshotRetention
 from repro.paths import PathExpression, compile_expression
-from repro.paths.kernel import evaluate_on_snapshot
+from repro.paths.kernel import evaluate_many_on_snapshot
 
 
 def small_store() -> ObjectStore:
@@ -232,7 +232,7 @@ class TestRefreshPostcondition:
         recreate_a2(store)
         snap.refresh()
         view = EpochView(snap, store.counters)
-        members = evaluate_on_snapshot(view, AGE, "r")
+        members = evaluate_many_on_snapshot(view, AGE, ["r"])["r"]
         assert "a2" in members
         assert members == AGE.evaluate(store, "r")
 
@@ -256,7 +256,7 @@ class TestRefreshPostcondition:
         entry = retention.publish()
         assert store.counters.snapshot_refreshes == before + 1
         assert entry.epoch == snap.epoch
-        assert "a2" in evaluate_on_snapshot(entry.view, AGE, "r")
+        assert "a2" in evaluate_many_on_snapshot(entry.view, AGE, ["r"])["r"]
 
     def test_recreated_oid_with_new_label(self):
         store = wide_store()
@@ -268,7 +268,7 @@ class TestRefreshPostcondition:
         snap.refresh()
         view = EpochView(snap, store.counters)
         assert view.label(view.row("a2")) == "name"
-        assert "a2" not in evaluate_on_snapshot(view, AGE, "r")
+        assert "a2" not in evaluate_many_on_snapshot(view, AGE, ["r"])["r"]
 
 
 class TestRebuildThreshold:

@@ -81,21 +81,3 @@ class TestGraphEvaluation:
         nfa = compile_expression(PathExpression.parse("a"))
         assert nfa.evaluate(person_store, "ROOT", from_states=frozenset()) == set()
 
-
-class TestEvaluateWithPaths:
-    def test_paths_reported(self, person_store):
-        nfa = compile_expression(PathExpression.parse("*.age"))
-        result = nfa.evaluate_with_paths(person_store, "ROOT")
-        assert ("professor", "age") in result["A1"]
-        # A3 is reachable two ways in the DAG variant of Example 2.
-        assert sorted(result["A3"]) == [
-            ("professor", "student", "age"),
-            ("student", "age"),
-        ]
-
-    def test_agrees_with_evaluate(self, person_store):
-        for text in ("*", "*.name", "professor.?", "*.professor.*"):
-            nfa = compile_expression(PathExpression.parse(text))
-            assert set(nfa.evaluate_with_paths(person_store, "ROOT")) == (
-                nfa.evaluate(person_store, "ROOT")
-            )

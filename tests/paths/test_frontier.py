@@ -1,4 +1,10 @@
-"""Tests for frontier (set-at-a-time) evaluation and the step memo."""
+"""Tests for path evaluation (set-at-a-time, scanning or indexed) and
+the step memo.
+
+The scan's charges are pinned as literals: every counter an
+unindexed evaluation moves, per expression, on the person DAG, a cycle,
+a dangling child and E16's depth sweep.
+"""
 
 import pytest
 
@@ -12,52 +18,75 @@ def nfa_for(text: str):
     return compile_expression(PathExpression.parse(text))
 
 
-class TestFrontierEquivalence:
-    EXPRESSIONS = (
-        "professor",
-        "professor.name",
-        "*.name",
-        "?.name",
-        "*",
-        "professor.student.name",
-        "(professor|student).name",
-    )
+#: ``ROOT.e`` on the person DAG without an index: the answer and every
+#: counter the scan moves.
+PERSON_SCANS = {
+    "professor": ({"P1", "P2"}, {"object_reads": 13, "edge_traversals": 10}),
+    "professor.name": (
+        {"N1", "N2"},
+        {"object_reads": 15, "edge_traversals": 10},
+    ),
+    "*.name": (
+        {"N1", "N2", "N3", "N4"},
+        {"object_reads": 30, "edge_traversals": 15},
+    ),
+    "?.name": (
+        {"N1", "N2", "N3", "N4"},
+        {"object_reads": 24, "edge_traversals": 15},
+    ),
+    "*": (
+        {"ROOT", "P1", "P2", "P3", "P4", "N1", "N2", "N3", "N4", "A1",
+         "A3", "A4", "ADD2", "M3", "S1"},
+        {"object_reads": 30, "edge_traversals": 15},
+    ),
+    "professor.student.name": (
+        {"N3"},
+        {"object_reads": 18, "edge_traversals": 13},
+    ),
+    "(professor|student).name": (
+        set(),
+        {"object_reads": 5, "edge_traversals": 4},
+    ),
+}
 
-    def test_matches_classic_on_person_dag(self, person_store):
+
+class TestFrontierEquivalence:
+    EXPRESSIONS = tuple(PERSON_SCANS)
+
+    def test_answers_on_person_dag(self, person_store):
         for text in self.EXPRESSIONS:
-            nfa = nfa_for(text)
-            classic = nfa.evaluate(person_store, "ROOT")
-            plain = nfa.evaluate_frontier(person_store, "ROOT")
-            assert plain == classic, text
+            expected, _ = PERSON_SCANS[text]
+            assert nfa_for(text).evaluate(person_store, "ROOT") == expected
 
     def test_matches_classic_with_label_index(self, person_store):
         index = LabelIndex(person_store)
         for text in self.EXPRESSIONS:
             nfa = nfa_for(text)
             classic = nfa.evaluate(person_store, "ROOT")
-            indexed = nfa.evaluate_frontier(
-                person_store, "ROOT", label_index=index
-            )
+            indexed = nfa.evaluate(person_store, "ROOT", label_index=index)
             assert indexed == classic, text
 
     def test_tracks_updates(self, person_store):
         index = LabelIndex(person_store)
         nfa = nfa_for("professor.name")
         person_store.delete_edge("ROOT", "P1")
-        assert nfa.evaluate_frontier(
+        assert nfa.evaluate(
             person_store, "ROOT", label_index=index
-        ) == nfa.evaluate(person_store, "ROOT")
+        ) == nfa.evaluate(person_store, "ROOT") == {"N2"}
 
     def test_missing_entry_is_empty(self, person_store):
-        assert nfa_for("professor").evaluate_frontier(
-            person_store, "GHOST"
-        ) == set()
+        assert nfa_for("professor").evaluate(person_store, "GHOST") == set()
 
     def test_cycle_terminates(self):
         store = ObjectStore(check_references=False)
         store.add_set("X", "node", ["Y"])
         store.add_set("Y", "node", ["X"])
-        assert nfa_for("*").evaluate_frontier(store, "X") == {"X", "Y"}
+        with Meter(store.counters) as meter:
+            assert nfa_for("*").evaluate(store, "X") == {"X", "Y"}
+        assert meter.delta.as_dict() == {
+            "object_reads": 4,
+            "edge_traversals": 2,
+        }
 
 
 class TestFrontierCharging:
@@ -68,10 +97,7 @@ class TestFrontierCharging:
         with Meter(store.counters) as classic:
             expected = nfa.evaluate(store, root)
         with Meter(store.counters) as indexed:
-            assert (
-                nfa.evaluate_frontier(store, root, label_index=index)
-                == expected
-            )
+            assert nfa.evaluate(store, root, label_index=index) == expected
         assert (
             indexed.delta.edge_traversals < classic.delta.edge_traversals
         )
@@ -83,7 +109,7 @@ class TestFrontierCharging:
         store, root = layered_tree(TreeSpec(depth=3, fanout=4, seed=5))
         index = LabelIndex(store)
         with Meter(store.counters) as meter:
-            nfa_for("l1").evaluate_frontier(store, root, label_index=index)
+            nfa_for("l1").evaluate(store, root, label_index=index)
         assert meter.delta.index_probes == 1  # the root only
         assert meter.delta.edge_traversals == 4  # one per admitted child
 
@@ -116,19 +142,65 @@ def cyclic_dag(name=lambda oid: oid, *, reverse: bool = False) -> ObjectStore:
     return store
 
 
+#: ``R.e`` on :func:`cyclic_dag` without an index.
+CYCLE_SCANS = {
+    "*": (
+        {"R", "A", "B", "C", "D", "E", "F"},
+        {"object_reads": 19, "edge_traversals": 12},
+    ),
+    "*.c": ({"E", "F"}, {"object_reads": 19, "edge_traversals": 12}),
+    "a.*.a": ({"A", "C"}, {"object_reads": 30, "edge_traversals": 20}),
+    "?.b": ({"B", "D"}, {"object_reads": 20, "edge_traversals": 14}),
+    "b.a.*": (set(), {"object_reads": 7, "edge_traversals": 5}),
+}
+
+#: ``ROOT.e`` on the person DAG after ``P3`` is removed while ROOT's and
+#: P1's edges still name it.
+DANGLING_SCANS = {
+    "*.name": (
+        {"N1", "N2", "N4"},
+        {"object_reads": 23, "edge_traversals": 12},
+    ),
+    "?": ({"P1", "P2", "P4"}, {"object_reads": 16, "edge_traversals": 12}),
+    "professor.student": (
+        set(),
+        {"object_reads": 13, "edge_traversals": 10},
+    ),
+}
+
+#: E16's depth sweep: (depth, fanout) → (answer size, counters) of the
+#: first half of the ``l1.l2...`` path on a noisy layered tree.
+DEPTH_SWEEP_SCANS = {
+    (2, 16): (16, {"object_reads": 306, "edge_traversals": 289}),
+    (3, 8): (8, {"object_reads": 90, "edge_traversals": 81}),
+    (4, 5): (25, {"object_reads": 217, "edge_traversals": 186}),
+    (6, 3): (27, {"object_reads": 200, "edge_traversals": 160}),
+    (8, 2): (16, {"object_reads": 124, "edge_traversals": 93}),
+}
+
+
+def noisy_tree(depth: int, fanout: int):
+    """E16's tree: an E3 layered tree plus a ``noise`` atom under every
+    set object."""
+    store, root = layered_tree(TreeSpec(depth=depth, fanout=fanout, seed=29))
+    for oid in [o for o in store.oids() if store.peek(o).is_set]:
+        store.add_atomic(f"{oid}_noise", "noise", 1)
+        store.insert_edge(oid, f"{oid}_noise")
+    return store, root
+
+
 class TestUnindexedFrontierCharging:
-    """Without an index the frontier expands exactly the (object,
-    state-set) pairs :meth:`PathNFA.evaluate` expands, in whatever
-    order: answers and every counter agree."""
+    """Without an index every expanded (object, state-set) pair charges
+    its read and one edge and one read per out-edge: the literals above
+    are that accounting, and they hold in whatever order the frontier
+    is expanded."""
 
     @pytest.mark.parametrize("text", TestFrontierEquivalence.EXPRESSIONS)
-    def test_charges_exactly_evaluate_on_person_dag(self, person_store, text):
-        nfa = nfa_for(text)
-        with Meter(person_store.counters) as classic:
-            expected = nfa.evaluate(person_store, "ROOT")
-        with Meter(person_store.counters) as frontier:
-            assert nfa.evaluate_frontier(person_store, "ROOT") == expected
-        assert frontier.delta.as_dict() == classic.delta.as_dict()
+    def test_scan_charges_on_person_dag(self, person_store, text):
+        expected, charges = PERSON_SCANS[text]
+        with Meter(person_store.counters) as meter:
+            assert nfa_for(text).evaluate(person_store, "ROOT") == expected
+        assert meter.delta.as_dict() == charges
 
     @pytest.mark.parametrize("text", TestFrontierEquivalence.EXPRESSIONS)
     def test_indexed_never_charges_more(self, person_store, text):
@@ -138,7 +210,7 @@ class TestUnindexedFrontierCharging:
             expected = nfa.evaluate(person_store, "ROOT")
         with Meter(person_store.counters) as indexed:
             assert (
-                nfa.evaluate_frontier(person_store, "ROOT", label_index=index)
+                nfa.evaluate(person_store, "ROOT", label_index=index)
                 == expected
             )
         assert (
@@ -146,15 +218,24 @@ class TestUnindexedFrontierCharging:
             <= classic.delta.total_base_accesses()
         )
 
-    def test_charges_exactly_evaluate_on_a_cycle(self):
+    def test_scan_charges_on_a_cycle(self):
         store = cyclic_dag()
-        for text in ("*", "*.c", "a.*.a", "?.b", "b.a.*"):
-            nfa = nfa_for(text)
-            with Meter(store.counters) as classic:
-                expected = nfa.evaluate(store, "R")
-            with Meter(store.counters) as frontier:
-                assert nfa.evaluate_frontier(store, "R") == expected, text
-            assert frontier.delta.as_dict() == classic.delta.as_dict(), text
+        for text, (expected, charges) in CYCLE_SCANS.items():
+            with Meter(store.counters) as meter:
+                assert nfa_for(text).evaluate(store, "R") == expected, text
+            assert meter.delta.as_dict() == charges, text
+
+    @pytest.mark.parametrize(
+        "shape", list(DEPTH_SWEEP_SCANS), ids=lambda shape: "%dx%d" % shape
+    )
+    def test_scan_charges_on_e16_depth_sweep(self, shape):
+        depth, fanout = shape
+        store, root = noisy_tree(depth, fanout)
+        text = ".".join(f"l{i + 1}" for i in range(max(1, depth // 2)))
+        size, charges = DEPTH_SWEEP_SCANS[shape]
+        with Meter(store.counters) as meter:
+            assert len(nfa_for(text).evaluate(store, root)) == size
+        assert meter.delta.as_dict() == charges
 
     def test_charges_do_not_depend_on_iteration_order(self):
         copies = [
@@ -174,28 +255,25 @@ class TestUnindexedFrontierCharging:
                         oid for oid in store.oids() if original(oid) == "R"
                     )
                     with Meter(store.counters) as meter:
-                        answer = nfa_for(text).evaluate_frontier(
+                        answer = nfa_for(text).evaluate(
                             store, root, label_index=index
                         )
                     renamed = {original(oid) for oid in answer}
                     runs.append((renamed, meter.delta.as_dict()))
                 assert runs[0] == runs[1] == runs[2], (text, use_index)
 
-    def test_dangling_child_charges_exactly_evaluate(self, person_store):
+    def test_dangling_child_scan_charges(self, person_store):
         index = LabelIndex(person_store)
         # P3 goes while ROOT's and P1's edges (and the index) still
         # name it.
         person_store.remove_object("P3")
-        for text in ("*.name", "?", "professor.student"):
+        for text, (expected, charges) in DANGLING_SCANS.items():
             nfa = nfa_for(text)
-            with Meter(person_store.counters) as classic:
-                expected = nfa.evaluate(person_store, "ROOT")
-            with Meter(person_store.counters) as frontier:
-                assert nfa.evaluate_frontier(person_store, "ROOT") == expected
-            assert frontier.delta.as_dict() == classic.delta.as_dict(), text
-            assert "P3" not in expected
+            with Meter(person_store.counters) as meter:
+                assert nfa.evaluate(person_store, "ROOT") == expected, text
+            assert meter.delta.as_dict() == charges, text
             assert (
-                nfa.evaluate_frontier(person_store, "ROOT", label_index=index)
+                nfa.evaluate(person_store, "ROOT", label_index=index)
                 == expected
             ), text
 
@@ -207,23 +285,20 @@ class TestUnindexedFrontierCharging:
 
 
 class TestStepMemo:
-    def test_identical_results_with_fewer_recomputations(self):
+    def test_repeat_evaluation_adds_no_transitions(self):
         store, root = layered_tree(TreeSpec(depth=4, fanout=3, seed=2))
         nfa = nfa_for("l1.l2.l3.l4")
         first = nfa.evaluate(store, root)
-        computed_after_first = nfa.step_computations
-        assert computed_after_first > 0
-        second = nfa.evaluate(store, root)
-        assert second == first
+        table_after_first = len(nfa._step_cache)
+        assert table_after_first > 0
         # The second pass re-asks only memoized (state-set, label)
-        # transitions: zero new computations, hits instead.
-        assert nfa.step_computations == computed_after_first
-        assert nfa.step_cache_hits > 0
+        # transitions: the table does not grow.
+        assert nfa.evaluate(store, root) == first
+        assert len(nfa._step_cache) == table_after_first
 
     def test_memo_is_per_state_set_and_label(self):
         nfa = nfa_for("a.b")
         states = nfa.initial()
         once = nfa.step(states, "a")
-        again = nfa.step(states, "a")
-        assert once == again
-        assert nfa.step_cache_hits >= 1
+        assert nfa._step_cache[(states, "a")] is once
+        assert nfa.step(states, "a") is once

@@ -1,8 +1,8 @@
 """Tests for the bitset frontier kernel over frozen columnar epochs.
 
-Every assertion here is an equivalence against the interpreted
-evaluators (``PathNFA.evaluate`` / ``evaluate_frontier``) — the
-kernel's contract is byte-identical member sets, corner cases included.
+Answers are checked against the store evaluator (``PathNFA.evaluate``)
+— the kernel's contract is byte-identical member sets, corner cases
+included — and the one-start sweep's row scans are pinned as literals.
 """
 
 import pytest
@@ -11,7 +11,7 @@ from repro.gsdb import ObjectStore
 from repro.gsdb.columnar import ColumnarSnapshot
 from repro.instrumentation.counters import CostCounters
 from repro.paths import PathExpression, compile_expression
-from repro.paths.kernel import evaluate_many_on_snapshot, evaluate_on_snapshot
+from repro.paths.kernel import evaluate_many_on_snapshot
 
 
 def nfa_for(text: str):
@@ -20,6 +20,11 @@ def nfa_for(text: str):
 
 def frozen(store):
     return ColumnarSnapshot(store).freeze()
+
+
+def on_epoch(view, nfa, start):
+    """``start.e`` on *view*: the kernel with one start."""
+    return evaluate_many_on_snapshot(view, nfa, [start])[start]
 
 
 EXPRESSIONS = (
@@ -32,13 +37,24 @@ EXPRESSIONS = (
     "(professor|student).name",
 )
 
+#: What ``ROOT.e`` on the frozen person DAG charges the reader.
+ROWS_SCANNED = {
+    "professor": {"snapshot_rows_scanned": 3},
+    "professor.name": {"snapshot_rows_scanned": 7},
+    "*.name": {"snapshot_rows_scanned": 150},
+    "?.name": {"snapshot_rows_scanned": 13},
+    "*": {"snapshot_rows_scanned": 30},
+    "professor.student.name": {"snapshot_rows_scanned": 8},
+    "(professor|student).name": {},
+}
+
 
 class TestEvaluateEquivalence:
     def test_matches_classic_on_person_dag(self, person_store):
         view = frozen(person_store)
         for text in EXPRESSIONS:
             nfa = nfa_for(text)
-            assert evaluate_on_snapshot(view, nfa, "ROOT") == nfa.evaluate(
+            assert on_epoch(view, nfa, "ROOT") == nfa.evaluate(
                 person_store, "ROOT"
             ), text
 
@@ -48,14 +64,14 @@ class TestEvaluateEquivalence:
         person_store.delete_edge("ROOT", "P1")
         view = manager.freeze()
         nfa = nfa_for("professor.name")
-        assert evaluate_on_snapshot(view, nfa, "ROOT") == nfa.evaluate(
+        assert on_epoch(view, nfa, "ROOT") == nfa.evaluate(
             person_store, "ROOT"
         )
 
     def test_missing_entry_matches_interpreted(self, person_store):
         view = frozen(person_store)
         nfa = nfa_for("professor")
-        assert evaluate_on_snapshot(view, nfa, "GHOST") == nfa.evaluate(
+        assert on_epoch(view, nfa, "GHOST") == nfa.evaluate(
             person_store, "GHOST"
         )
 
@@ -65,7 +81,7 @@ class TestEvaluateEquivalence:
         view = frozen(person_store)
         nfa = nfa_for("*")
         assert "GHOST" in nfa.evaluate(person_store, "GHOST")
-        assert evaluate_on_snapshot(view, nfa, "GHOST") == nfa.evaluate(
+        assert on_epoch(view, nfa, "GHOST") == nfa.evaluate(
             person_store, "GHOST"
         )
 
@@ -73,7 +89,7 @@ class TestEvaluateEquivalence:
         view = frozen(person_store)
         for text in ("*", "name"):
             nfa = nfa_for(text)
-            assert evaluate_on_snapshot(view, nfa, "N1") == nfa.evaluate(
+            assert on_epoch(view, nfa, "N1") == nfa.evaluate(
                 person_store, "N1"
             ), text
 
@@ -82,14 +98,14 @@ class TestEvaluateEquivalence:
         store.add_set("X", "node", ["Y"])
         store.add_set("Y", "node", ["X"])
         view = frozen(store)
-        assert evaluate_on_snapshot(view, nfa_for("*"), "X") == {"X", "Y"}
+        assert on_epoch(view, nfa_for("*"), "X") == {"X", "Y"}
 
     def test_dangling_children_stay_hidden(self):
         store = ObjectStore(check_references=False)
         store.add_set("root", "root", ["gone"])
         view = frozen(store)
         nfa = nfa_for("*")
-        assert evaluate_on_snapshot(view, nfa, "root") == nfa.evaluate(
+        assert on_epoch(view, nfa, "root") == nfa.evaluate(
             store, "root"
         )
 
@@ -98,7 +114,7 @@ class TestEvaluateEquivalence:
         # traversal must not loop or double-expand.
         view = frozen(person_store)
         nfa = nfa_for("?.?")
-        assert evaluate_on_snapshot(view, nfa, "ROOT") == nfa.evaluate(
+        assert on_epoch(view, nfa, "ROOT") == nfa.evaluate(
             person_store, "ROOT"
         )
 
@@ -118,18 +134,19 @@ class TestFrozenEpoch:
         person_store.add_set("P9", "professor", ["N9"])
         person_store.insert_edge("ROOT", "P9")
         later = manager.freeze()
-        assert evaluate_on_snapshot(view, nfa, "ROOT") == before, text
-        assert evaluate_on_snapshot(later, nfa, "ROOT") == nfa.evaluate(
+        assert on_epoch(view, nfa, "ROOT") == before, text
+        assert on_epoch(later, nfa, "ROOT") == nfa.evaluate(
             person_store, "ROOT"
         ), text
 
     def test_sweeps_charge_the_view_counters(self, person_store):
-        reader = CostCounters()
-        view = ColumnarSnapshot(person_store).freeze(reader)
-        before = person_store.counters.snapshot()
-        evaluate_on_snapshot(view, nfa_for("*"), "ROOT")
-        assert reader.snapshot_rows_scanned > 0
-        assert person_store.counters.delta_since(before).as_dict() == {}
+        for text in EXPRESSIONS:
+            reader = CostCounters()
+            view = ColumnarSnapshot(person_store).freeze(reader)
+            before = person_store.counters.snapshot()
+            on_epoch(view, nfa_for(text), "ROOT")
+            assert reader.as_dict() == ROWS_SCANNED[text], text
+            assert person_store.counters.delta_since(before).as_dict() == {}
 
     def test_many_starts_match_single_starts(self, person_store):
         view = frozen(person_store)
@@ -137,4 +154,4 @@ class TestFrozenEpoch:
         starts = sorted(person_store.oids()) + ["GHOST"]
         many = evaluate_many_on_snapshot(view, nfa, starts)
         for start in starts:
-            assert many[start] == evaluate_on_snapshot(view, nfa, start), start
+            assert many[start] == on_epoch(view, nfa, start), start

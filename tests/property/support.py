@@ -15,6 +15,9 @@ import random
 from hypothesis import HealthCheck
 
 from repro.gsdb import ObjectStore
+from repro.paths import PathExpression
+from repro.paths.expression import AnyPathSegment
+from repro.query.ast import And, Comparison, Exists, Not, Or, Query
 from repro.views import (
     ExtendedViewMaintainer,
     MaterializedView,
@@ -292,3 +295,88 @@ def mutate(
                 store.delete_edge(parent, victim)
         if victim in store:
             store.remove_object(victim)
+
+
+# ---------------------------------------------------------------------------
+# the brute-force read-path reference (paper Section 2, uncharged)
+# ---------------------------------------------------------------------------
+
+
+def reach(
+    store: ObjectStore, start: str, path: PathExpression, exists=None
+) -> set[str]:
+    """``start.path`` from the definitions alone: a search over (object,
+    segment position) pairs, reading the store uncharged.  *exists*
+    narrows which objects are visible (default: those in *store*); the
+    start is a member when the path accepts the empty word, present or
+    not."""
+    if exists is None:
+        exists = store.__contains__
+    segments = path.segments
+    todo = [(start, 0)]
+    seen = set(todo)
+    found = set()
+    while todo:
+        oid, position = todo.pop()
+        if position == len(segments):
+            found.add(oid)
+            continue
+        segment = segments[position]
+        star = isinstance(segment, AnyPathSegment)
+        moves = [(oid, position + 1)] if star else []
+        obj = store.peek(oid) if exists(oid) else None
+        if obj is not None and obj.is_set:
+            for child in obj.children():
+                if not exists(child):
+                    continue
+                if star:
+                    moves.append((child, position))
+                elif segment.matches(store.peek(child).label):
+                    moves.append((child, position + 1))
+        for move in moves:
+            if move not in seen:
+                seen.add(move)
+                todo.append(move)
+    return found
+
+
+def reference_answer(store: ObjectStore, registry, query: Query) -> set[str]:
+    """``entry.sel_path_exp`` filtered by ``cond``, scoped by ``WITHIN``
+    and ``ANS INT``, from the definitions alone (see :func:`reach`)."""
+    entry = query.entry
+    if entry in registry.names():
+        entry = registry.resolve(entry).oid
+    visible = None
+    if query.within is not None:
+        visible = registry.members(query.within) | {
+            entry,
+            registry.resolve(query.within).oid,
+        }
+
+    def exists(oid: str) -> bool:
+        return oid in store and (visible is None or oid in visible)
+
+    def holds(condition, oid: str) -> bool:
+        if isinstance(condition, Comparison):
+            return any(
+                condition.test_value(store.peek(hit).atomic_value())
+                for hit in reach(store, oid, condition.path, exists)
+                if exists(hit) and store.peek(hit).is_atomic
+            )
+        if isinstance(condition, Exists):
+            return bool(reach(store, oid, condition.path, exists))
+        if isinstance(condition, Not):
+            return not holds(condition.operand, oid)
+        if isinstance(condition, And):
+            return all(holds(part, oid) for part in condition.operands)
+        assert isinstance(condition, Or)
+        return any(holds(part, oid) for part in condition.operands)
+
+    answer = {
+        oid
+        for oid in reach(store, entry, query.select_path, exists)
+        if query.condition is None or holds(query.condition, oid)
+    }
+    if query.ans_int is not None:
+        answer &= registry.members(query.ans_int)
+    return answer

@@ -1,0 +1,283 @@
+"""Property suite: every read-path evaluator ≡ a brute-force reference.
+
+``N.e`` has one evaluator per graph representation:
+:meth:`~repro.paths.automaton.PathNFA.evaluate` over the store —
+scanning out-edges, or probing a
+:class:`~repro.gsdb.indexes.LabelIndex`'s children-by-label adjacency —
+and :func:`~repro.paths.kernel.evaluate_many_on_snapshot` over a frozen
+columnar epoch, with one start or with every object as a start at once.
+On random stores with cycles, before and after churn — including
+children removed while their parent's edge and the index's adjacency
+still name them — each must return what
+:func:`tests.property.support.reach` computes straight from the
+definitions of paper Section 2, and the indexed evaluation must never
+charge more base accesses than the scan.
+
+Query evaluation (select, WHERE, ``WITHIN``, ``ANS INT``) is checked
+the same way, with and without the index, against
+:func:`tests.property.support.reference_answer`.  The epoch side is
+checked across delta refreshes, forced rebuilds and re-created OIDs,
+and an old epoch must keep answering for the state it froze.
+"""
+
+from __future__ import annotations
+
+import random
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.gsdb import DatabaseRegistry, LabelIndex, ObjectStore, columnar
+from repro.gsdb.columnar import ColumnarSnapshot, EpochView
+from repro.instrumentation import Meter
+from repro.paths import PathExpression, compile_expression
+from repro.paths.kernel import evaluate_many_on_snapshot
+from repro.query import QueryEvaluator, parse_query
+from repro.query.ast import Query
+from tests.property.support import (
+    build_store,
+    common_settings,
+    mutate,
+    reach,
+    reference_answer,
+)
+
+COMMON = common_settings(25)
+EPOCH = common_settings(15)
+
+SELECT_PATHS = ("a", "a.b", "*", "a.*", "?.b", "*.c", "a|b.?", "a.*.c", "?")
+
+#: WHERE clauses: none, the empty (``self``) condition path, constant
+#: and wildcard comparison paths, and every connective.
+CONDITIONS = (
+    None,
+    "X > 40",
+    "X.c > 50",
+    "X.*.b <= 40",
+    "X.?.a >= 30",
+    "EXISTS X.b",
+    "NOT X.a < 50",
+    "X.a < 20 OR X.b.c > 60",
+    "X.b > 10 AND NOT EXISTS X.*.c",
+)
+
+#: ``WITHIN`` keeps the scan; ``ANS INT`` alone may use the index.
+SCOPES = ("", " WITHIN SOME", " ANS INT SOME", " WITHIN ALL ANS INT SOME")
+
+#: Object entries use the index; a database entry keeps the scan.
+ENTRIES = ("root0", "node3", "SOME")
+
+#: Path evaluation starts: objects, a database object, and no object.
+STARTS = ("root0", "node3", "SOME", "absent")
+
+PROTECTED = frozenset({"root0", "node3", "SOME", "ALL"})
+
+
+def build(seed: int, nodes: int):
+    """A random cyclic store, its label index (built first, so every
+    later change reaches it incrementally) and databases SOME / ALL."""
+    store, _ = build_store(seed, nodes)
+    index = LabelIndex(store)
+    registry = DatabaseRegistry(store)
+    rng = random.Random(seed ^ 0x5EED)
+    oids = sorted(store.oids())
+    registry.create_database("SOME", rng.sample(oids, len(oids) // 2))
+    registry.create_database("ALL", oids)
+    return store, index, registry
+
+
+def churn_step(store: ObjectStore, rng: random.Random, tag: int) -> None:
+    """One random update, creation or removal; a quarter of the steps
+    remove a child outright, leaving its parents' edges (and the label
+    index's adjacency) pointing at nothing."""
+    if rng.random() < 0.25:
+        stranded = [
+            child
+            for oid in sorted(store.oids())
+            if store.peek(oid).is_set
+            for child in sorted(store.peek(oid).children())
+            if child in store and child not in PROTECTED
+        ]
+        if stranded:
+            store.remove_object(rng.choice(stranded))
+    else:
+        mutate(store, rng, tag, protected=PROTECTED)
+
+
+def churn(store: ObjectStore, rng: random.Random, steps: int) -> None:
+    for tag in range(steps):
+        churn_step(store, rng, tag)
+
+
+# -- path evaluation ------------------------------------------------------------
+
+
+def assert_evaluators_agree(store, index, view, text: str) -> None:
+    """Scan, indexed and epoch evaluation of *text* equal the reference
+    from :data:`STARTS`; the epoch kernel also from every object (and
+    an absent one) at once.  *view* must image the store as it is."""
+    path = PathExpression.parse(text)
+    nfa = compile_expression(path)
+    for start in STARTS:
+        expected = reach(store, start, path)
+        with Meter(store.counters) as scanned:
+            assert nfa.evaluate(store, start) == expected, (text, start)
+        with Meter(store.counters) as probed:
+            indexed = nfa.evaluate(store, start, label_index=index)
+        assert indexed == expected, (text, start)
+        assert (
+            probed.delta.total_base_accesses()
+            <= scanned.delta.total_base_accesses()
+        ), (text, start)
+        one = evaluate_many_on_snapshot(view, nfa, [start])
+        assert one == {start: expected}, (text, start)
+    everyone = sorted(store.oids()) + ["absent"]
+    every = evaluate_many_on_snapshot(view, nfa, everyone)
+    assert set(every) == set(everyone)
+    for start in everyone:
+        assert every[start] == reach(store, start, path), (text, start)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(5, 40),
+    steps=st.integers(0, 12),
+    text=st.sampled_from(SELECT_PATHS),
+)
+@settings(**EPOCH)
+def test_every_evaluator_equals_reference(seed, nodes, steps, text):
+    # Each step is imaged by a delta refresh of the same snapshot.
+    store, index, _ = build(seed, nodes)
+    manager = ColumnarSnapshot(store)
+    assert_evaluators_agree(store, index, manager.freeze(), text)
+    rng = random.Random(seed ^ 0xFACE)
+    for tag in range(steps):
+        churn_step(store, rng, tag)
+        manager.refresh()
+        assert manager.is_fresh()
+        assert_evaluators_agree(store, index, manager.freeze(), text)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(8, 30),
+    text=st.sampled_from(SELECT_PATHS),
+)
+@settings(**EPOCH)
+def test_tiny_threshold_forces_rebuilds(seed, nodes, text):
+    # A threshold so small every delta rebuilds: the rebuild path must
+    # be just as equivalent as the patch path.
+    store, index, _ = build(seed, nodes)
+    with mock.patch.object(columnar, "REBUILD_THRESHOLD", 1e-9):
+        manager = ColumnarSnapshot(store)
+        manager.refresh()
+        churn(store, random.Random(seed ^ 0xF00D), 4)
+        view = manager.freeze()
+    assert manager.full_rebuilds >= 2
+    assert_evaluators_agree(store, index, view, text)
+
+
+@given(seed=st.integers(0, 10_000), nodes=st.integers(8, 30))
+@settings(**EPOCH)
+def test_stale_epoch_answers_its_own_state(seed, nodes):
+    store, index, _ = build(seed, nodes)
+    path = PathExpression.parse("*")
+    nfa = compile_expression(path)
+    manager = ColumnarSnapshot(store)
+    old = manager.freeze()
+    frozen_answer = reach(store, "root0", path)
+    churn(store, random.Random(seed ^ 0xCAFE), 3)
+    store.add_atomic("definitely-new", "a", 1)  # never a no-op
+    store.insert_edge("root0", "definitely-new")
+    # Readers only ever see frozen epochs, and freezing refreshes
+    # first: the new epoch has the updates, the old one keeps its own.
+    assert not manager.is_fresh()
+    view = manager.freeze()
+    assert manager.is_fresh()
+    assert_evaluators_agree(store, index, view, "*")
+    assert "definitely-new" not in frozen_answer
+    assert evaluate_many_on_snapshot(old, nfa, ["root0"]) == {
+        "root0": frozen_answer
+    }
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(8, 40),
+    steps=st.integers(1, 8),
+    text=st.sampled_from(SELECT_PATHS),
+)
+@settings(**EPOCH)
+def test_one_refresh_images_recreated_oids(seed, nodes, steps, text):
+    # Delta replay refuses a re-created OID and must rebuild in the
+    # same refresh: an image taken straight after one refresh (no
+    # freeze, which would refresh again) equals the store.
+    store, index, _ = build(seed, nodes)
+    manager = ColumnarSnapshot(store)
+    manager.refresh()
+    rng = random.Random(seed ^ 0xD00D)
+    for tag in range(steps):
+        churn_step(store, rng, tag)
+        victims = sorted(
+            oid
+            for oid in store.oids()
+            if oid not in PROTECTED and not store.peek(oid).is_set
+        )
+        if victims:
+            victim = rng.choice(victims)
+            label = store.peek(victim).label
+            for parent in sorted(store.oids()):
+                obj = store.peek(parent)
+                if obj.is_set and victim in obj.children():
+                    store.delete_edge(parent, victim)
+            store.remove_object(victim)
+            store.add_atomic(victim, label, rng.randint(0, 100))
+            store.insert_edge("root0", victim)
+        manager.refresh()
+        assert manager.is_fresh()
+        view = EpochView(manager, store.counters)
+        assert_evaluators_agree(store, index, view, text)
+
+
+# -- query evaluation -----------------------------------------------------------
+
+
+def assert_queries_agree(store, index, registry, query: Query) -> None:
+    scan = QueryEvaluator(registry)
+    indexed = QueryEvaluator(registry, label_index=index)
+    with Meter(store.counters) as scanned:
+        scan_answer = scan.evaluate_oids(query)
+    with Meter(store.counters) as probed:
+        indexed_answer = indexed.evaluate_oids(query)
+    expected = reference_answer(store, registry, query)
+    assert scan_answer == expected, query
+    assert indexed_answer == expected, query
+    charged = probed.delta.total_base_accesses()
+    assert charged <= scanned.delta.total_base_accesses(), query
+    if query.within is not None or query.entry in registry.names():
+        # The index does not apply: the very same scan runs.
+        assert probed.delta.as_dict() == scanned.delta.as_dict(), query
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(5, 40),
+    steps=st.integers(0, 12),
+    select=st.sampled_from(SELECT_PATHS),
+    condition=st.sampled_from(CONDITIONS),
+    scope=st.sampled_from(SCOPES),
+    entry=st.sampled_from(ENTRIES),
+)
+@settings(**COMMON)
+def test_indexed_equals_scan_equals_reference(
+    seed, nodes, steps, select, condition, scope, entry
+):
+    store, index, registry = build(seed, nodes)
+    text = f"SELECT {entry}.{select} X"
+    if condition is not None:
+        text += f" WHERE {condition}"
+    query = parse_query(text + scope)
+    assert_queries_agree(store, index, registry, query)
+    churn(store, random.Random(seed ^ 0xC0DE), steps)
+    assert_queries_agree(store, index, registry, query)

@@ -1,15 +1,15 @@
 """Property-based tests for the read-path serving layer.
 
 The central claim of experiment E16: for *any* seeded interleaving of
-valid updates and reads, every served answer — cached or not, frontier
-or classic — is identical to fresh uncached node-at-a-time evaluation.
+valid updates and reads, every served answer — cached or not, indexed
+or scanning — is identical to fresh uncached scanning evaluation.
 Failures shrink over the seed, step count, and the update mix.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.property.support import common_settings
+from tests.property.support import common_settings, reach
 
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import LabelIndex, ParentIndex
@@ -82,7 +82,8 @@ class TestServedAnswersNeverStale:
             store, seed=seed + 1, mix=mix, protected=frozenset({root})
         )
         # Warm the cache, churn the base, then check every query three
-        # ways: served (cache + frontier), fresh classic, fresh frontier.
+        # ways: served (cache + index), fresh scan, and each select
+        # path indexed against the reference.
         for text in pool:
             server.evaluate_oids(text)
         for _ in range(updates):
@@ -91,12 +92,10 @@ class TestServedAnswersNeverStale:
             served = server.evaluate_oids(text)
             assert served == fresh.evaluate_oids(text), text
         for k in range(1, spec.depth + 1):
-            nfa = compile_expression(
-                PathExpression.parse(".".join(spec.labels[:k]))
-            )
-            assert nfa.evaluate_frontier(
+            path = PathExpression.parse(".".join(spec.labels[:k]))
+            assert compile_expression(path).evaluate(
                 store, root, label_index=server.label_index
-            ) == nfa.evaluate(store, root)
+            ) == reach(store, root, path)
 
 
 class TestFrontierEquivalence:
@@ -123,7 +122,7 @@ class TestFrontierEquivalence:
             ".".join(spec.labels[:k]) for k in range(1, depth + 1)
         ] + ["*", "?", f"*.{spec.labels[-1]}"]
         for text in expressions:
-            nfa = compile_expression(PathExpression.parse(text))
-            assert nfa.evaluate_frontier(
+            path = PathExpression.parse(text)
+            assert compile_expression(path).evaluate(
                 store, root, label_index=index
-            ) == nfa.evaluate(store, root), text
+            ) == reach(store, root, path), text

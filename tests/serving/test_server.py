@@ -15,7 +15,7 @@ from repro.warehouse import ReportingLevel, Source, Warehouse
 from repro.workloads import person_db, register_person_database
 
 
-def build_env(**server_kwargs):
+def build_env(*, indexed=True, **server_kwargs):
     store = ObjectStore()
     store.add_atomic("A1", "name", "ann")
     store.add_atomic("A2", "age", 30)
@@ -29,7 +29,7 @@ def build_env(**server_kwargs):
     server = QueryServer(
         registry,
         parent_index=parent_index,
-        label_index=label_index,
+        label_index=label_index if indexed else None,
         cache_size=8,
         **server_kwargs,
     )
@@ -67,7 +67,7 @@ class TestServerBasics:
         assert answer.oid in store
 
     def test_classic_evaluation_mode(self):
-        store, registry, _, server = build_env(use_frontier=False)
+        store, registry, _, server = build_env(indexed=False)
         fresh = QueryEvaluator(registry)
         text = "SELECT R.emp.name X"
         assert server.evaluate_oids(text) == fresh.evaluate_oids(text)
@@ -93,7 +93,7 @@ class TestServerBasics:
 
 class TestIndexedMisses:
     """A cold miss is the query evaluator's select-filter-intersect
-    body: indexed by default, unindexed under ``use_frontier=False``."""
+    body: indexed with a label index, scanning without one."""
 
     TEXTS = (
         "SELECT R.emp X",
@@ -108,7 +108,7 @@ class TestIndexedMisses:
     def test_miss_matches_unindexed_and_never_charges_more(self, text):
         store, registry, _, server = build_env()
         unindexed_store, unindexed_registry, _, unindexed = build_env(
-            use_frontier=False
+            indexed=False
         )
         fresh = QueryEvaluator(unindexed_registry)
         with Meter(unindexed_store.counters) as plain:
