@@ -21,6 +21,10 @@ Nothing reads the live snapshot directly; readers see an immutable
 :class:`EpochView`, and the bitset kernels of :mod:`repro.paths.kernel`
 run on that.
 
+The image holds the base only: view objects and delegates (named by
+``is_view_object``) change outside the update log and serve
+themselves, so the snapshot skips them.
+
 Snapshots are **epoch-versioned and refreshed by delta**.  A snapshot
 remembers the store's update-log position it reflects; ``refresh()``
 replays only ``log.since(position)``.  Creations and removals bypass
@@ -43,10 +47,10 @@ Soundness rests on two methods:
   and an edge under an unknown parent — and flags a rebuild, which the
   same ``refresh()`` then performs.  The store cannot change
   mid-refresh: the writer that refreshes is the writer that applies.
-* :meth:`ColumnarSnapshot.freeze` refreshes first, then copies every
-  column the live snapshot mutates in place, so an :class:`EpochView`
-  is exactly the store's state at the instant it froze and stays so
-  while the live snapshot refreshes underneath it.
+* :meth:`ColumnarSnapshot.freeze` refreshes first, then captures
+  every column the live snapshot mutates in place, so an
+  :class:`EpochView` is exactly the store's state at the instant it
+  froze and stays so while the live snapshot refreshes underneath it.
 
 Work is charged in the kernel's own currency: ``snapshot_refreshes``
 per epoch advanced, ``snapshot_rows_scanned`` per row touched by
@@ -56,11 +60,13 @@ are copies, not base objects, so none of it lands in
 
 MVCC-by-epoch: columns that only ever grow or get replaced
 (``oid_of``/``label_of``/``row_of``/CSR arrays) are shared with a row
-clamp, columns mutated in place (the alive bitset, the patch overlay,
-the value column) are copied.  Atomic *values* are imaged alongside
-structure (``value_of``; ``modify`` replay writes the cell in place,
-uncharged — a column write, not a row scan) so WHERE conditions
-evaluate on the frozen epoch without touching the live store.
+clamp, columns mutated in place (the alive bitset, the value column)
+are copied, and the patch overlay is shared copy-on-write, so
+publishing costs the change, not the overlay.  Atomic *values* are
+imaged alongside structure (``value_of``; ``modify`` replay writes
+the cell in place, uncharged — a column write, not a row scan) so
+WHERE conditions evaluate on the frozen epoch without touching the
+live store.
 :class:`SnapshotRetention` keeps a ring of recently published epochs
 with pin-counted reclamation: a pinned epoch is never reclaimed
 (explicit reclaim raises :class:`~repro.errors.PinnedEpochError`;
@@ -103,11 +109,18 @@ class ColumnarSnapshot:
         store: the :class:`~repro.gsdb.store.ObjectStore` to image.
         counters: where snapshot work is charged; defaults to the
             store's counters.
+        is_view_object: ``oid -> bool`` naming the OIDs left out of the
+            image (:meth:`~repro.gsdb.indexes.ParentIndex.is_view_object`);
+            it must hold from before a view object is created until its
+            last object is removed.  Images every object when omitted.
     """
 
-    def __init__(self, store: ObjectStore, *, counters=None) -> None:
+    def __init__(
+        self, store: ObjectStore, *, counters=None, is_view_object=None
+    ) -> None:
         self._store = store
         self.counters = counters if counters is not None else store.counters
+        self._is_view_object = is_view_object or (lambda oid: False)
         #: Epoch counter: bumped once per refresh that changed anything.
         self.epoch = 0
         self.full_rebuilds = 0
@@ -126,6 +139,8 @@ class ColumnarSnapshot:
         #: row -> {label -> set of child rows}: full adjacency override
         #: for rows touched since the last CSR build.
         self._patched: dict[int, dict[str, set[int]]] = {}
+        #: Patched rows touched since the last freeze (no epoch shares them).
+        self._owned: set[int] = set()
         #: rowless child OID -> parent rows whose value references it.
         self._pending: dict[str, set[int]] = {}
         # -- staleness bookkeeping ----------------------------------------
@@ -139,7 +154,7 @@ class ColumnarSnapshot:
     # -- event capture (creations/removals bypass the update log) ---------
 
     def _on_creation(self, obj: Object) -> None:
-        if not self._built:
+        if not self._built or self._is_view_object(obj.oid):
             return
         children = tuple(sorted(obj.children())) if obj.is_set else ()
         value = _SET_VALUE if obj.is_set else obj.atomic_value()
@@ -156,7 +171,7 @@ class ColumnarSnapshot:
         )
 
     def _on_removal(self, obj: Object) -> None:
-        if not self._built:
+        if not self._built or self._is_view_object(obj.oid):
             return
         self._events.append(
             ("r", obj.oid, "", False, (), None, len(self._store.log))
@@ -211,7 +226,8 @@ class ColumnarSnapshot:
     def _rebuild(self) -> None:
         store = self._store
         peek = store.peek
-        oids = list(store.oids())
+        is_view_object = self._is_view_object
+        oids = [oid for oid in store.oids() if not is_view_object(oid)]
         nrows = len(oids)
         self.oid_of = oids
         self.row_of = {oid: row for row, oid in enumerate(oids)}
@@ -230,6 +246,7 @@ class ColumnarSnapshot:
         self._alive = bytearray(b"\xff" * ((nrows + 7) >> 3))
         self._dead = 0
         self._patched = {}
+        self._owned = set()
         self._pending = {}
         # CSR build: count pass, prefix sums, fill pass — all array('I').
         zeros = bytes(4 * (nrows + 1))
@@ -315,9 +332,14 @@ class ColumnarSnapshot:
         self._log_pos = len(self._store.log)
 
     def _adjacency_of(self, row: int) -> dict[str, set[int]]:
-        """Materialize *row*'s adjacency into the patch overlay."""
+        """*row*'s adjacency in the patch overlay, copied on the first
+        mutation after a freeze (frozen epochs may share it)."""
+        if row in self._owned:
+            return self._patched[row]
         adj = self._patched.get(row)
-        if adj is None:
+        if adj is not None:
+            adj = {label: set(bucket) for label, bucket in adj.items()}
+        else:
             adj = {}
             if row < self._csr_rows:
                 label_of = self.label_of
@@ -325,7 +347,8 @@ class ColumnarSnapshot:
                 for crow in tgt[off[row] : off[row + 1]]:
                     adj.setdefault(label_of[crow], set()).add(crow)
                 self.counters.snapshot_rows_scanned += 1
-            self._patched[row] = adj
+        self._patched[row] = adj
+        self._owned.add(row)
         return adj
 
     def _apply_update(self, update: Update) -> None:
@@ -339,6 +362,8 @@ class ColumnarSnapshot:
             return
         prow = self.row_of.get(update.parent)
         if prow is None:
+            if self._is_view_object(update.parent):
+                return  # a view's edges are outside the image
             # The parent predates the snapshot's event stream (should be
             # impossible); refuse to guess and rebuild.
             self._needs_rebuild = True
@@ -391,6 +416,7 @@ class ColumnarSnapshot:
                         continue
                     adj.setdefault(self.label_of[crow], set()).add(crow)
                 self._patched[row] = adj
+                self._owned.add(row)
             waiting = self._pending.pop(oid, None)
             if waiting:
                 for prow in waiting:
@@ -417,12 +443,15 @@ class ColumnarSnapshot:
         live snapshot only appends to or wholesale-replaces
         (``oid_of``/``label_of``/``row_of``, the CSR arrays) are shared
         with an ``nrows`` clamp; columns mutated in place (the alive
-        bitset, the patch overlay, the value column) are copied.
+        bitset, the value column) are copied; the patch overlay is
+        shared copy-on-write (:meth:`_adjacency_of`).
         Reader work on the frozen view is charged to *counters* (the
         serving tier's own currency), defaulting to the snapshot's.
         """
         self.refresh()
-        return EpochView(self, counters if counters is not None else self.counters)
+        view = EpochView(self, counters if counters is not None else self.counters)
+        self._owned.clear()
+        return view
 
 
 class EpochView:
@@ -437,9 +466,10 @@ class EpochView:
     and a rebuild *replaces* the list objects, so sharing them with an
     ``nrows`` clamp is sound; likewise ``row_of`` only gains keys
     (mapping to rows ≥ the frozen ``nrows``, filtered here) and CSR
-    arrays are replaced, never mutated.  The alive bitset, patch
-    overlay, and value column are mutated in place by delta refreshes,
-    so those are copied at freeze time.
+    arrays are replaced, never mutated.  The alive bitset and value
+    column are mutated in place by delta refreshes, so those are copied
+    at freeze time; the patch overlay's row map is copied and each
+    row's adjacency shared, copy-on-write.
     """
 
     def __init__(self, snapshot: ColumnarSnapshot, counters) -> None:
@@ -456,10 +486,7 @@ class EpochView:
         self._label_csr = snapshot._label_csr
         self._all_csr = snapshot._all_csr
         self._csr_rows = snapshot._csr_rows
-        self._patched = {
-            row: {label: set(bucket) for label, bucket in adj.items()}
-            for row, adj in snapshot._patched.items()
-        }
+        self._patched = dict(snapshot._patched)
 
     def row(self, oid: str) -> int | None:
         row = self._row_of.get(oid)

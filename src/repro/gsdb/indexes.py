@@ -170,6 +170,11 @@ class ParentIndex:
         self._ignored.discard(view_oid)
         self._ignored_prefixes.discard(view_oid + ".")
 
+    def is_view_object(self, oid: str) -> bool:
+        """Is *oid* a view registered by :meth:`ignore_view`, or under one?"""
+        prefixes = self._ignored_prefixes
+        return oid + "." in prefixes or has_dotted_prefix_in(oid, prefixes)
+
     def _drop_edge(self, parent: str, child: str) -> None:
         parents = self._parents.get(child)
         if parents is not None:

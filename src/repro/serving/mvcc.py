@@ -184,10 +184,13 @@ class EpochServer:
         #: and ring bookkeeping.  Kept apart from the store's counters
         #: so writer maintenance cost is comparable with readers on/off.
         self.read_counters = CostCounters()
-        # The server's own columnar image of the store, refreshed and
-        # frozen on the write path only (by the ring's publish).
+        # The server's own columnar image of the store's base, refreshed
+        # and frozen on the write path only (by the ring's publish).
         self.retention = SnapshotRetention(
-            ColumnarSnapshot(self.store),
+            ColumnarSnapshot(
+                self.store,
+                is_view_object=getattr(parent_index, "is_view_object", None),
+            ),
             capacity=retention_capacity,
             counters=self.read_counters,
         )

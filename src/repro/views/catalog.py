@@ -22,6 +22,7 @@ update.  Pass ``'dag'`` for DAG bases (simple definitions only) or
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Literal
 
 from repro.errors import ViewDefinitionError, ViewError
@@ -145,16 +146,15 @@ class ViewCatalog:
                 self.parent_index.ignore_parent(name)
             self._definition_order.append(name)
             return view
-        mview = MaterializedView(
-            definition,
-            self.store,
-            view_store,
-            registry=self.registry if view_store is None else None,
-            swizzle=swizzle,
-            annotate_timestamps=annotate_timestamps,
-        )
-        if self.parent_index is not None and mview.view_store is self.store:
-            self.parent_index.ignore_view(name)
+        with self._view_oids(name, view_store):
+            mview = MaterializedView(
+                definition,
+                self.store,
+                view_store,
+                registry=self.registry if view_store is None else None,
+                swizzle=swizzle,
+                annotate_timestamps=annotate_timestamps,
+            )
         self.materialized_views[name] = mview
         try:
             populate_view(mview, registry=self.registry)
@@ -165,6 +165,24 @@ class ViewCatalog:
         self._definition_order.append(name)
         self.maintainers[name] = self._make_maintainer(mview, maintainer)
         return mview
+
+    @contextmanager
+    def _view_oids(self, name: str, view_store: ObjectStore | None):
+        """Register a same-store view's OIDs with the parent index before
+        its view object is created (the epoch image decides then)."""
+        ignored = (
+            self.parent_index is not None
+            and (view_store is None or view_store is self.store)
+            and name not in self.store  # else creating the view fails
+        )
+        if ignored:
+            self.parent_index.ignore_view(name)
+        try:
+            yield
+        except Exception:
+            if ignored:
+                self.parent_index.unignore_view(name)
+            raise
 
     def _make_maintainer(
         self, view: MaterializedView, kind: MaintainerKind
@@ -222,11 +240,10 @@ class ViewCatalog:
         name = definition.name
         if name in self.virtual_views or name in self.materialized_views:
             raise ViewError(f"view {name!r} already defined")
-        view = PartialMaterializedView(
-            definition, self.store, view_store, depth=depth
-        )
-        if self.parent_index is not None and view.view_store is self.store:
-            self.parent_index.ignore_view(name)
+        with self._view_oids(name, view_store):
+            view = PartialMaterializedView(
+                definition, self.store, view_store, depth=depth
+            )
         maintainer = self.dispatcher.register(
             SimpleViewMaintainer(
                 view,  # type: ignore[arg-type]
@@ -274,14 +291,15 @@ class ViewCatalog:
 
         if name in self.virtual_views or name in self.materialized_views:
             raise ViewError(f"view {name!r} already defined")
-        view = MultiPathView(
-            name,
-            definitions,
-            self.store,
-            view_store,
-            parent_index=self.parent_index,
-            subscribe=False,
-        )
+        with self._view_oids(name, view_store):
+            view = MultiPathView(
+                name,
+                definitions,
+                self.store,
+                view_store,
+                parent_index=self.parent_index,
+                subscribe=False,
+            )
         # Each branch is an ordinary simple maintainer over a branch
         # adapter; register them individually so each gets its own
         # prefix screen.
@@ -409,13 +427,18 @@ class ViewCatalog:
         return self.async_server
 
     def _cacheable_query(self, query: Query) -> bool:
-        """False when the query's answer depends on view delegates."""
+        """False when the query's answer depends on view delegates:
+        it names a view, enters under one, or enters a database that
+        groups one."""
         names = set(self.virtual_views) | set(self.materialized_views)
         if {query.entry, query.within, query.ans_int} & names:
             return False
-        return not any(
-            query.entry.startswith(name + ".") for name in names
-        )
+        if any(query.entry.startswith(name + ".") for name in names):
+            return False
+        if names and query.entry in self.registry.names():
+            grouped = self.registry.resolve(query.entry).children()
+            return not any(name in grouped for name in names)
+        return True
 
     def serve(self, text: str | Query) -> Object:
         """Like :meth:`query`, through the serving layer's cache."""

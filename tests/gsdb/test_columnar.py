@@ -7,6 +7,7 @@ read below goes through the :class:`EpochView` it freezes.
 from repro.gsdb import ObjectStore
 from repro.gsdb import columnar
 from repro.gsdb.columnar import ColumnarSnapshot, EpochView, SnapshotRetention
+from repro.gsdb.indexes import ParentIndex
 from repro.paths import PathExpression, compile_expression
 from repro.paths.kernel import evaluate_many_on_snapshot
 
@@ -289,3 +290,92 @@ class TestRebuildThreshold:
         snap.refresh()
         assert snap.full_rebuilds == 1
         assert snap.delta_refreshes == 1
+
+
+def with_view(store: ObjectStore) -> ColumnarSnapshot:
+    """A built snapshot of *store* that leaves view ``V`` out: ``V`` is
+    registered with the parent index before its view object exists,
+    as the catalog does."""
+    index = ParentIndex(store)
+    index.ignore_view("V")
+    store.add_set("V", "view")
+    snap = ColumnarSnapshot(store, is_view_object=index.is_view_object)
+    snap.refresh()
+    return snap
+
+
+class TestViewObjectsOutsideImage:
+    def test_build_skips_the_view_object(self):
+        store = wide_store()
+        snap = with_view(store)
+        view = snap.freeze()
+        assert snap.nrows == len(store) - 1
+        assert view.row("V") is None
+
+    def test_recreated_delegate_costs_no_rebuild(self):
+        store = wide_store()
+        snap = with_view(store)
+        for _ in range(3):
+            store.add_atomic("V.a1", "age", 1)
+            store.insert_edge("V", "V.a1")
+            store.delete_edge("V", "V.a1")
+            store.remove_object("V.a1")
+        store.add_atomic("V.a1", "age", 1)
+        view = snap.freeze()
+        assert snap.full_rebuilds == 1
+        assert snap.nrows == len(store) - 2
+        assert view.row("V.a1") is None
+        assert sorted(view.oid(r) for r in view.gather([view.row("r")])) == (
+            sorted(f"a{i}" for i in range(40))
+        )
+
+    def test_recreated_base_oid_still_rebuilds(self):
+        store = wide_store()
+        snap = with_view(store)
+        recreate_a2(store)
+        snap.refresh()
+        assert snap.full_rebuilds == 2
+
+
+def professors(count: int = 10) -> ObjectStore:
+    """A root over *count* professors with one age each: three patched
+    rows stay below the rebuild threshold."""
+    store = ObjectStore()
+    for i in range(count):
+        store.add_atomic(f"a{i}", "age", i)
+        store.add_set(f"p{i}", "professor", [f"a{i}"])
+    store.add_set("root", "root", [f"p{i}" for i in range(count)])
+    return store
+
+
+def ages_of(view: EpochView, oid: str) -> set[str]:
+    return {view.oid(r) for r in view.gather([view.row(oid)], "age")}
+
+
+class TestCopyOnWriteOverlay:
+    def test_three_epochs_patch_one_row_in_turn(self):
+        store = professors()
+        snap = built(store)
+        store.insert_edge("p0", "a1")
+        first = snap.freeze()
+        store.insert_edge("p0", "a2")
+        second = snap.freeze()
+        store.delete_edge("p0", "a0")
+        third = snap.freeze()
+        assert snap.full_rebuilds == 1
+        assert ages_of(first, "p0") == {"a0", "a1"}
+        assert ages_of(second, "p0") == {"a0", "a1", "a2"}
+        assert ages_of(third, "p0") == {"a1", "a2"}
+
+    def test_row_untouched_since_the_last_freeze_is_shared(self):
+        store = professors()
+        snap = built(store)
+        store.insert_edge("p0", "a1")
+        first = snap.freeze()
+        store.insert_edge("p1", "a0")
+        second = snap.freeze()
+        p0, p1 = first.row("p0"), first.row("p1")
+        assert second._patched[p0] is first._patched[p0]
+        assert p1 not in first._patched
+        assert ages_of(first, "p1") == {"a1"}
+        assert ages_of(second, "p1") == {"a0", "a1"}

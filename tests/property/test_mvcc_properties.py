@@ -14,6 +14,10 @@ Two claims, for any seeded interleaving of reads and write batches:
    ⇒ lag ≤ k), and the server's own audit trail records zero
    violations.  ``fresh`` answers additionally match the live store
    even while unpublished writes are in flight.
+
+A materialized view lives in the same store, so its delegates leave
+and re-enter under their old OIDs as updates move values across its
+threshold -- the churn the epoch image must stay out of.
 """
 
 from hypothesis import given, settings
@@ -21,10 +25,8 @@ from hypothesis import strategies as st
 
 from tests.property.support import common_settings
 
-from repro.gsdb.database import DatabaseRegistry
-from repro.gsdb.indexes import ParentIndex
 from repro.query.evaluator import QueryEvaluator
-from repro.serving import EpochServer
+from repro.views import ViewCatalog
 from repro.workloads import TreeSpec, layered_tree
 from repro.workloads.serving import build_query_pool
 from repro.workloads.updates import UpdateMix, UpdateStream
@@ -53,21 +55,23 @@ mix_strategy = st.builds(
 def build_mvcc_env(seed: int, retention: int, mix: UpdateMix | None = None):
     spec = TreeSpec(depth=3, fanout=3, seed=seed)
     store, root = layered_tree(spec)
-    registry = DatabaseRegistry(store)
-    server = EpochServer(
-        registry,
-        parent_index=ParentIndex(store),
-        retention_capacity=retention,
-        cache_size=64,
-    )
-    pool = build_query_pool(root, spec, store=store)
-    oracle = QueryEvaluator(registry)
     stream = UpdateStream(
         store,
         seed=seed + 1,
         mix=mix or UpdateMix(),
-        protected=frozenset({root}),
+        protected=frozenset({root, "V"}),
+        protected_prefixes=("V.",),
     )
+    catalog = ViewCatalog(store)
+    l1, l2, l3 = spec.labels
+    catalog.define(
+        f"define mview V as: SELECT {root}.{l1}.{l2} X WHERE X.{l3} > 50"
+    )
+    server = catalog.enable_async_serving(
+        retention_capacity=retention, cache_size=64
+    ).core
+    pool = build_query_pool(root, spec, store=store) + [f"SELECT V.{l2} X"]
+    oracle = QueryEvaluator(catalog.registry)
     return store, server, pool, oracle, stream
 
 

@@ -332,3 +332,89 @@ class TestCatalogWiring:
         # A view-referencing query declines the epoch path entirely.
         view_read = core.read("SELECT OLD.? X", "any")
         assert view_read.source == "interpreted"
+
+
+def priced_catalog():
+    """``root.c0`` over three items priced 60, 40 and 80, materialized
+    view ``V`` over the items above 50, and the MVCC tier on."""
+    catalog = ViewCatalog()
+    store = catalog.store
+    store.add_set("C0", "c0")
+    for i, price in enumerate((60, 40, 80)):
+        store.add_atomic(f"I{i}p", "price", price)
+        store.add_set(f"I{i}", "item", [f"I{i}p"])
+        store.insert_edge("C0", f"I{i}")
+    store.add_set("root", "root", ["C0"])
+    catalog.define(
+        "define mview V as: SELECT root.c0.item X WHERE X.price > 50"
+    )
+    core = catalog.enable_async_serving().core
+    core.checkpoint()  # the set-up build
+    return catalog, core
+
+
+def base_oids(catalog) -> set[str]:
+    views = set(catalog.materialized_views)
+    return {
+        oid
+        for oid in catalog.store.oids()
+        if oid not in views and oid.split(".")[0] not in views
+    }
+
+
+class TestViewsOutsideTheEpochImage:
+    def test_reentering_member_costs_no_rebuild(self):
+        catalog, core = priced_catalog()
+        snap = core.retention.manager
+        rebuilds = snap.full_rebuilds
+        text = "SELECT root.c0.item X WHERE X.price > 50"
+        old = 60
+        for price in (30, 90, 20, 70):
+            catalog.apply_batch([Modify("I0p", old, price)])
+            old = price
+            assert catalog.materialized_views["V"].contains("I0") == (
+                price > 50
+            )
+            answer = core.read(text, "fresh")
+            assert set(answer.oids) == catalog.query_oids(text)
+        assert snap.full_rebuilds == rebuilds
+        assert snap.nrows == len(base_oids(catalog))
+        assert "V.I0" in catalog.store
+        assert core.retention.latest().view.row("V.I0") is None
+
+    def test_drop_view_leaves_no_rows_and_costs_no_rebuild(self):
+        catalog, core = priced_catalog()
+        snap = core.retention.manager
+        rebuilds = snap.full_rebuilds
+        catalog.drop_view("V")
+        catalog.apply_batch([Modify("I1p", 40, 45)])
+        assert snap.full_rebuilds == rebuilds
+        assert sorted(snap.oid_of) == sorted(catalog.store.oids())
+        view = core.retention.latest().view
+        assert all(view.row(oid) is not None for oid in catalog.store.oids())
+
+    def test_view_defined_while_serving_stays_out(self):
+        catalog, core = priced_catalog()
+        snap = core.retention.manager
+        rebuilds = snap.full_rebuilds
+        catalog.define(
+            "define mview W as: SELECT root.c0.item X WHERE X.price < 50"
+        )
+        catalog.apply_batch([Modify("I1p", 40, 30)])
+        assert catalog.materialized_views["W"].members() == {"I1"}
+        assert sorted(snap.oid_of) == sorted(base_oids(catalog))
+        catalog.drop_view("W")
+        catalog.apply_batch([Modify("I1p", 30, 35)])
+        assert snap.full_rebuilds == rebuilds
+        assert sorted(snap.oid_of) == sorted(base_oids(catalog))
+
+    def test_fresh_read_through_a_database_grouping_a_view(self):
+        catalog, core = priced_catalog()
+        catalog.create_database("DB", ["V", "C0"])
+        text = "SELECT DB.?.item X"
+        assert set(core.read(text, "fresh").oids) == catalog.query_oids(text)
+        catalog.apply_batch([Modify("I1p", 40, 70)])
+        answer = core.read(text, "fresh")
+        assert "V.I1" in answer.oids
+        assert set(answer.oids) == catalog.query_oids(text)
+        assert answer.source == "interpreted"

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import QueryEvaluationError, ViewError
+from repro.errors import (
+    DuplicateObjectError,
+    QueryEvaluationError,
+    ViewDefinitionError,
+    ViewError,
+)
 from repro.views import ViewCatalog
 from repro.views.catalog import _RecomputeMaintainer
 from repro.views.dag import DagCountingMaintainer
@@ -66,6 +71,28 @@ class TestMaintainerSelection:
         assert "V" not in catalog.store
         view = catalog.define("define view V as: SELECT ROOT.professor X")
         assert view.members() == {"P1", "P2"}
+
+    def test_failed_partial_and_multipath_define_leave_no_trace(
+        self, catalog
+    ):
+        with pytest.raises(ValueError):
+            catalog.define_partial(
+                "define mview P as: SELECT ROOT.professor X", depth=0
+            )
+        with pytest.raises(ViewDefinitionError):
+            catalog.define_multipath("U", [])
+        for name in ("P", "U"):
+            assert name not in catalog.store
+            assert not catalog.parent_index.is_view_object(name)
+            assert not catalog.parent_index._is_ignored(name + ".x")
+
+    def test_view_named_like_a_base_object_keeps_its_edges(self, catalog):
+        child = min(catalog.store.get("P1").children())
+        assert "P1" in catalog.parent_index.parents(child)
+        with pytest.raises(DuplicateObjectError):
+            catalog.define("define mview P1 as: SELECT ROOT.professor X")
+        assert "P1" in catalog.parent_index.parents(child)
+        assert not catalog.parent_index.is_view_object("P1")
 
 
 class TestMaintenanceThroughCatalog:
