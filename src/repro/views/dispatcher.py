@@ -67,11 +67,14 @@ screening (:class:`_SimpleScreen` / :class:`_ExtendedScreen`)
     instance of the select expression or of some comparison path (else
     no select instance and no condition witness path can pass through
     the edge); a modify only matters when the modified atom's label can
-    be the final label of some comparison path.  Wildcard segments make
-    every label feasible, disabling the label part of the screen.  The
-    reachable-region test (is N1 on the ROOT chain / is N1 a member)
-    mirrors the maintainer's own early exit, so screened updates are
-    again exact no-ops.
+    be the final label of some comparison path, and when some
+    comparison's verdict flips between the old and the new value
+    (``cond`` is existential per witness and ``Exists`` reads no
+    value, so with every verdict unchanged no candidate's ``cond``
+    changes).  Wildcard segments make every label feasible, disabling
+    the label part of the screen.  The reachable-region test (is N1 on
+    the ROOT chain / is N1 a member) mirrors the maintainer's own early
+    exit, so screened updates are again exact no-ops.
 
 :class:`_DefinitionIndex`
     The screens above are the *single-view* definition of relevance;
@@ -119,9 +122,16 @@ screening (:class:`_SimpleScreen` / :class:`_ExtendedScreen`)
     subtree mid-batch are covered inductively: whatever op moved them
     is itself in the batch and dispatched in order.  Screens likewise
     must not use final-state reachability to drop a batched delete
-    (the parent may have moved after the edge was cut); only the label
-    gate remains sound there, because a stranded member always carries
-    the deleted child's label on its own select path.
+    (the parent may have moved after the edge was cut) — unless N1's
+    chain is *stable*: known from the parent index, N1 present, no
+    multi-parent node on the way, and no node on it the child of an
+    edge update anywhere in the raw batch.  Under tree discipline a
+    node's parent changes only through an edge update naming it as
+    the child, so every node of a stable chain kept its one parent all
+    batch, and the final ``path(ROOT,N1)`` is the path N1 had when the
+    edge was cut: the streamed prefix test is exact again.  Otherwise
+    only the label gate remains, sound because a stranded member
+    always carries the deleted child's label on its own select path.
 
 Experiment E14 measures the effect; DESIGN.md §2 row S4b documents the
 deviations from the paper.
@@ -163,9 +173,9 @@ class PathContext:
     A context may serve a whole batch *only after* the batch has been
     fully applied to the base: every memoized answer reflects the final
     state, which is exactly the state all maintainers evaluate against.
-    ``batched`` tells maintainers (and screens) that the update stream
-    was coalesced — deletes then need the history-aware handling
-    described in the module docstring.
+    *moved* — the child of every edge update in the raw batch — marks
+    such a context: the update stream was coalesced, and deletes then
+    need the history-aware handling described in the module docstring.
     """
 
     def __init__(
@@ -173,17 +183,39 @@ class PathContext:
         store: ObjectStore,
         parent_index: ParentIndex | None = None,
         *,
-        batched: bool = False,
+        moved: frozenset[str] | None = None,
     ) -> None:
         self.store = store
         self.parent_index = parent_index
-        self.batched = batched
+        self.moved = moved
         self._peek = getattr(store, "peek", None) or store.get_optional
         self._labels: dict[str, str | None] = {}
         self._paths: dict[tuple[str, str], list[str] | None] = {}
         self._chains: dict[tuple[str, str], list[str] | None] = {}
         self._chain_sets: dict[str, tuple[frozenset[str], bool]] = {}
         self._shared: dict[tuple, object] = {}
+
+    @property
+    def batched(self) -> bool:
+        """Whether this context serves a coalesced batch."""
+        return self.moved is not None
+
+    def label_only(self, update: Update) -> bool:
+        """Whether *update* is a batched delete whose screen may use the
+        label gate only: N1's upward chain is not provably *stable* —
+        known (a parent index, N1 present, no multi-parent stop) with no
+        node on it the child of an edge update in the batch."""
+        if self.moved is None or not isinstance(update, Delete):
+            return False
+        chain = self.chain_set(update.parent)
+        if chain is None:
+            return True
+        oids, stopped = chain
+        return (
+            stopped
+            or update.parent not in oids
+            or not self.moved.isdisjoint(oids)
+        )
 
     def shared(self, key: tuple, compute: Callable[[], T]) -> T:
         """The answer for one definition part: computed — and charged —
@@ -301,10 +333,11 @@ class _SimpleScreen:
         label = ctx.label(update.child)
         if label is None or label not in self._full_labels:
             return False  # label(N2) cannot continue sel_path.cond_path
-        if ctx.batched and isinstance(update, Delete):
-            # Removals are history-dependent: N1's *final* path proves
-            # nothing about where the subtree sat when the edge was
-            # cut.  Only the label gate above is sound here.
+        if ctx.label_only(update):
+            # Removals are history-dependent: unless N1's chain held all
+            # batch, its *final* path proves nothing about where the
+            # subtree sat when the edge was cut.  Only the label gate
+            # above is sound then.
             return True
         prefix = ctx.path_between(m.root, update.parent)
         if prefix is None:
@@ -321,7 +354,7 @@ class _ExtendedScreen:
     def __init__(self, maintainer: ExtendedViewMaintainer) -> None:
         self.m = maintainer
         definition = maintainer.view.definition
-        comparisons = _comparisons(definition.condition)
+        comparisons = self._comparisons = _comparisons(definition.condition)
         # Labels that can appear anywhere on a select instance or on a
         # condition witness path (edge updates).
         edge_labels = expression_labels(definition.select_expression)
@@ -368,6 +401,12 @@ class _ExtendedScreen:
                 return True
             if m.condition is None:
                 return False
+            old, new = update.old_value, update.new_value
+            if all(
+                comp.test_value(old) == comp.test_value(new)
+                for comp in self._comparisons
+            ):
+                return False  # no comparison's verdict flips
         elif m.view.contains(update.parent):
             return True
         if verdicts is None:
@@ -392,7 +431,7 @@ class _ExtendedScreen:
             and ctx.label(update.child) not in self._edge_labels
         ):
             return False
-        if ctx.batched and isinstance(update, Delete):
+        if ctx.label_only(update):
             return True  # removals are history-dependent; label gate only
         return ctx.chain_between(root, update.parent) is not None
 
@@ -603,7 +642,8 @@ class _DefinitionIndex:
     be bucketed and keep their own screen, asked at their turn.
 
     :meth:`matching` yields in registration order and is lazy:
-    ``path(ROOT, N1)`` is requested when the per-view loop would have
+    ``path(ROOT, N1)`` — and, for a batched delete, the stable-chain
+    test before it — is requested when the per-view loop would have
     reached the first view needing it — label gate passed, N1 not a
     member — so verdicts, charged lookups and chain-memo hits/misses
     equal those of asking every ``screen.relevant`` in turn.  (Label
@@ -665,22 +705,16 @@ class _DefinitionIndex:
         # The label gate: label(N2) must continue sel_path.cond_path, a
         # modified N must carry its last label.
         gate = label if modify else ctx.label(update.child)
-        label_only = ctx.batched and isinstance(update, Delete)
         if gate is not None:
             for root, buckets in self._roots.items():
                 gated = (
                     buckets.modify_gate if modify else buckets.edge_gate
                 ).get(gate, ())
                 for entry in gated:
-                    if entry.maintainer.view.contains(oid):
-                        continue  # already pending as a member
-                    if label_only:
-                        # Removals are history-dependent (see the module
-                        # docstring): only the label gate is sound.
-                        pending.append((entry.order, _MATCHED, entry))
-                    else:
+                    if not entry.maintainer.view.contains(oid):
                         # The first view to need path(ROOT, N1) settles
-                        # every view of this root.
+                        # every view of this root (members are already
+                        # pending).
                         pending.append((entry.order, _RESOLVE, root))
                         break
         heapify(pending)
@@ -688,10 +722,17 @@ class _DefinitionIndex:
         while pending:
             _order, kind, item = heappop(pending)
             if kind == _RESOLVE:
+                buckets = self._roots[item]
+                if ctx.label_only(update):
+                    # Removals are history-dependent (see the module
+                    # docstring): only the label gate is sound.
+                    for entry in buckets.edge_gate[gate]:
+                        if not entry.maintainer.view.contains(oid):
+                            heappush(pending, (entry.order, _MATCHED, entry))
+                    continue
                 path = ctx.path_between(item, oid)
                 if path is None:
                     continue  # N1 unreachable from this root
-                buckets = self._roots[item]
                 if modify:
                     found = buckets.conditions.get(tuple(path), ())
                 else:
@@ -795,7 +836,10 @@ class MaintenanceDispatcher:
         shared :class:`PathContext`.  Returns the surviving updates."""
         survivors = coalesce_updates(updates, counters=self.store.counters)
         if survivors:
-            self._dispatch(survivors, batched=True)
+            moved = frozenset(
+                u.child for u in updates if isinstance(u, (Insert, Delete))
+            )
+            self._dispatch(survivors, moved=moved)
         return survivors
 
     @contextmanager
@@ -829,9 +873,9 @@ class MaintenanceDispatcher:
         return self._index
 
     def _dispatch(
-        self, updates: Sequence[Update], *, batched: bool = False
+        self, updates: Sequence[Update], *, moved: frozenset[str] | None = None
     ) -> None:
-        context = PathContext(self.store, self.parent_index, batched=batched)
+        context = PathContext(self.store, self.parent_index, moved=moved)
         counters = self.store.counters
         index = self._definition_index()
         for update in updates:

@@ -130,13 +130,15 @@ def draw_catalog(rng, roots: list[str], count: int) -> list[tuple[str, str]]:
 
 
 def register_catalog(
-    dispatcher, store, parent_index, specs, log=None, *, central=False
+    dispatcher, store, parent_index, specs, log=None, *, central=False,
+    screen=True,
 ):
     """Build every drawn view and register its maintainer in spec
     order.  Delegates live in a private view store, so maintenance
     never perturbs the base — or, with *central*, in the base store
-    itself, as :class:`~repro.views.ViewCatalog` keeps them.  Returns
-    the views; a view-less kind contributes None."""
+    itself, as :class:`~repro.views.ViewCatalog` keeps them.  Without
+    *screen*, every maintainer is registered unscreened.  Returns the
+    views; a view-less kind contributes None."""
     log = [] if log is None else log
     views = []
     for ordinal, (kind, query) in enumerate(specs):
@@ -161,7 +163,7 @@ def register_catalog(
         )
         dispatcher.register(
             maintainer_cls(view, parent_index=parent_index, subscribe=False),
-            screen=kind != "unscreened",
+            screen=screen and kind != "unscreened",
         )
         views.append(view)
     return views
@@ -201,7 +203,7 @@ class _CheckedIndex:
     def matching(self, update, ctx):
         # A private context: the reference's lookups must not warm the
         # memo the index is about to use.
-        private = PathContext(ctx.store, ctx.parent_index, batched=ctx.batched)
+        private = PathContext(ctx.store, ctx.parent_index, moved=ctx.moved)
         expected = list(self.reference.matching(update, private))
         got = list(self.index.matching(update, ctx))
         assert got == expected, (update, got, expected)

@@ -13,12 +13,20 @@ A second property draws the *catalog* too (shared prefixes, several
 roots, empty select paths, partial, extended, unscreened and
 context-free maintainers interleaved) and holds the dispatcher's
 definition index to the per-view screens: same matches per update,
-same charges.
+same charges.  A third holds the screens to exactness: a twin
+catalog registered unscreened, fed the same batches, ends every batch
+with the same extents and delegates.
+
+The mutations are biased towards the case that makes a batched
+delete's final path lie: an ancestor of a view member's parent moves
+under a parent of another label, then the member is cut loose in the
+same batch.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,9 +87,53 @@ def _sets(store) -> list[str]:
     )
 
 
-def mutate(store, rng: random.Random, tag: int) -> None:
-    """One tree-preserving mutation (the base stays a forest)."""
-    op = rng.randrange(4)
+def _parent(store, oid: str) -> str | None:
+    for parent in _sets(store):
+        if oid in store.peek(parent).children():
+            return parent
+    return None
+
+
+def _strand(store, rng: random.Random, members) -> None:
+    """Move an ancestor of a member's parent (the parent itself, or
+    above it, below ``root0``) under a parent labelled unlike its old
+    one, then cut the member from its parent: the cut's final path is
+    not the path it had when the edge went."""
+    cuts = [
+        (parent, member)
+        for member in sorted(members)
+        if (parent := _parent(store, member)) not in (None, "root0")
+    ]
+    if not cuts:
+        return
+    parent, member = rng.choice(cuts)
+    ancestors = []
+    node = parent
+    while node is not None and node != "root0":
+        ancestors.append(node)
+        node = _parent(store, node)
+    ancestor = rng.choice(ancestors)
+    old = _parent(store, ancestor)
+    below = descendants(store, ancestor) | {ancestor}
+    targets = [
+        s
+        for s in _sets(store)
+        if s not in below
+        and (old is None or store.peek(s).label != store.peek(old).label)
+    ]
+    if not targets:
+        return
+    if old is not None:
+        store.delete_edge(old, ancestor)
+    store.insert_edge(rng.choice(targets), ancestor)
+    store.delete_edge(parent, member)
+
+
+def mutate(store, rng: random.Random, tag: int, members=()) -> None:
+    """One tree-preserving mutation (the base stays a forest); given the
+    views' *members*, sometimes one that strands a member (see
+    :func:`_strand`)."""
+    op = rng.randrange(6 if members else 4)
     sets = _sets(store)
     if op == 0:  # attach a fresh node
         oid = f"fresh{tag}"
@@ -114,6 +166,8 @@ def mutate(store, rng: random.Random, tag: int) -> None:
                 store.delete_edge(parent, victim)
                 break
         store.insert_edge(rng.choice(targets), victim)
+    elif op >= 4:
+        _strand(store, rng, members)
     else:  # modify an atom
         atoms = sorted(
             oid
@@ -178,22 +232,87 @@ def run_stream(
         use_per_view_screens(dispatcher)
     elif screens == "checked":
         check_matching_against_screens(dispatcher)
-    rng = random.Random(seed ^ 0x5EED)
-    tag = 0
-    remaining = steps
-    while remaining > 0:
-        chunk = min(remaining, rng.randint(1, 8))
-        with dispatcher.batch():
-            for _ in range(chunk):
-                mutate(store, rng, tag)
-                tag += 1
-        remaining -= chunk
+    for _ in _batches(store, seed, steps, views, dispatcher.batch):
+        pass
     extents = {
         view.definition.name: frozenset(view.members())
         for view in views
         if view is not None
     }
     return extents, views, dispatcher
+
+
+def _batches(store, seed: int, steps: int, views, batch):
+    """Apply *steps* mutations in random-sized batches, each inside
+    ``batch()``; yields after every batch."""
+    rng = random.Random(seed ^ 0x5EED)
+    tag = 0
+    remaining = steps
+    while remaining > 0:
+        chunk = min(remaining, rng.randint(1, 8))
+        members = set().union(*(v.members() for v in views if v is not None))
+        with batch():
+            for _ in range(chunk):
+                mutate(store, rng, tag, members)
+                tag += 1
+        remaining -= chunk
+        yield
+
+
+def _state(views) -> list:
+    """Each view's members with their delegates' labels and values."""
+    return [
+        None
+        if view is None
+        else {
+            oid: (view.delegate(oid).label, view.delegate(oid).value)
+            for oid in view.members()
+        }
+        for view in views
+    ]
+
+
+#: Every depth-2 object under ``root0`` is a member of one of these, so
+#: :func:`_strand` finds members whose parent it can move.
+TWIN_DEFS = tuple(
+    ("simple", f"SELECT root0.{first}.{second} X")
+    for first in LABELS
+    for second in LABELS
+)
+
+
+def run_twins(seed: int, nodes: int, steps: int, drawn: int) -> None:
+    """``VIEW_DEFS``, ``TWIN_DEFS`` and *drawn* views, registered twice:
+    screened, and unscreened on a second dispatcher over the same base.
+    After every batch both catalogs must hold the same extents and
+    delegates."""
+    store = ObjectStore()
+    build_tree(store, seed, nodes)
+    parent_index = ParentIndex(store)
+    pick = random.Random(seed ^ 0xCA7A)
+    inner = [oid for oid in _sets(store) if oid != "root0"]
+    roots = ["root0"] + pick.sample(inner, min(2, len(inner)))
+    specs = [
+        (kind, text.split(" as: ", 1)[1]) for kind, text in VIEW_DEFS
+    ] + list(TWIN_DEFS) + draw_catalog(pick, roots, drawn)
+    catalogs = []
+    for screen in (True, False):
+        dispatcher = MaintenanceDispatcher(
+            store, parent_index=parent_index, subscribe=True
+        )
+        views = register_catalog(
+            dispatcher, store, parent_index, specs, screen=screen
+        )
+        catalogs.append((dispatcher, views))
+    (screened, views), (unscreened, twins) = catalogs
+
+    @contextmanager
+    def both():
+        with screened.batch(), unscreened.batch():
+            yield
+
+    for _ in _batches(store, seed, steps, views, both):
+        assert _state(views) == _state(twins)
 
 
 def _charges(dispatcher):
@@ -237,3 +356,15 @@ class TestBatchedDispatch:
             seed, nodes, steps, drawn=drawn, screens="checked"
         )
         assert checked_extents == extents
+
+    @given(
+        seed=st.integers(0, 10_000),
+        nodes=st.integers(8, 40),
+        steps=st.integers(1, 24),
+        drawn=st.integers(0, 6),
+    )
+    @settings(**common_settings(20))
+    def test_screens_are_exact_against_an_unscreened_twin(
+        self, seed, nodes, steps, drawn
+    ):
+        run_twins(seed, nodes, steps, drawn)

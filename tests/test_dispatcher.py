@@ -354,12 +354,13 @@ class TestIndexLifecycle:
         )
         log: list = []
         # A context-free recorder, a prefix-matched view, an extended
-        # view, an unscreened view, a view the update never reaches, a
-        # second prefix-matched view, a trailing recorder.
+        # view (its verdict flips at 10 -> 70), an unscreened view, a
+        # view the update never reaches, a second prefix-matched view, a
+        # trailing recorder.
         queries = [
             None,
             "SELECT ROOT.a X WHERE X.val > 5",
-            "SELECT ROOT.* X WHERE X.val > 5",
+            "SELECT ROOT.* X WHERE X.val > 50",
             "SELECT ROOT.b X",
             "SELECT ROOT.b X WHERE X.val > 5",
             "SELECT ROOT.a X WHERE X.val > 50",
@@ -584,6 +585,207 @@ class TestBatchedCascadingDeletes:
         catalog.apply_batch([Delete("root0", "A"), Modify("C", 60, 1)])
         assert not catalog.materialized_views["V"].contains("C")
         assert catalog.check("V").ok
+
+
+class TestStableChains:
+    """A batched delete gets the streamed prefix probe when N1's upward
+    chain provably held all batch: known, and no node on it the child
+    of an edge update in the batch.  Otherwise only the label gate."""
+
+    def test_parent_relabelling_move_reaches_the_view(self):
+        catalog = ViewCatalog()
+        store = catalog.store
+        store.add_tree(("root", "root", [("A", "a", []), ("A2", "a2", [])]))
+        parent = "A"
+        chain = (("B", "b"), ("N1", "n1"), ("N2", "n2"), ("I1", "item"))
+        for oid, label in chain:
+            store.add_set(oid, label)
+            store.insert_edge(parent, oid)
+            parent = oid
+        store.add_atomic("I1p", "price", 60)
+        store.insert_edge("I1", "I1p")
+        catalog.define(
+            "define mview V as: "
+            "SELECT root.a.b.n1.n2.item X WHERE X.price > 50"
+        )
+        assert catalog.materialized_views["V"].contains("I1")
+        # B moves under A2: N1's final path is a2.b.n1, which the view's
+        # prefix does not continue.  The path N1 had when (N1, N2) was
+        # cut is a.b.n1, so the delete must still reach V.
+        catalog.apply_batch(
+            [Delete("A", "B"), Delete("N1", "N2"), Insert("A2", "B")]
+        )
+        assert not catalog.materialized_views["V"].contains("I1")
+        assert catalog.check("V").ok
+
+    def _dispatcher(self, query):
+        """root -> A(a) -> N1(n1) -> N2(item), and *query*'s view
+        registered with a dispatcher fed batches by hand."""
+        store = ObjectStore()
+        store.add_tree(("root", "root", [("A", "a", [("N1", "n1", [])])]))
+        store.add_set("N2", "item")
+        store.insert_edge("N1", "N2")
+        index = ParentIndex(store)
+        dispatcher = MaintenanceDispatcher(store, parent_index=index)
+        view = MaterializedView(
+            ViewDefinition.parse(f"define mview V as: {query}"),
+            store,
+            ObjectStore(),
+        )
+        populate_view(view)
+        maintainer = dispatcher.register(
+            SimpleViewMaintainer(view, parent_index=index)
+        )
+        checked = check_matching_against_screens(dispatcher)
+        return store, index, dispatcher, maintainer, checked
+
+    def _delivered(self, store, dispatcher, maintainer, batch) -> bool:
+        snapshot = store.counters.snapshot()
+        seen = maintainer.updates_processed
+        dispatcher.handle_batch(batch)
+        screened = store.counters.delta_since(snapshot).updates_screened
+        delivered = maintainer.updates_processed > seen
+        assert screened == (0 if delivered else 1)
+        return delivered
+
+    def test_stable_chain_takes_the_prefix_probe(self):
+        # N1's path is a.n1: item continues b.n1.item by label only.
+        store, index, dispatcher, maintainer, checked = self._dispatcher(
+            "SELECT root.b.n1.item X"
+        )
+        store.delete_edge("N1", "N2")
+        context = PathContext(store, index, moved=frozenset({"N2"}))
+        assert not context.label_only(Delete("N1", "N2"))
+        assert not self._delivered(
+            store, dispatcher, maintainer, [Delete("N1", "N2")]
+        )
+        assert len(checked) == 1
+
+    def test_absent_n1_fails_open_to_the_label_gate(self):
+        store, index, dispatcher, maintainer, checked = self._dispatcher(
+            "SELECT root.b.n1.item X"
+        )
+        store.delete_edge("N1", "N2")
+        store.delete_edge("A", "N1")
+        store.remove_object("N1")
+        context = PathContext(store, index, moved=frozenset())
+        assert context.label_only(Delete("N1", "N2"))
+        assert self._delivered(
+            store, dispatcher, maintainer, [Delete("N1", "N2")]
+        )
+        assert len(checked) == 1
+
+    def test_multi_parent_n1_fails_open_to_the_label_gate(self):
+        # Rooted at N1 itself, so the maintainer never walks above the
+        # multi-parent node: its prefix is item, not z.item.
+        store, index, dispatcher, maintainer, checked = self._dispatcher(
+            "SELECT N1.z.item X"
+        )
+        store.add_set("M", "m")
+        store.insert_edge("root", "M")
+        store.insert_edge("M", "N1")  # N1 now has parents A and M
+        store.delete_edge("N1", "N2")
+        context = PathContext(store, index, moved=frozenset({"N2"}))
+        assert context.label_only(Delete("N1", "N2"))
+        assert self._delivered(
+            store, dispatcher, maintainer, [Delete("N1", "N2")]
+        )
+        assert len(checked) == 1
+
+    def test_stable_delete_reaches_only_matching_prefixes(self):
+        catalog = ViewCatalog()
+        catalog.store.add_tree(
+            (
+                "root",
+                "root",
+                [
+                    (
+                        f"C{k}",
+                        f"c{k}",
+                        [(f"I{k}", "item", [(f"I{k}p", "price", 60 + k)])],
+                    )
+                    for k in range(3)
+                ],
+            )
+        )
+        for k in range(3):
+            catalog.define(
+                f"define mview V{k} as: SELECT root.c{k}.item X "
+                "WHERE X.price > 50"
+            )
+        catalog.define("define mview W as: SELECT root.c1.item X")
+        checked = check_matching_against_screens(catalog.dispatcher)
+        processed = {
+            name: m.updates_processed
+            for name, m in catalog.maintainers.items()
+        }
+        snapshot = catalog.store.counters.snapshot()
+        catalog.apply_batch([Delete("C1", "I1")])
+        delta = catalog.store.counters.delta_since(snapshot)
+        reached = {
+            name
+            for name, m in catalog.maintainers.items()
+            if m.updates_processed > processed[name]
+        }
+        assert reached == {"V1", "W"}
+        assert delta.updates_screened == 2
+        assert len(checked) == 1
+        assert not catalog.materialized_views["V1"].contains("I1")
+        assert all(r.ok for r in catalog.check_all().values())
+
+
+class TestExtendedValueScreen:
+    """A modify reaches an extended view only when some comparison's
+    verdict flips between the old and the new value, or when the
+    modified object is a member (its delegate's value refresh)."""
+
+    def _catalog(self, query):
+        catalog = ViewCatalog()
+        catalog.store.add_tree(
+            (
+                "root",
+                "root",
+                [("P", "p", [("Pa", "a", 10), ("Pb", "b", 7)])],
+            )
+        )
+        catalog.define(f"define mview V as: {query}")
+        return catalog, catalog.maintainers["V"]
+
+    def _modify(self, catalog, maintainer, oid, new) -> bool:
+        """Apply one modify; True when it reached V (and not screened)."""
+        store = catalog.store
+        snapshot = store.counters.snapshot()
+        seen = maintainer.updates_processed
+        store.modify_value(oid, new)
+        screened = store.counters.delta_since(snapshot).updates_screened
+        delivered = maintainer.updates_processed > seen
+        assert screened == (0 if delivered else 1)
+        assert catalog.check("V").ok
+        return delivered
+
+    def test_non_flipping_modify_is_screened(self):
+        catalog, m = self._catalog("SELECT root.* X WHERE X.a > 50")
+        assert not self._modify(catalog, m, "Pa", 20)
+
+    def test_flipping_modify_is_delivered(self):
+        catalog, m = self._catalog("SELECT root.* X WHERE X.a > 50")
+        assert self._modify(catalog, m, "Pa", 70)
+        assert catalog.materialized_views["V"].contains("P")
+
+    def test_member_refresh_is_delivered(self):
+        catalog, m = self._catalog("SELECT root.* X WHERE X > 5")
+        view = catalog.materialized_views["V"]
+        assert view.contains("Pa")
+        assert self._modify(catalog, m, "Pa", 20)  # 10 -> 20: no flip
+        assert view.delegate("Pa").value == 20
+
+    def test_one_flipping_comparison_of_two_is_delivered(self):
+        catalog, m = self._catalog(
+            "SELECT root.* X WHERE X.a > 5 AND X.b < 3"
+        )
+        assert not self._modify(catalog, m, "Pb", 8)  # neither flips
+        assert self._modify(catalog, m, "Pb", 1)  # only X.b < 3 flips
+        assert catalog.materialized_views["V"].contains("P")
 
 
 def _two_branch_catalog():

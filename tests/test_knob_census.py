@@ -36,7 +36,6 @@ KNOBS = frozenset(
         "repro.views.definition:ViewDefinition(materialized)",
         "repro.views.dispatcher:MaintenanceDispatcher.__init__(subscribe)",
         "repro.views.dispatcher:MaintenanceDispatcher.register(screen)",
-        "repro.views.dispatcher:PathContext.__init__(batched)",
         "repro.views.extended:ExtendedViewMaintainer.__init__(subscribe)",
         "repro.views.maintenance:SimpleViewMaintainer.__init__(subscribe)",
         "repro.views.materialized:MaterializedView.__init__(annotate_timestamps)",
