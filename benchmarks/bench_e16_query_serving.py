@@ -1,15 +1,19 @@
 """E16 — the read-path serving layer (cache + frontier evaluation).
 
-Three measurements over the new :mod:`repro.serving` package:
+Three measurements over :mod:`repro.serving`'s one server, an
+:class:`~repro.serving.mvcc.EpochServer` read at ``fresh``:
 
 1. *Mixed read/update workloads* at several read:write ratios and cache
    sizes: cache hit rate, invalidations per update, and the staleness
    oracle's verdict (served answers must stay byte-identical to fresh
    uncached evaluation — zero mismatches).
 
-2. *Per-read evaluation cost* for three serving modes on one tree:
+2. *Per-read evaluation cost* for three read modes on one tree:
    uncached evaluation scanning out-edges (no label index), uncached
-   evaluation probing the label index, and the full cached read path.
+   evaluation probing the label index (both the query evaluator
+   called directly), and the server's cached read path, whose misses
+   evaluate on an epoch with the kernel.  The cached row counts both
+   ledgers: the store's charges and the server's ``read_counters``.
 
 3. *Indexed vs scanning traversal counts* on the E3 path-depth trees
    (augmented with off-path noise children): with the label index the
@@ -33,7 +37,7 @@ from repro.instrumentation import Meter
 from repro.paths.automaton import compile_expression
 from repro.paths.expression import PathExpression
 from repro.query.evaluator import QueryEvaluator
-from repro.serving import QueryServer
+from repro.serving import EpochServer
 from repro.workloads import TreeSpec, layered_tree
 from repro.workloads.serving import build_query_pool, run_serving_workload
 from repro.workloads.updates import UpdateMix
@@ -53,6 +57,9 @@ MIX_SWEEP = (
 WORKLOAD_MIX = UpdateMix(insert=2.0, delete=0.5, modify=1.5)
 #: Zipf exponent for read popularity (serving traffic is skewed).
 READ_SKEW = 1.0
+#: Per-read cost table rows: two uncached evaluator modes, then the
+#: server's cached read path.
+READ_MODES = ("classic, uncached", "frontier, uncached", "frontier + cache")
 #: E3's depth/fanout sweep (comparable object counts).
 DEPTH_SWEEP = ((2, 16), (3, 8), (4, 5), (6, 3), (8, 2))
 
@@ -132,43 +139,59 @@ def _serving_environment():
     return store, registry, parent_index, label_index, pool
 
 
+def _read_mode(mode_name, store, registry, parent_index, label_index):
+    """The read function for one mode, and the ledgers it charges."""
+    if mode_name == READ_MODES[2]:
+        server = EpochServer(
+            registry, parent_index=parent_index, cache_size=64
+        )
+        return (
+            lambda text: server.read(text, "fresh"),
+            (store.counters, server.read_counters),
+        )
+    indexed = mode_name.startswith("frontier")
+    evaluator = QueryEvaluator(
+        registry, label_index=label_index if indexed else None
+    )
+    return evaluator.evaluate_oids, (store.counters,)
+
+
 def run_read_modes():
     rows = []
-    modes = [
-        ("classic, uncached", False, False),
-        ("frontier, uncached", True, False),
-        ("frontier + cache", True, True),
-    ]
-    for mode_name, indexed, cached in modes:
+    for mode_name in READ_MODES:
         store, registry, parent_index, label_index, pool = (
             _serving_environment()
         )
-        server = QueryServer(
-            registry,
-            parent_index=parent_index,
-            label_index=label_index if indexed else None,
-            cache_size=64,
-            cacheable=(None if cached else (lambda query: False)),
+        read, ledgers = _read_mode(
+            mode_name, store, registry, parent_index, label_index
         )
         rounds = 5
         latencies = []
-        with Meter(store.counters) as meter:
-            for _ in range(rounds):
-                for text in pool:
-                    began = time.perf_counter()
-                    server.evaluate_oids(text)
-                    latencies.append(time.perf_counter() - began)
-        delta = meter.delta
+        befores = [ledger.snapshot() for ledger in ledgers]
+        for _ in range(rounds):
+            for text in pool:
+                began = time.perf_counter()
+                read(text)
+                latencies.append(time.perf_counter() - began)
+        deltas = [
+            ledger.delta_since(before)
+            for ledger, before in zip(ledgers, befores)
+        ]
         reads = rounds * len(pool)
+
+        def per_read(count):
+            return round(sum(count(delta) for delta in deltas) / reads, 1)
+
         rows.append(
             [
                 mode_name,
                 reads,
-                delta.query_cache_hits,
-                round(delta.edge_traversals / reads, 1),
-                round(delta.object_reads / reads, 1),
-                round(delta.index_probes / reads, 1),
-                round(delta.total_base_accesses() / reads, 1),
+                sum(delta.query_cache_hits for delta in deltas),
+                per_read(lambda delta: delta.edge_traversals),
+                per_read(lambda delta: delta.object_reads),
+                per_read(lambda delta: delta.index_probes),
+                per_read(lambda delta: delta.total_base_accesses()),
+                per_read(lambda delta: delta.snapshot_rows_scanned),
                 round(p50(latencies) * 1e6, 1),
                 round(p95(latencies) * 1e6, 1),
                 round(p99(latencies) * 1e6, 1),
@@ -183,7 +206,7 @@ def test_e16_read_modes():
         "E16: per-read cost by serving mode (no updates)",
         ["mode", "reads", "cache hits", "edge trav/read",
          "object reads/read", "index probes/read", "base accesses/read",
-         "p50 us", "p95 us", "p99 us"],
+         "rows scanned/read", "p50 us", "p95 us", "p99 us"],
         rows,
         note="the cache amortizes all traversal after the first pass; "
         "frontier evaluation cuts the uncached cost; the percentile "
@@ -273,16 +296,11 @@ def test_e16_frontier_traversals():
 @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
 def test_e16_serve_query(benchmark, cached):
     store, registry, parent_index, label_index, pool = _serving_environment()
-    server = QueryServer(
-        registry,
-        parent_index=parent_index,
-        label_index=label_index,
-        cache_size=64,
-        cacheable=(None if cached else (lambda query: False)),
-    )
+    mode = "frontier + cache" if cached else "frontier, uncached"
+    read, _ = _read_mode(mode, store, registry, parent_index, label_index)
     query = pool[-1]
-    server.evaluate_oids(query)  # warm the cache for the cached mode
-    benchmark(lambda: server.evaluate_oids(query))
+    read(query)  # warm the cache for the cached mode
+    benchmark(lambda: read(query))
 
 
 @pytest.mark.benchmark(group="e16")

@@ -1,12 +1,12 @@
 """E18 — columnar epoch snapshots: a closed negative result.
 
 The columnar snapshot once served four synchronous read paths
-(recomputation, ``QueryServer`` cold misses, GC marking, invalidation
-refinement).  Paired end-to-end runs of the repository benchmark showed
-the write-side upkeep costing more than the faster reads return (see
-EXPERIMENTS.md E18), so those paths were deleted; the snapshot now
-lives only inside the MVCC tier's :class:`~repro.serving.mvcc.
-EpochServer`.  Three tables remain:
+(recomputation, the live-store query server's cold misses, GC
+marking, invalidation refinement).  Paired end-to-end runs of the
+repository benchmark showed the write-side upkeep costing more than
+the faster reads return (see EXPERIMENTS.md E18), so those paths were
+deleted; the snapshot now lives only inside the catalog's one server,
+the :class:`~repro.serving.mvcc.EpochServer`.  Three tables remain:
 
 1. **Epoch-miss evaluation** — the bitset kernel on a frozen
    :class:`~repro.gsdb.columnar.EpochView` versus the interpreted

@@ -1,13 +1,14 @@
 """E20 — epoch-pinned MVCC serving under open-loop concurrent traffic.
 
-The sequential PR 3 :class:`~repro.serving.server.QueryServer` serves
-one request at a time against the live store; the MVCC tier
-(:class:`~repro.serving.mvcc.AsyncQueryServer`) lets any number of
-readers evaluate on pinned frozen epochs while the single writer
-applies and publishes batches.  Both replay the *same* deterministic
-Poisson/Zipf schedule (:func:`~repro.workloads.traffic.
+Driven from one thread at ``fresh``, an
+:class:`~repro.serving.mvcc.EpochServer` serves one request at a time,
+and a write burst stalls every reader queued behind it.  Through its
+asyncio front door (:class:`~repro.serving.mvcc.AsyncEpochServer`) any
+number of readers evaluate on pinned frozen epochs while the single
+writer applies and publishes batches.  Both replay the *same*
+deterministic Poisson/Zipf schedule (:func:`~repro.workloads.traffic.
 poisson_schedule`) with the same pre-recorded write bursts, so offered
-load is identical and only serving architecture differs.
+load is identical and only the serving discipline differs.
 
 Four measurements:
 
@@ -46,8 +47,7 @@ artifacts come from the full-scale run under ``REPRO_BENCH_REGEN=1``.
 import time
 
 from _common import REGEN, emit
-from repro.serving import AsyncQueryServer, EpochServer
-from repro.serving.server import QueryServer
+from repro.serving import AsyncEpochServer, EpochServer
 from repro.serving.traffic import (
     record_write_batches,
     run_concurrent,
@@ -126,14 +126,14 @@ def build_schedule(rate: int):
 
 def run_baseline(events, batches):
     env = fresh_env()
-    server = QueryServer(
+    server = EpochServer(
         env.registry,
         parent_index=env.parent_index,
-        label_index=env.label_index,
+        retention_capacity=RETENTION,
         cache_size=CACHE_SIZE,
     )
     for text in env.pool:  # warm the cache: steady-state, not cold-start
-        server.evaluate_oids(text)
+        server.read(text, "fresh")
     return run_sequential(server, env, events, batches=list(batches))
 
 
@@ -145,7 +145,7 @@ def run_mvcc(events, batches):
         retention_capacity=RETENTION,
         cache_size=CACHE_SIZE,
     )
-    server = AsyncQueryServer(core)
+    server = AsyncEpochServer(core)
     for text in env.pool:
         core.read(text, "any")  # warm: publish epoch 0, fill the carry
     before = core.store.counters.snapshot()

@@ -31,7 +31,7 @@ Commands (``help`` prints this at the prompt):
 ``check [NAME]``         audit one view (or all) against recomputation
 ``counters``             show cost counters
 ``chaos [SEED [STEPS [RATE [LEVEL]]]]``  run a fault-injection round
-``serve SELECT ...``     run a query through the cached serving layer
+``serve SELECT ...``     serve a query; prints the answering source and lag
 ``bench-serve [STEPS [RATIO [CACHE [SEED]]]]``  mixed read/update round
 ``traffic [REQUESTS [RATE [RATIO [SEED]]]]``  open-loop serving round
 ``quit`` / EOF           leave
@@ -298,22 +298,14 @@ class Shell:
             self._print(f"{key}: {value:,}")
 
     def _serve_statement(self, text: str) -> None:
-        """serve SELECT ... — query through the catalog's cached read
-        path; reports whether the answer came from the cache."""
+        """serve SELECT ... — query through the catalog's one server;
+        reports which source answered and the answer's epoch lag."""
         if not text.lower().startswith("select"):
             self._print("usage: serve SELECT ...")
             return
-        self.catalog.enable_serving()
-        counters = self.catalog.store.counters
-        hits_before = counters.query_cache_hits
         answer = self.catalog.serve(text)
-        inner = ", ".join(answer.sorted_children())
-        origin = (
-            "cache hit"
-            if counters.query_cache_hits > hits_before
-            else "evaluated"
-        )
-        self._print(f"{answer.oid} = {{{inner}}} ({origin})")
+        inner = ", ".join(sorted(answer.oids))
+        self._print(f"{{{inner}}} ({answer.source}, lag {answer.lag})")
 
     def cmd_bench_serve(self, args: list[str]) -> None:
         """bench-serve [STEPS [RATIO [CACHE [SEED]]]] — a self-contained
@@ -344,10 +336,11 @@ class Shell:
     def cmd_traffic(self, args: list[str]) -> None:
         """traffic [REQUESTS [RATE [RATIO [SEED]]]] — a self-contained
         open-loop serving round on a synthetic tree (not the shell's
-        catalog): one Poisson/Zipf schedule replayed against the
-        sequential QueryServer, then against the epoch-pinned MVCC
-        tier, with tail latency and the staleness audit for both."""
-        from repro.serving import AsyncQueryServer, EpochServer, QueryServer
+        catalog): one Poisson/Zipf schedule replayed against an epoch
+        server driven from one thread at fresh, then through its
+        concurrent front door, with tail latency and the staleness
+        audit for both."""
+        from repro.serving import AsyncEpochServer, EpochServer
         from repro.serving.traffic import run_concurrent, run_sequential
         from repro.workloads.generators import TreeSpec
         from repro.workloads.traffic import (
@@ -365,36 +358,22 @@ class Shell:
         )
         tree = TreeSpec(depth=4, seed=seed + 17)
         reports = []
-        env = build_traffic_env(seed=seed, tree=tree)
-        baseline = QueryServer(
-            env.registry,
-            parent_index=env.parent_index,
-            label_index=env.label_index,
-            cache_size=64,
-        )
-        reports.append(
-            run_sequential(
-                baseline,
-                env,
-                poisson_schedule(spec, env.pool),
-                seed=seed + 1,
+        for concurrent in (False, True):
+            env = build_traffic_env(seed=seed, tree=tree)
+            core = EpochServer(
+                env.registry,
+                parent_index=env.parent_index,
+                retention_capacity=4,
+                cache_size=64,
             )
-        )
-        env = build_traffic_env(seed=seed, tree=tree)
-        core = EpochServer(
-            env.registry,
-            parent_index=env.parent_index,
-            retention_capacity=4,
-            cache_size=64,
-        )
-        reports.append(
-            run_concurrent(
-                AsyncQueryServer(core),
-                env,
-                poisson_schedule(spec, env.pool),
-                seed=seed + 1,
-            )
-        )
+            events = poisson_schedule(spec, env.pool)
+            if concurrent:
+                report = run_concurrent(
+                    AsyncEpochServer(core), env, events, seed=seed + 1
+                )
+            else:
+                report = run_sequential(core, env, events, seed=seed + 1)
+            reports.append(report)
         for report in reports:
             latency = report.read_summary()
             self._print(

@@ -135,13 +135,15 @@ def build_screen(key: CacheKey, registry: DatabaseRegistry) -> QueryScreen:
 
 
 class Invalidator:
-    """Store subscriber mapping each update to the entries it may touch.
+    """Maps each store update to the cache entries it may touch.
 
-    Entries are bucketed by the labels their screens admit, so one
-    update screens only its label's candidates plus the wildcard
-    bucket.  Chains and labels are resolved through a fresh per-update
-    :class:`~repro.views.dispatcher.PathContext` (its memos do not
-    self-invalidate, so a context must never outlive its update).
+    The owner delivers updates to :meth:`on_update` (the epoch server
+    does so from its own store listener, charging the screens to its
+    reader ledger).  Entries are bucketed by the labels their screens
+    admit, so one update screens only its label's candidates plus the
+    wildcard bucket.  Chains and labels are resolved through a fresh
+    per-update :class:`~repro.views.dispatcher.PathContext` (its memos
+    do not self-invalidate, so a context must never outlive its update).
     """
 
     def __init__(
@@ -150,7 +152,6 @@ class Invalidator:
         cache: QueryCache,
         *,
         parent_index: ParentIndex | None = None,
-        subscribe: bool = True,
     ) -> None:
         self._store = store
         self._cache = cache
@@ -161,8 +162,6 @@ class Invalidator:
         self._witness: dict[str, set[CacheKey]] = {}
         self._witness_any: set[CacheKey] = set()
         self._scope: dict[str, set[CacheKey]] = {}
-        if subscribe:
-            store.subscribe(self.on_update)
 
     # -- registration --------------------------------------------------------
 
@@ -278,25 +277,3 @@ class Invalidator:
             and entry.is_set
             and not oids.isdisjoint(entry.children())
         )
-
-    # -- out-of-band invalidation -------------------------------------------
-
-    def invalidate_touching(self, oid: str) -> int:
-        """Invalidate every entry referencing *oid* as entry point,
-        delegate of it (``oid.*``), or scope database.
-
-        The warehouse path uses this: its views are maintained by
-        direct delegate surgery, not store updates, so the warehouse
-        pings the server after each view-changing notification.
-        """
-        prefix = oid + "."
-        hit = [
-            key
-            for key, screen in self._screens.items()
-            if screen.entry_oid == oid
-            or screen.entry_oid.startswith(prefix)
-            or oid in screen.scope_parents
-        ]
-        for key in sorted(hit, key=str):
-            self._cache.invalidate(key)
-        return len(hit)

@@ -1,10 +1,8 @@
 """MVCC-by-epoch serving: pinned frozen snapshots, bounded staleness.
 
-The PR 3 :class:`~repro.serving.server.QueryServer` serves one request
-at a time against the live store — a maintenance batch stalls every
-reader.  This module is the concurrent tier, and the one owner of a
-columnar snapshot (:class:`~repro.gsdb.columnar.ColumnarSnapshot`,
-built per server): the write path *publishes* each quiesced state as an
+The catalog's one read-path server, and the one owner of a columnar
+snapshot (:class:`~repro.gsdb.columnar.ColumnarSnapshot`, built per
+server): the write path *publishes* each quiesced state as an
 immutable :class:`~repro.gsdb.columnar.EpochView` into a
 :class:`~repro.gsdb.columnar.SnapshotRetention` ring, and readers pin a
 retained epoch, evaluate on it with the bitset kernel
@@ -26,9 +24,9 @@ Freshness is an explicit per-request policy (:class:`FreshnessPolicy`):
 ``any`` (``max_lag_epochs=None``)
     Any retained epoch will do.
 
-Two cache layers keep invalidation precise (DESIGN.md S14):
+Two cache layers keep invalidation precise (DESIGN.md S10):
 
-* The **carry cache** mirrors the *live* store: the PR 3
+* The **carry cache** mirrors the *live* store: the
   :class:`~repro.serving.invalidation.Invalidator` screens every
   applied update synchronously and evicts exactly the affected
   entries, so a carry hit is always lag 0.
@@ -50,9 +48,10 @@ so epoch reads take no lock at all during evaluation; one small
 ``_cache_lock`` guards cache/audit bookkeeping for microseconds per
 request; a reentrant ``write_mutex`` serializes writers, forced
 publications, and interpreted fallbacks (scoped queries must read the
-live store).  :class:`AsyncQueryServer` lifts the same core into
-asyncio via ``asyncio.to_thread`` so many in-flight requests overlap
-with the (single) writer.
+live store).  A synchronous caller drives the core directly;
+:class:`AsyncEpochServer` lifts it into asyncio via
+``asyncio.to_thread`` so many in-flight requests overlap with the
+(single) writer.
 """
 
 from __future__ import annotations
@@ -163,9 +162,16 @@ class EpochServer:
     """The synchronous MVCC core (one instance per registry/store).
 
     Thread-safe by construction: see the module docstring's
-    concurrency model.  :class:`AsyncQueryServer` wraps it for asyncio;
+    concurrency model.  :class:`AsyncEpochServer` wraps it for asyncio;
     single-threaded callers (tests, benchmarks, the CLI) can drive it
     directly.
+
+    ``apply_fn`` and ``query_fn`` let an owner route writer batches and
+    interpreted reads through its own write and read paths: the view
+    catalog passes its ``apply_batch`` (views maintained before an
+    epoch publishes) and its ``query_oids`` (virtual views refreshed,
+    the label index probed).  Without them the server applies to and
+    evaluates on its store directly.
     """
 
     def __init__(
@@ -177,6 +183,7 @@ class EpochServer:
         parent_index=None,
         cacheable: Callable[[Query], bool] | None = None,
         apply_fn: Callable[[Sequence[Update]], int] | None = None,
+        query_fn: Callable[[Query], set[str]] | None = None,
     ) -> None:
         self.registry = registry
         self.store = registry.store
@@ -198,12 +205,10 @@ class EpochServer:
         self._cacheable = cacheable
         self._apply_fn = apply_fn
         self._evaluator = QueryEvaluator(registry)
+        self._query_fn = query_fn or self._evaluator.evaluate_oids
         self.carry = QueryCache(cache_size, counters=self.read_counters)
         self.invalidator = Invalidator(
-            self.store,
-            self.carry,
-            parent_index=parent_index,
-            subscribe=False,
+            self.store, self.carry, parent_index=parent_index
         )
         self.carry.on_evict = self.invalidator.forget
         self.store.subscribe(self._on_update)
@@ -280,7 +285,7 @@ class EpochServer:
     # -- read path ----------------------------------------------------------
 
     def evaluate_oids(self, query: Query | str) -> set[str]:
-        """QueryServer-compatible strict read (``fresh`` policy)."""
+        """The answer's OID set under the ``fresh`` policy."""
         return set(self.read(query, FreshnessPolicy.FRESH).oids)
 
     def read(
@@ -375,7 +380,7 @@ class EpochServer:
             # change outside the update stream).  Read the live store,
             # serialized with writers — exact current state, lag 0.
             with self.write_mutex:
-                oids = frozenset(self._evaluator.evaluate_oids(query))
+                oids = frozenset(self._query_fn(query))
                 seq = self._latest_seq()
             return self._serve(oids, seq, 0, allowed, "interpreted")
         entry_oid = self._evaluator._resolve_entry(query.entry)
@@ -595,7 +600,7 @@ def _filter_on_epoch(
     raise TypeError(f"unknown condition node: {condition!r}")
 
 
-class AsyncQueryServer:
+class AsyncEpochServer:
     """The asyncio front door over an :class:`EpochServer`.
 
     A read first tries the core's wait-free cache probe inline on the
@@ -624,13 +629,6 @@ class AsyncQueryServer:
             return answer
         return await asyncio.to_thread(self.core._read_miss, query, policy)
 
-    async def serve_oids(
-        self,
-        query: Query | str,
-        policy: FreshnessPolicy | str | int = FreshnessPolicy.FRESH,
-    ) -> set[str]:
-        return set((await self.read(query, policy)).oids)
-
     async def apply_batch(self, updates: Iterable[Update]) -> int:
         return await asyncio.to_thread(self.core.apply_batch, list(updates))
 
@@ -650,7 +648,7 @@ class AsyncQueryServer:
 
 
 __all__ = [
-    "AsyncQueryServer",
+    "AsyncEpochServer",
     "EpochAnswer",
     "EpochServer",
     "FreshnessPolicy",

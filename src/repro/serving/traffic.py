@@ -2,12 +2,13 @@
 
 :func:`run_concurrent` replays a :func:`~repro.workloads.traffic.
 poisson_schedule` against an :class:`~repro.serving.mvcc.
-AsyncQueryServer`: every arrival becomes an asyncio task at its
+AsyncEpochServer`: every arrival becomes an asyncio task at its
 scheduled instant, so any number of reads are in flight while write
 events apply update bursts and publish new epochs.  :func:`run_sequential`
-replays the *same* schedule against the one-request-at-a-time
-:class:`~repro.serving.server.QueryServer` — the baseline whose
-saturation the MVCC tier is measured against.
+replays the *same* schedule against an :class:`~repro.serving.mvcc.
+EpochServer` driven from one thread, one request at a time, every read
+at ``fresh`` — the baseline whose saturation the concurrent front door
+is measured against.
 
 Both report latency from the **scheduled arrival** (open-loop: queueing
 delay counts), exact-nearest-rank tail percentiles via
@@ -25,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.instrumentation.stats import latency_summary
-from repro.serving.mvcc import AsyncQueryServer, EpochServer, FreshnessPolicy
-from repro.serving.server import QueryServer
+from repro.serving.mvcc import AsyncEpochServer, EpochServer, FreshnessPolicy
 from repro.workloads.traffic import TrafficEnv, TrafficEvent
 from repro.workloads.updates import UpdateMix, UpdateStream
 
@@ -189,7 +189,7 @@ def make_writer(
 
 
 async def _replay_async(
-    server: AsyncQueryServer,
+    server: AsyncEpochServer,
     events: list[TrafficEvent],
     writer,
     report: TrafficReport,
@@ -229,7 +229,7 @@ async def _replay_async(
 
 
 def run_concurrent(
-    server: AsyncQueryServer,
+    server: AsyncEpochServer,
     env: TrafficEnv,
     events: list[TrafficEvent],
     *,
@@ -247,7 +247,7 @@ def run_concurrent(
 
 
 def run_sequential(
-    server: QueryServer,
+    server: EpochServer,
     env: TrafficEnv,
     events: list[TrafficEvent],
     *,
@@ -256,21 +256,19 @@ def run_sequential(
     batches: list[RecordedBurst] | None = None,
     label: str = "baseline",
 ) -> TrafficReport:
-    """Replay *events* against the sequential live-store server.
+    """Replay *events* against *server* from one thread, every read at
+    ``fresh`` whatever policy the schedule drew.
 
     One request at a time: an arrival that lands while an earlier
     request is still being served queues, and its latency (measured
     from the scheduled arrival) absorbs the wait — exactly how a
-    saturated single-threaded front door behaves.  The baseline always
-    reads fresh (the live store has no other freshness), so its lag
-    histogram is all zeros by construction.
+    saturated single-threaded front door behaves.  Writes go through
+    the same writer as :func:`run_concurrent`; a fresh read may never
+    trail the store, so the lag histogram is all zeros.
     """
     rate = len(events) / events[-1].at if events else 0.0
     report = TrafficReport(label=label, offered_rate=rate)
-    stream = None if batches is not None else _traffic_stream(
-        env.store, env, seed, mix
-    )
-    queue = iter(batches) if batches is not None else None
+    writer = make_writer(server, env, seed=seed, mix=mix, batches=batches)
     start = time.perf_counter()
     for event in events:
         scheduled = start + event.at
@@ -278,19 +276,12 @@ def run_sequential(
         if now < scheduled:
             time.sleep(scheduled - now)
         if event.kind == "read":
-            server.evaluate_oids(event.query)
+            answer = server.read(event.query, FreshnessPolicy.FRESH)
             report.reads += 1
             report.read_latencies.append(time.perf_counter() - scheduled)
-            report._observe(0, FreshnessPolicy.parse(event.policy).max_lag_epochs, "live")
+            report._observe(answer.lag, 0, answer.source)
         else:
-            if queue is not None:
-                burst = next(queue)
-                for oid, label, value in burst.creations:
-                    env.store.add_atomic(oid, label, value)
-                env.store.apply_all(burst.updates)
-                report.updates_applied += len(burst.updates)
-            else:
-                report.updates_applied += len(stream.run(event.batch))
+            report.updates_applied += writer(event.batch)
             report.writes += 1
             report.write_latencies.append(time.perf_counter() - scheduled)
     report.wall_seconds = time.perf_counter() - start

@@ -23,7 +23,7 @@ update.  Pass ``'dag'`` for DAG bases (simple definitions only) or
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Literal
+from typing import TYPE_CHECKING, Iterable, Literal
 
 from repro.errors import ViewDefinitionError, ViewError
 from repro.gsdb.database import DatabaseRegistry
@@ -43,6 +43,14 @@ from repro.views.maintenance import SimpleViewMaintainer
 from repro.views.materialized import MaterializedView, SwizzleMode
 from repro.views.recompute import populate_view, recompute_view
 from repro.views.virtual import VirtualView
+
+if TYPE_CHECKING:
+    from repro.serving.mvcc import (
+        AsyncEpochServer,
+        EpochAnswer,
+        EpochServer,
+        FreshnessPolicy,
+    )
 
 MaintainerKind = Literal["auto", "simple", "extended", "dag", "recompute"]
 
@@ -92,10 +100,8 @@ class ViewCatalog:
         self.evaluator = QueryEvaluator(
             self.registry, label_index=self.label_index
         )
-        #: Optional read-path server (see :meth:`enable_serving`).
+        #: The read-path server, once :meth:`enable_serving` built it.
         self.server = None
-        #: Optional MVCC tier (see :meth:`enable_async_serving`).
-        self.async_server = None
         self.virtual_views: dict[str, VirtualView] = {}
         self.materialized_views: dict[str, MaterializedView] = {}
         self.maintainers: dict[str, object] = {}
@@ -366,29 +372,38 @@ class ViewCatalog:
         no answer object in the store)."""
         return self.evaluator.evaluate_oids(self._fresh_query(text))
 
-    # -- read-path serving (experiment E16) -----------------------------------
+    # -- read-path serving (experiments E16 and E20) -------------------------
 
-    def enable_serving(self, *, cache_size: int = 128):
-        """Attach a :class:`~repro.serving.server.QueryServer`.
+    def enable_serving(
+        self, *, retention_capacity: int = 4, cache_size: int = 128
+    ) -> EpochServer:
+        """Build the catalog's one :class:`~repro.serving.mvcc.EpochServer`
+        and return it.  Idempotent.
 
-        The server shares the catalog's store, registry, parent index,
-        and label index (build the catalog with
-        ``with_label_index=True`` to give path evaluation its
-        children-by-label adjacency).  Queries resolving through a
-        virtual or materialized view are served fresh, never cached:
-        view maintenance rewires delegates without emitting store
-        updates, so the invalidator cannot see those changes — and a
-        materialized view is already its own cache.  Idempotent.
+        The server images the catalog's base (views stay out of the
+        epoch image) and keeps a precisely invalidated answer cache.
+        Writer batches routed through it run this catalog's
+        :meth:`apply_batch`, so views are maintained before the new
+        epoch publishes; conversely, every direct :meth:`apply_batch`
+        call also publishes.  Queries resolving through a virtual or
+        materialized view are never cached and never read from an
+        epoch: view maintenance rewires delegates without emitting
+        store updates, so neither the invalidator nor the image sees
+        those changes.  They take the catalog's own :meth:`query_oids`
+        path (virtual views refreshed, the label index probed), as do
+        ``WITHIN``/``ANS INT`` queries.
         """
         if self.server is None:
-            from repro.serving.server import QueryServer
+            from repro.serving.mvcc import EpochServer
 
-            self.server = QueryServer(
+            self.server = EpochServer(
                 self.registry,
                 parent_index=self.parent_index,
-                label_index=self.label_index,
+                retention_capacity=retention_capacity,
                 cache_size=cache_size,
                 cacheable=self._cacheable_query,
+                apply_fn=self.apply_batch,
+                query_fn=self.query_oids,
             )
         return self.server
 
@@ -397,34 +412,17 @@ class ViewCatalog:
         *,
         retention_capacity: int = 4,
         cache_size: int = 128,
-    ):
-        """Attach the epoch-pinned MVCC tier (experiment E20).
+    ) -> AsyncEpochServer:
+        """The asyncio front door (experiment E20): a thin
+        :class:`~repro.serving.mvcc.AsyncEpochServer` over the one
+        server :meth:`enable_serving` builds."""
+        from repro.serving.mvcc import AsyncEpochServer
 
-        Builds an :class:`~repro.serving.mvcc.EpochServer` over the
-        catalog's store (it owns the store's columnar snapshot) and
-        returns its :class:`~repro.serving.mvcc.AsyncQueryServer`
-        front door.  Writer batches routed through the server run this
-        catalog's :meth:`apply_batch` — views are maintained before the
-        new epoch publishes, so epoch-pinned answers see maintained
-        state; conversely, every direct :meth:`apply_batch` call also
-        publishes, keeping the retention ring current no matter which
-        door the writer used.  View-referencing queries stay on the
-        interpreted fresh path (same rule as :meth:`enable_serving`).
-        Idempotent.
-        """
-        if self.async_server is None:
-            from repro.serving.mvcc import AsyncQueryServer, EpochServer
-
-            core = EpochServer(
-                self.registry,
-                parent_index=self.parent_index,
-                retention_capacity=retention_capacity,
-                cache_size=cache_size,
-                cacheable=self._cacheable_query,
-                apply_fn=self.apply_batch,
+        return AsyncEpochServer(
+            self.enable_serving(
+                retention_capacity=retention_capacity, cache_size=cache_size
             )
-            self.async_server = AsyncQueryServer(core)
-        return self.async_server
+        )
 
     def _cacheable_query(self, query: Query) -> bool:
         """False when the query's answer depends on view delegates:
@@ -440,17 +438,19 @@ class ViewCatalog:
             return not any(name in grouped for name in names)
         return True
 
-    def serve(self, text: str | Query) -> Object:
-        """Like :meth:`query`, through the serving layer's cache."""
-        if self.server is None:
-            self.enable_serving()
-        return self.server.evaluate(self._fresh_query(text))
+    def serve(
+        self,
+        text: str | Query,
+        policy: FreshnessPolicy | str | int = "fresh",
+    ) -> EpochAnswer:
+        """Serve a query through the catalog's one server, no staler
+        than *policy* (``"fresh"``, ``"any"`` or a lag bound) allows.
 
-    def serve_oids(self, text: str | Query) -> set[str]:
-        """Like :meth:`serve` but returns the raw OID set."""
-        if self.server is None:
-            self.enable_serving()
-        return self.server.evaluate_oids(self._fresh_query(text))
+        Returns the :class:`~repro.serving.mvcc.EpochAnswer`: the OID
+        set plus the epoch, lag and source that produced it.  No answer
+        object is written into the store.
+        """
+        return self.enable_serving().read(text, policy)
 
     # -- maintenance helpers ---------------------------------------------------------
 
@@ -481,11 +481,11 @@ class ViewCatalog:
         )
         with self.dispatcher.batch():
             applied = self.store.apply_all(fresh)
-        if self.async_server is not None:
+        if self.server is not None:
             # Maintained state becomes the next served epoch (E20);
             # checkpoint() re-enters the write mutex when this batch
-            # was routed through the MVCC tier itself.
-            self.async_server.core.checkpoint()
+            # was routed through the server itself.
+            self.server.checkpoint()
         return applied
 
     def check(self, name: str) -> ConsistencyReport:

@@ -451,9 +451,6 @@ class Warehouse:
         self.monitors: dict[str, Monitor] = {}
         self.views: dict[str, "WarehouseView"] = {}
         self.ingress: dict[str, _SourceIngress] = {}
-        #: Optional read-path server over the view store (E16); see
-        #: :meth:`enable_serving`.
-        self.query_server = None
 
     # -- wiring -------------------------------------------------------------------
 
@@ -536,34 +533,7 @@ class Warehouse:
             stats=WarehouseViewStats(),
         )
         self.views[definition.name] = wview
-        if self.query_server is not None:
-            self.query_server.registry.register(
-                definition.name, definition.name
-            )
         return wview
-
-    def enable_serving(self, *, cache_size: int = 128):
-        """Attach a :class:`~repro.serving.server.QueryServer` over the
-        view store, so clients query warehouse views through a cached
-        read path.
-
-        Warehouse views are maintained by direct delegate surgery (no
-        ``view_store.apply`` stream), so update-stream invalidation
-        never fires here; instead :meth:`_deliver` and
-        :meth:`resync_view` ping the server after every view-changing
-        notification (:meth:`~repro.serving.server.QueryServer.
-        invalidate_entry`) — coarser than the catalog's label screens,
-        but exact per view.  Idempotent.
-        """
-        if self.query_server is None:
-            from repro.gsdb.database import DatabaseRegistry
-            from repro.serving.server import QueryServer
-
-            registry = DatabaseRegistry(self.view_store)
-            for name in self.views:
-                registry.register(name, name)
-            self.query_server = QueryServer(registry, cache_size=cache_size)
-        return self.query_server
 
     # -- bulk updates (Section 6, fourth open issue) -----------------------------------
 
@@ -755,10 +725,6 @@ class Warehouse:
         wview.stats.notifications += 1
         if not processed:
             wview.stats.screened += 1
-        elif self.query_server is not None:
-            # The view (or its delegates) may have changed: evict every
-            # cached answer entered at this view or its delegates.
-            self.query_server.invalidate_entry(wview.view.oid)
         wview.stats.source_queries += spent
         wview.stats.per_update_queries.append(spent)
 
@@ -866,8 +832,6 @@ class Warehouse:
         self.counters.view_resyncs += 1
         self.counters.view_recomputations += 1
         wview.needs_resync = False
-        if self.query_server is not None:
-            self.query_server.invalidate_entry(wview.view.oid)
         return True
 
 

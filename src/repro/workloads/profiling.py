@@ -136,7 +136,7 @@ def run_profile(
             f"SELECT {root}.* X WHERE X.{spec.labels[-1]} < 50",
         ]
         for i in range(queries):
-            catalog.serve_oids(texts[i % len(texts)])
+            catalog.serve(texts[i % len(texts)])
 
     timed("serve", serve_round)
 

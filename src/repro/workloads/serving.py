@@ -1,15 +1,17 @@
 """Mixed read/update workloads for the serving layer (experiment E16).
 
-Drives a :class:`~repro.serving.server.QueryServer` with an interleaved
-stream of reads (drawn from a deterministic query pool over a layered
-tree) and valid random updates (:class:`~repro.workloads.updates.
-UpdateStream`), auditing served answers against fresh uncached
-evaluation with the byte-equality oracle
-(:func:`repro.chaos.oracle.audit_serving`) along the way.  Shared by
+Drives an :class:`~repro.serving.mvcc.EpochServer` at the ``fresh``
+policy with an interleaved stream of reads (drawn from a deterministic
+query pool over a layered tree) and valid random updates
+(:class:`~repro.workloads.updates.UpdateStream`), auditing served
+answers against fresh uncached evaluation with the byte-equality
+oracle (:func:`repro.chaos.oracle.audit_serving`) along the way.  Shared by
 benchmark E16, the ``bench-serve`` shell command, and the CI smoke job.
 
 Hit/miss/invalidation statistics are accumulated per workload step so
 oracle audits (which read through the same cache) do not distort them.
+Each statistic sums both ledgers: the store's counters (the writer's)
+and the server's private ``read_counters`` (cache and kernel work).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 
 from repro.chaos.oracle import audit_serving
 from repro.gsdb.database import DatabaseRegistry
-from repro.gsdb.indexes import LabelIndex, ParentIndex
-from repro.serving.server import QueryServer
+from repro.gsdb.indexes import ParentIndex
+from repro.serving.mvcc import EpochServer
 from repro.workloads.generators import TreeSpec, layered_tree
 from repro.workloads.updates import UpdateMix, UpdateStream
 
@@ -103,17 +105,16 @@ def run_serving_workload(
     read_ratio: float = 0.9,
     cache_size: int = 64,
     spec: TreeSpec | None = None,
-    with_label_index: bool = True,
     audit_every: int = 50,
     mix: UpdateMix | None = None,
     skew: float = 0.0,
-    server: QueryServer | None = None,
+    server: EpochServer | None = None,
     pool: list[str] | None = None,
 ) -> ServingRunResult:
-    """Run an interleaved read/update stream against a query server.
+    """Run an interleaved read/update stream against an epoch server.
 
     With the default arguments the base is a fresh layered tree and the
-    server is built over it (parent + label index); pass *server* and
+    server is built over it (with a parent index); pass *server* and
     *pool* to reuse an environment.  ``audit_every`` > 0 re-audits the
     whole pool every that many steps (and once at the end) — a sound
     invalidator yields zero mismatches.  ``skew`` > 0 draws reads with
@@ -124,13 +125,9 @@ def run_serving_workload(
     if server is None:
         spec = spec if spec is not None else TreeSpec(depth=4, seed=seed + 17)
         store, root = layered_tree(spec)
-        registry = DatabaseRegistry(store)
-        parent_index = ParentIndex(store)
-        label_index = LabelIndex(store) if with_label_index else None
-        server = QueryServer(
-            registry,
-            parent_index=parent_index,
-            label_index=label_index,
+        server = EpochServer(
+            DatabaseRegistry(store),
+            parent_index=ParentIndex(store),
             cache_size=cache_size,
         )
         protected.add(root)
@@ -138,11 +135,14 @@ def run_serving_workload(
             pool = build_query_pool(root, spec, store=store)
     elif pool is None:
         raise ValueError("a reused server needs an explicit query pool")
-    store = server.store
-    counters = store.counters
+    ledgers = (server.store.counters, server.read_counters)
+
+    def counted(name: str) -> int:
+        return sum(getattr(ledger, name) for ledger in ledgers)
+
     protected |= server.registry.grouping_oids()
     stream = UpdateStream(
-        store,
+        server.store,
         seed=seed + 1,
         mix=mix if mix is not None else UpdateMix(),
         protected=frozenset(protected),
@@ -172,31 +172,29 @@ def run_serving_workload(
     for step in range(steps):
         result.steps += 1
         if rng.random() < read_ratio:
-            hits_before = counters.query_cache_hits
-            misses_before = counters.query_cache_misses
-            evictions_before = counters.query_cache_evictions
-            server.evaluate_oids(rng.choices(pool, weights=weights)[0])
+            hits_before = counted("query_cache_hits")
+            misses_before = counted("query_cache_misses")
+            evictions_before = counted("query_cache_evictions")
+            server.read(rng.choices(pool, weights=weights)[0], "fresh")
             result.reads += 1
-            result.read_hits += counters.query_cache_hits - hits_before
-            result.read_misses += (
-                counters.query_cache_misses - misses_before
-            )
+            result.read_hits += counted("query_cache_hits") - hits_before
+            result.read_misses += counted("query_cache_misses") - misses_before
             result.evictions += (
-                counters.query_cache_evictions - evictions_before
+                counted("query_cache_evictions") - evictions_before
             )
         else:
-            invalidations_before = counters.query_cache_invalidations
-            evictions_before = counters.query_cache_evictions
+            invalidations_before = counted("query_cache_invalidations")
+            evictions_before = counted("query_cache_evictions")
             if stream.step() is not None:
                 result.updates += 1
                 fired = (
-                    counters.query_cache_invalidations
+                    counted("query_cache_invalidations")
                     - invalidations_before
                 )
                 result.invalidations += fired
                 result.per_update_invalidations.append(fired)
                 result.evictions += (
-                    counters.query_cache_evictions - evictions_before
+                    counted("query_cache_evictions") - evictions_before
                 )
         if audit_every and (step + 1) % audit_every == 0:
             audit()

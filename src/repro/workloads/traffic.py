@@ -13,10 +13,10 @@ The schedule is deterministic in the seed: a list of
 query popularity (query *i* weighted ``(i+1)**-skew``, the usual
 hot-key shape of read traffic), a Bernoulli read/write split, and
 per-read freshness policies drawn from an explicit distribution.  The
-same schedule can then drive the sequential
-:class:`~repro.serving.server.QueryServer` baseline and the concurrent
-:class:`~repro.serving.mvcc.AsyncQueryServer` tier — identical offered
-load, comparable tails.
+same schedule can then drive an :class:`~repro.serving.mvcc.EpochServer`
+from one thread at ``fresh`` (the sequential baseline) and through its
+concurrent :class:`~repro.serving.mvcc.AsyncEpochServer` front door —
+identical offered load, comparable tails.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.gsdb.database import DatabaseRegistry
-from repro.gsdb.indexes import LabelIndex, ParentIndex
+from repro.gsdb.indexes import ParentIndex
 from repro.workloads.generators import TreeSpec, layered_tree
 from repro.workloads.serving import build_query_pool
 
@@ -111,13 +111,12 @@ def poisson_schedule(
 @dataclass
 class TrafficEnv:
     """A serving environment the schedules run against: a layered tree,
-    its registry/indexes, and the deterministic query pool."""
+    its registry and parent index, and the deterministic query pool."""
 
     store: object
     root: str
     registry: DatabaseRegistry
     parent_index: ParentIndex
-    label_index: LabelIndex
     pool: list[str] = field(default_factory=list)
 
 
@@ -133,7 +132,6 @@ def build_traffic_env(
         root=root,
         registry=registry,
         parent_index=ParentIndex(store),
-        label_index=LabelIndex(store),
         pool=build_query_pool(root, tree, store=store),
     )
 

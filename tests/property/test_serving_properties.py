@@ -1,8 +1,10 @@
 """Property-based tests for the read-path serving layer.
 
 The central claim of experiment E16: for *any* seeded interleaving of
-valid updates and reads, every served answer — cached or not, indexed
-or scanning — is identical to fresh uncached scanning evaluation.
+valid updates and reads, every served answer — cached, or evaluated on
+an epoch by the kernel — is identical to fresh uncached scanning
+evaluation, and the indexed store evaluator agrees with a brute-force
+reference.
 Failures shrink over the seed, step count, and the update mix.
 """
 
@@ -16,7 +18,7 @@ from repro.gsdb.indexes import LabelIndex, ParentIndex
 from repro.paths.automaton import compile_expression
 from repro.paths.expression import PathExpression
 from repro.query.evaluator import QueryEvaluator
-from repro.serving import QueryServer
+from repro.serving import EpochServer
 from repro.workloads import TreeSpec, layered_tree
 from repro.workloads.serving import build_query_pool, run_serving_workload
 from repro.workloads.updates import UpdateMix, UpdateStream
@@ -35,14 +37,11 @@ def build_serving_env(seed: int, cache_size: int):
     spec = TreeSpec(depth=3, fanout=3, seed=seed)
     store, root = layered_tree(spec)
     registry = DatabaseRegistry(store)
-    server = QueryServer(
-        registry,
-        parent_index=ParentIndex(store),
-        label_index=LabelIndex(store),
-        cache_size=cache_size,
+    server = EpochServer(
+        registry, parent_index=ParentIndex(store), cache_size=cache_size
     )
     pool = build_query_pool(root, spec, store=store)
-    return store, root, spec, server, pool
+    return store, root, spec, server, LabelIndex(store), pool
 
 
 class TestServedAnswersNeverStale:
@@ -76,13 +75,15 @@ class TestServedAnswersNeverStale:
     def test_cached_equals_uncached_equals_frontier(
         self, seed, updates, mix
     ):
-        store, root, spec, server, pool = build_serving_env(seed, 64)
+        store, root, spec, server, label_index, pool = build_serving_env(
+            seed, 64
+        )
         fresh = QueryEvaluator(server.registry)
         stream = UpdateStream(
             store, seed=seed + 1, mix=mix, protected=frozenset({root})
         )
         # Warm the cache, churn the base, then check every query three
-        # ways: served (cache + index), fresh scan, and each select
+        # ways: served (cache + kernel), fresh scan, and each select
         # path indexed against the reference.
         for text in pool:
             server.evaluate_oids(text)
@@ -94,7 +95,7 @@ class TestServedAnswersNeverStale:
         for k in range(1, spec.depth + 1):
             path = PathExpression.parse(".".join(spec.labels[:k]))
             assert compile_expression(path).evaluate(
-                store, root, label_index=server.label_index
+                store, root, label_index=label_index
             ) == reach(store, root, path)
 
 

@@ -244,7 +244,7 @@ class TestLabelIndexedEvaluation:
                 "define mview YP as: SELECT ROOT.professor X WHERE X.age <= 45"
             )
             catalog.define("define view VP as: SELECT ROOT.professor X")
-            for read in (catalog.query_oids, catalog.serve_oids):
+            for read in (catalog.query_oids, lambda t: catalog.serve(t).oids):
                 answers.append(
                     [
                         read(text)

@@ -1,16 +1,15 @@
-"""The synchronous read path keeps off the columnar snapshot.
+"""Each epoch server keeps its columnar snapshot to itself.
 
-Only the MVCC tier (:class:`~repro.serving.mvcc.EpochServer`) owns a
-columnar snapshot, privately.  A :class:`QueryServer` evaluates misses
-on the live store, and its invalidator fails open wherever the upward
-chain cannot resolve the dependency — sound, at the price of a later
-miss — whether or not an epoch server shares the store.
+An :class:`~repro.serving.mvcc.EpochServer` owns a columnar snapshot
+privately, and its invalidator fails open wherever the upward chain
+cannot resolve the dependency — sound, at the price of a later miss —
+whether or not a second epoch server shares the store.
 """
 
 from repro.gsdb import ObjectStore
 from repro.gsdb.database import DatabaseRegistry
-from repro.gsdb.indexes import LabelIndex, ParentIndex
-from repro.serving import EpochServer, QueryServer
+from repro.gsdb.indexes import ParentIndex
+from repro.serving import EpochServer
 
 
 def build_env():
@@ -22,12 +21,7 @@ def build_env():
     store.add_set("B", "emp", ["B1"])
     store.add_set("R", "root", ["A", "B"])
     registry = DatabaseRegistry(store)
-    server = QueryServer(
-        registry,
-        parent_index=ParentIndex(store),
-        label_index=LabelIndex(store),
-        cache_size=8,
-    )
+    server = EpochServer(registry, parent_index=ParentIndex(store), cache_size=8)
     return store, registry, server
 
 
@@ -77,9 +71,9 @@ class TestFailOpenRefinement:
 
 class TestInvalidatorRefinement:
     def test_single_store_invalidation_unchanged(self):
-        # An epoch server over the same store keeps its snapshot to
-        # itself: the QueryServer's hit/miss flow and charges are those
-        # of a store with no epoch tier at all.
+        # A second epoch server over the same store keeps its snapshot
+        # to itself: the first server's hit/miss flow and charges are
+        # those of a store with no other server at all.
         plain_store, _, plain_server = build_env()
         epoch_store, epoch_reg, epoch_server = build_env()
         EpochServer(epoch_reg, parent_index=ParentIndex(epoch_store)).publish()
@@ -90,10 +84,16 @@ class TestInvalidatorRefinement:
             (epoch_server, epoch_store),
         ):
             before = store.counters.snapshot()
+            read_before = server.read_counters.snapshot()
             server.evaluate_oids(text)
             store.modify_value("A1", "anne")
             server.evaluate_oids(text)
-            deltas.append(store.counters.delta_since(before).as_dict())
+            deltas.append(
+                (
+                    store.counters.delta_since(before).as_dict(),
+                    server.read_counters.delta_since(read_before).as_dict(),
+                )
+            )
         assert plain_server.stats() == epoch_server.stats()
         assert deltas[0] == deltas[1]
         assert not hasattr(epoch_store, "columnar")

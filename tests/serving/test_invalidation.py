@@ -1,16 +1,19 @@
 """Tests for the precise incremental invalidator.
 
 The environment is a two-subtree company: ``R`` (root) holds employees
-``A`` and ``B``; each employee holds atoms.  Precision claims are
-phrased as *non*-invalidation: an update that cannot affect a cached
-answer must leave its entry in place.
+``A`` and ``B``; each employee holds atoms.  The invalidator under test
+is the one keeping an :class:`~repro.serving.mvcc.EpochServer`'s carry
+cache current; reads are ``fresh``.  Precision claims are phrased as
+*non*-invalidation: an update that cannot affect a cached answer must
+leave its entry in place.
 """
 
 from repro.gsdb import ObjectStore
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import ParentIndex
+from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
-from repro.serving import QueryServer
+from repro.serving import EpochServer, Invalidator, QueryCache, build_screen
 from repro.serving.cache import cache_key
 
 
@@ -24,16 +27,33 @@ def build_env(*, with_parent_index: bool = True, cache_size: int = 8):
     store.add_set("R", "root", ["A", "B"])
     parent_index = ParentIndex(store) if with_parent_index else None
     registry = DatabaseRegistry(store)
-    server = QueryServer(
+    server = EpochServer(
         registry, parent_index=parent_index, cache_size=cache_size
     )
     return store, registry, parent_index, server
 
 
-def cached(server, text: str) -> bool:
+def key_of(registry, text: str):
     query = parse_query(text)
-    entry_oid = server._evaluator._resolve_entry(query.entry)
-    return cache_key(query, entry_oid) in server.cache
+    return cache_key(query, QueryEvaluator(registry)._resolve_entry(query.entry))
+
+
+def cached(server, text: str) -> bool:
+    return key_of(server.registry, text) in server.carry
+
+
+def remember(store, registry, parent_index, text: str):
+    """Cache *text*'s answer under a bare invalidator subscribed to the
+    store.  The server never caches a ``WITHIN``/``ANS INT`` query (it
+    reads those off the live store), so their screens are exercised
+    here directly.  Returns the cache and the entry's key."""
+    cache = QueryCache(8)
+    invalidator = Invalidator(store, cache, parent_index=parent_index)
+    store.subscribe(invalidator.on_update)
+    key = key_of(registry, text)
+    cache.store(key, frozenset(QueryEvaluator(registry).evaluate_oids(text)))
+    invalidator.register(build_screen(key, registry))
+    return cache, key
 
 
 class TestLabelGate:
@@ -136,8 +156,10 @@ class TestScopeWatch:
         registry.create_database("D1", ["A"])
         parent_index.ignore_parent("D1")
         text = "SELECT R.emp X WITHIN D1"
+        cache, key = remember(store, registry, parent_index, text)
         assert server.evaluate_oids(text) == {"A"}
         registry.add_member("D1", "B")
+        assert key not in cache
         assert not cached(server, text)
         assert server.evaluate_oids(text) == {"A", "B"}
 
@@ -146,8 +168,10 @@ class TestScopeWatch:
         registry.create_database("D1", ["A", "B"])
         parent_index.ignore_parent("D1")
         text = "SELECT R.emp X ANS INT D1"
+        cache, key = remember(store, registry, parent_index, text)
         assert server.evaluate_oids(text) == {"A", "B"}
         registry.remove_member("D1", "B")
+        assert key not in cache
         assert not cached(server, text)
         assert server.evaluate_oids(text) == {"A"}
 
@@ -195,18 +219,7 @@ class TestBucketLifecycle:
         assert not cached(server, "SELECT A.name X")
         # The forgotten screen no longer fires: an A-subtree update
         # invalidates nothing.
-        before = store.counters.query_cache_invalidations
+        before = server.read_counters.query_cache_invalidations
         store.add_atomic("A3", "name", "amy")
         store.insert_edge("A", "A3")
-        assert store.counters.query_cache_invalidations == before
-
-    def test_invalidate_touching_matches_entry_prefix_and_scope(self):
-        store, registry, parent_index, server = build_env()
-        registry.create_database("D1", ["A"])
-        parent_index.ignore_parent("D1")
-        server.evaluate_oids("SELECT A.name X")
-        server.evaluate_oids("SELECT A1.? X")
-        server.evaluate_oids("SELECT R.emp X WITHIN D1")
-        assert server.invalidate_entry("A") == 1  # exact entry only
-        assert server.invalidate_entry("D1") == 1  # via scope_parents
-        assert server.invalidate_entry("missing") == 0
+        assert server.read_counters.query_cache_invalidations == before

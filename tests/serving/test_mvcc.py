@@ -8,9 +8,11 @@ from repro.gsdb import ObjectStore
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import ParentIndex
 from repro.gsdb.updates import Delete, Insert, Modify
+from repro.instrumentation import Meter
 from repro.query.evaluator import QueryEvaluator
-from repro.serving import AsyncQueryServer, EpochServer, FreshnessPolicy
+from repro.serving import AsyncEpochServer, EpochServer, FreshnessPolicy
 from repro.views import ViewCatalog
+from repro.workloads import person_db, register_person_database
 
 
 def build_env(**kwargs):
@@ -252,16 +254,16 @@ class TestFailOpenUnderEpochServer:
         assert server.violations == 0
 
 
-class TestAsyncQueryServer:
+class TestAsyncEpochServer:
     def test_concurrent_reads_and_writes(self):
         store, registry, core = build_env()
         oracle = QueryEvaluator(registry)
-        server = AsyncQueryServer(core)
+        server = AsyncEpochServer(core)
         text = "SELECT R.emp.name X"
 
         async def scenario():
             answers = await asyncio.gather(
-                *[server.serve_oids(text, "any") for _ in range(16)]
+                *[server.read(text, "any") for _ in range(16)]
             )
             store.add_atomic("C1", "name", "carol")
             await server.apply_batch([Insert("B", "C1")])
@@ -271,14 +273,14 @@ class TestAsyncQueryServer:
             return answers, fresh, final
 
         answers, fresh, final = asyncio.run(scenario())
-        assert all(a == {"A1", "B1"} for a in answers)
+        assert all(a.oids == {"A1", "B1"} for a in answers)
         assert set(fresh.oids) == {"A1", "B1", "C1"}
         assert set(final.oids) == oracle.evaluate_oids(text) == {"A1", "B1"}
         assert core.violations == 0
 
     def test_publish_passthrough(self):
         store, registry, core = build_env()
-        server = AsyncQueryServer(core)
+        server = AsyncEpochServer(core)
 
         async def scenario():
             entry = await server.publish()
@@ -299,8 +301,11 @@ class TestCatalogWiring:
         store.add_set("ROOT", "root", ["P1"])
         catalog.create_database("DB", ["ROOT"])
         server = catalog.enable_async_serving(retention_capacity=3)
-        assert catalog.enable_async_serving() is server  # idempotent
         core = server.core
+        # Idempotent: every front door wraps the catalog's one server.
+        assert catalog.enable_async_serving().core is core
+        assert catalog.enable_serving() is core is catalog.server
+        assert core.retention.capacity == 3
         first = core.read("SELECT ROOT.age X", "fresh")
         assert set(first.oids) == {"P1"}
         store.add_atomic("P2", "age", 40)
@@ -418,3 +423,41 @@ class TestViewsOutsideTheEpochImage:
         assert "V.I1" in answer.oids
         assert set(answer.oids) == catalog.query_oids(text)
         assert answer.source == "interpreted"
+
+
+def person_catalog(**kwargs):
+    catalog = ViewCatalog(**kwargs)
+    person_db(catalog.store, tree=True)
+    register_person_database(catalog)
+    return catalog
+
+
+class TestInterpretedReadsTakeTheCatalogPath:
+    """A read the epochs cannot answer goes through the catalog's own
+    query path: virtual views refreshed first, the label index probed."""
+
+    def test_virtual_view_is_refreshed_before_a_fresh_read(self):
+        catalog = person_catalog()
+        catalog.define(
+            "define view YP as: SELECT ROOT.professor X WHERE X.age <= 45"
+        )
+        core = catalog.enable_async_serving().core
+        text = "SELECT YP.professor X"
+        assert set(core.read(text, "fresh").oids) == {"P1"}
+        catalog.store.modify_value("A1", 60)  # P1 leaves YP
+        answer = core.read(text, "fresh")
+        assert answer.source == "interpreted"
+        assert set(answer.oids) == catalog.query_oids(text) == set()
+
+    def test_interpreted_read_charges_what_the_catalog_charges(self):
+        catalog = person_catalog(with_label_index=True)
+        core = catalog.enable_async_serving().core
+        text = "SELECT ROOT.professor X WHERE X.age > 40 ANS INT PERSON"
+        with Meter(catalog.store.counters) as served:
+            answer = core.read(text, "fresh")
+        with Meter(catalog.store.counters) as queried:
+            expected = catalog.query_oids(text)
+        assert answer.source == "interpreted"
+        assert set(answer.oids) == expected == {"P1"}
+        assert served.delta.as_dict() == queried.delta.as_dict()
+        assert served.delta.total_base_accesses() == 11

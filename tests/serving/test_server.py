@@ -1,4 +1,6 @@
-"""Tests for the QueryServer front door and its integrations."""
+"""Tests for the one read-path server's front door and its catalog
+integration: an :class:`~repro.serving.mvcc.EpochServer` driven
+synchronously, every read at the ``fresh`` policy unless stated."""
 
 import pytest
 
@@ -8,14 +10,15 @@ from repro.gsdb.indexes import LabelIndex, ParentIndex
 from repro.instrumentation import Meter
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
-from repro.serving import QueryServer
+from repro.serving import EpochAnswer, EpochServer
 from repro.serving.cache import cache_key
 from repro.views import ViewCatalog
-from repro.warehouse import ReportingLevel, Source, Warehouse
 from repro.workloads import person_db, register_person_database
 
 
 def build_env(*, indexed=True, **server_kwargs):
+    """The two-employee company; interpreted reads go through a query
+    evaluator probing a label index (scanning with ``indexed=False``)."""
     store = ObjectStore()
     store.add_atomic("A1", "name", "ann")
     store.add_atomic("A2", "age", 30)
@@ -24,24 +27,35 @@ def build_env(*, indexed=True, **server_kwargs):
     store.add_set("B", "emp", ["B1"])
     store.add_set("R", "root", ["A", "B"])
     parent_index = ParentIndex(store)
-    label_index = LabelIndex(store)
     registry = DatabaseRegistry(store)
-    server = QueryServer(
+    evaluator = QueryEvaluator(
+        registry, label_index=LabelIndex(store) if indexed else None
+    )
+    server = EpochServer(
         registry,
         parent_index=parent_index,
-        label_index=label_index if indexed else None,
         cache_size=8,
+        query_fn=evaluator.evaluate_oids,
         **server_kwargs,
     )
     return store, registry, parent_index, server
 
 
+def never_cached(query):
+    return False
+
+
+def oids(server, text):
+    return set(server.read(text).oids)
+
+
 class TestServerBasics:
     def test_miss_then_hit_same_answer(self):
         store, _, _, server = build_env()
-        first = server.evaluate_oids("SELECT R.emp.name X")
-        second = server.evaluate_oids("SELECT R.emp.name X")
-        assert first == second == {"A1", "B1"}
+        first = server.read("SELECT R.emp.name X")
+        second = server.read("SELECT R.emp.name X")
+        assert first.oids == second.oids == {"A1", "B1"}
+        assert (first.source, second.source) == ("kernel", "carry")
         assert server.stats()["hits"] == 1
         assert server.stats()["misses"] == 1
         assert server.hit_rate() == 0.5
@@ -55,45 +69,57 @@ class TestServerBasics:
             "SELECT R.* X WHERE X.age > 20",
             "SELECT R.?.name X",
         ):
-            assert server.evaluate_oids(text) == fresh.evaluate_oids(text)
+            assert oids(server, text) == fresh.evaluate_oids(text)
             # ... and again from the cache.
-            assert server.evaluate_oids(text) == fresh.evaluate_oids(text)
+            assert oids(server, text) == fresh.evaluate_oids(text)
 
-    def test_evaluate_returns_answer_object(self):
+    def test_read_returns_an_epoch_answer(self):
         store, _, _, server = build_env()
-        answer = server.evaluate("SELECT R.emp X")
-        assert answer.label == "answer"
-        assert answer.children() == {"A", "B"}
-        assert answer.oid in store
+        size = len(store)
+        answer = server.read("SELECT R.emp X")
+        assert isinstance(answer, EpochAnswer)
+        assert answer.oids == {"A", "B"}
+        assert (answer.seq, answer.lag, answer.allowed) == (0, 0, 0)
+        # No answer object enters the store, so a read never dirties it
+        # and the next read needs no new epoch.
+        assert len(store) == size
+        assert not server.retention.store_dirty()
+        assert server.read("SELECT R.emp X").seq == 0
 
     def test_classic_evaluation_mode(self):
-        store, registry, _, server = build_env(indexed=False)
+        store, registry, _, server = build_env(
+            indexed=False, cacheable=never_cached
+        )
         fresh = QueryEvaluator(registry)
         text = "SELECT R.emp.name X"
-        assert server.evaluate_oids(text) == fresh.evaluate_oids(text)
-        assert server.evaluate_oids(text) == fresh.evaluate_oids(text)
+        assert oids(server, text) == fresh.evaluate_oids(text)
+        assert oids(server, text) == fresh.evaluate_oids(text)
 
     def test_cacheable_predicate_bypasses_cache(self):
         store, _, _, server = build_env(
             cacheable=lambda query: query.entry != "A"
         )
-        server.evaluate_oids("SELECT A.name X")
-        server.evaluate_oids("SELECT A.name X")
-        assert len(server.cache) == 0
+        assert server.read("SELECT A.name X").source == "interpreted"
+        assert server.read("SELECT A.name X").source == "interpreted"
+        assert len(server.carry) == 0
         assert server.stats()["hits"] == 0
-        server.evaluate_oids("SELECT B.name X")
-        assert len(server.cache) == 1
+        server.read("SELECT B.name X")
+        assert len(server.carry) == 1
 
     def test_answer_is_a_private_copy(self):
         store, _, _, server = build_env()
-        first = server.evaluate_oids("SELECT R.emp X")
-        first.add("tampered")
-        assert server.evaluate_oids("SELECT R.emp X") == {"A", "B"}
+        first = server.read("SELECT R.emp X").oids
+        assert isinstance(first, frozenset)  # callers cannot tamper
+        copy = set(first)
+        copy.add("tampered")
+        assert oids(server, "SELECT R.emp X") == {"A", "B"}
 
 
 class TestIndexedMisses:
-    """A cold miss is the query evaluator's select-filter-intersect
-    body: indexed with a label index, scanning without one."""
+    """A read the epochs do not answer (here: the cacheable predicate
+    declines every query) is the owner's query path, which is the query
+    evaluator's select-filter-intersect body: indexed with a label
+    index, scanning without one."""
 
     TEXTS = (
         "SELECT R.emp X",
@@ -106,17 +132,17 @@ class TestIndexedMisses:
 
     @pytest.mark.parametrize("text", TEXTS)
     def test_miss_matches_unindexed_and_never_charges_more(self, text):
-        store, registry, _, server = build_env()
+        store, registry, _, server = build_env(cacheable=never_cached)
         unindexed_store, unindexed_registry, _, unindexed = build_env(
-            indexed=False
+            indexed=False, cacheable=never_cached
         )
         fresh = QueryEvaluator(unindexed_registry)
         with Meter(unindexed_store.counters) as plain:
             expected = fresh.evaluate_oids(text)
         with Meter(unindexed_store.counters) as scanned:
-            assert unindexed.evaluate_oids(text) == expected
+            assert oids(unindexed, text) == expected
         with Meter(store.counters) as probed:
-            assert server.evaluate_oids(text) == expected
+            assert oids(server, text) == expected
         # Without the index the miss is exactly the plain evaluation.
         for name in ("object_reads", "edge_traversals", "index_probes"):
             assert getattr(scanned.delta, name) == getattr(plain.delta, name)
@@ -126,19 +152,33 @@ class TestIndexedMisses:
         )
 
     def test_miss_condition_probes_the_index(self):
-        store, _, _, server = build_env()
+        store, _, _, server = build_env(cacheable=never_cached)
         with Meter(store.counters) as meter:
-            assert server.evaluate_oids(
-                "SELECT R.emp X WHERE X.name = 'bob'"
-            ) == {"B"}
+            assert oids(server, "SELECT R.emp X WHERE X.name = 'bob'") == {
+                "B"
+            }
         # R for the select path, then A and B for their ``name``.
         assert meter.delta.index_probes == 3
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_kernel_miss_charges_the_reader_ledger_only(self, text):
+        store, registry, _, server = build_env()
+        server.checkpoint()  # the set-up build
+        with Meter(store.counters) as writer:
+            answer = server.read(text)
+        assert answer.source == "kernel"
+        assert set(answer.oids) == QueryEvaluator(registry).evaluate_oids(
+            text
+        )
+        assert writer.delta.as_dict() == {}
+        assert server.read_counters.snapshot_rows_scanned > 0
 
 
 class TestScopedQueriesShareNothing:
     """A WITHIN-scoped query must never share a cache slot with its
     unscoped twin — their answers differ even though select path and
-    entry coincide."""
+    entry coincide.  The scoped twin reads the live store through a
+    scoped view, so it is never cached at all."""
 
     def scoped_env(self):
         store, registry, parent_index, server = build_env()
@@ -150,92 +190,84 @@ class TestScopedQueriesShareNothing:
         store, _, server = self.scoped_env()
         bare = "SELECT R.emp X"
         scoped = "SELECT R.emp X WITHIN D1"
-        assert server.evaluate_oids(scoped) == {"A"}
-        assert server.evaluate_oids(bare) == {"A", "B"}
-        assert len(server.cache) == 2
+        assert oids(server, scoped) == {"A"}
+        assert oids(server, bare) == {"A", "B"}
         k_bare = cache_key(parse_query(bare), "R")
         k_scoped = cache_key(parse_query(scoped), "R")
         assert k_bare != k_scoped
-        assert k_bare in server.cache and k_scoped in server.cache
-        # Both hits serve their own answers.
-        assert server.evaluate_oids(scoped) == {"A"}
-        assert server.evaluate_oids(bare) == {"A", "B"}
+        assert k_bare in server.carry and k_scoped not in server.carry
+        assert len(server.carry) == 1
+        # Each twin keeps serving its own answer.
+        assert server.read(scoped).source == "interpreted"
+        assert oids(server, scoped) == {"A"}
+        assert server.read(bare).source == "carry"
+        assert oids(server, bare) == {"A", "B"}
         assert server.stats()["hits"] == 2
 
     def test_scope_probe_charging_stays_exact(self):
-        """Regression pin: the scoped miss pays one charged probe for
-        each out-of-scope rejection (B here), the scan path (no label
-        index through a ScopedStore), and zero charges on a hit."""
-        store, _, server = self.scoped_env()
+        """Regression pin: the scoped read pays one charged probe for
+        each out-of-scope rejection (B here) on the scan path (no label
+        index through a ScopedStore), on every read, exactly as a
+        direct evaluation does; the bare twin's kernel miss and its hit
+        charge the store nothing."""
+        store, registry, server = self.scoped_env()
         scoped = "SELECT R.emp X WITHIN D1"
         bare = "SELECT R.emp X"
-        with Meter(store.counters) as scoped_miss:
-            assert server.evaluate_oids(scoped) == {"A"}
-        assert scoped_miss.delta.object_reads == 9
-        assert scoped_miss.delta.edge_traversals == 4
-        assert scoped_miss.delta.index_probes == 0  # scan, not index
+        with Meter(store.counters) as direct:
+            QueryEvaluator(registry).evaluate_oids(scoped)
+        for _ in range(2):
+            with Meter(store.counters) as scoped_read:
+                assert oids(server, scoped) == {"A"}
+            assert scoped_read.delta.object_reads == 8
+            assert scoped_read.delta.edge_traversals == 4
+            assert scoped_read.delta.index_probes == 0  # scan, not index
+            assert scoped_read.delta.as_dict() == direct.delta.as_dict()
+        server.checkpoint()
         with Meter(store.counters) as bare_miss:
-            assert server.evaluate_oids(bare) == {"A", "B"}
-        assert bare_miss.delta.object_reads == 3
-        assert bare_miss.delta.edge_traversals == 2
-        assert bare_miss.delta.index_probes == 1  # frontier probes R
-        with Meter(store.counters) as scoped_hit:
-            assert server.evaluate_oids(scoped) == {"A"}
-        assert scoped_hit.delta.total_base_accesses() == 0
-        assert scoped_hit.delta.query_cache_hits == 1
-
-
-class TestWarehouseServing:
-    def make_warehouse(self):
-        store = person_db(tree=True)
-        source = Source("S1", store, "ROOT")
-        wh = Warehouse()
-        wh.connect(source, level=ReportingLevel(2))
-        wh.define_view(
-            "define mview YP as: SELECT ROOT.professor X WHERE X.age <= 45",
-            "S1",
-        )
-        return store, wh
-
-    def test_served_view_query_tracks_maintenance(self):
-        store, wh = self.make_warehouse()
-        server = wh.enable_serving()
-        text = "SELECT YP.professor X"
-        assert server.evaluate_oids(text) == {"YP.P1"}
-        assert server.evaluate_oids(text) == {"YP.P1"}
-        assert server.stats()["hits"] == 1
-        # Age P1 out of the view: maintenance rewires delegates without
-        # store updates, so the warehouse pings invalidate_entry.
-        store.modify_value("A1", 60)
-        assert server.evaluate_oids(text) == set()
-
-    def test_enable_serving_idempotent_and_new_views_registered(self):
-        store, wh = self.make_warehouse()
-        server = wh.enable_serving()
-        assert wh.enable_serving() is server
-        wh.define_view(
-            "define mview ALLP as: SELECT ROOT.professor X", "S1"
-        )
-        assert server.evaluate_oids("SELECT ALLP.professor X") == {
-            "ALLP.P1",
-            "ALLP.P2",
-        }
+            assert oids(server, bare) == {"A", "B"}
+        assert bare_miss.delta.total_base_accesses() == 0
+        assert bare_miss.delta.index_probes == 0
+        with Meter(server.read_counters) as bare_hit:
+            assert oids(server, bare) == {"A", "B"}
+        assert bare_hit.delta.snapshot_rows_scanned == 0
+        assert bare_hit.delta.query_cache_hits == 1
 
 
 class TestCatalogServing:
-    def make_catalog(self):
-        catalog = ViewCatalog()
+    def make_catalog(self, **kwargs):
+        catalog = ViewCatalog(**kwargs)
         person_db(catalog.store, tree=True)
         register_person_database(catalog)
         return catalog
 
+    def test_enable_serving_builds_one_server(self):
+        catalog = self.make_catalog()
+        server = catalog.enable_serving(retention_capacity=2, cache_size=16)
+        assert catalog.enable_serving() is server is catalog.server
+        assert catalog.enable_async_serving().core is server
+        assert server.retention.capacity == 2
+        assert server.cache_size == 16
+
     def test_serve_caches_base_queries(self):
         catalog = self.make_catalog()
         text = "SELECT ROOT.professor X"
-        first = catalog.serve_oids(text)
-        second = catalog.serve_oids(text)
-        assert first == second == {"P1", "P2"}
+        first = catalog.serve(text)
+        second = catalog.serve(text)
+        assert first.oids == second.oids == {"P1", "P2"}
+        assert (first.source, second.source) == ("kernel", "carry")
         assert catalog.server.stats()["hits"] == 1
+
+    def test_serve_honours_the_policy(self):
+        catalog = self.make_catalog()
+        text = "SELECT ROOT.professor X"
+        catalog.serve(text)
+        catalog.store.delete_edge("ROOT", "P2")
+        stale = catalog.serve(text, "any")
+        assert stale.oids == {"P1", "P2"}
+        assert stale.lag == 1
+        fresh = catalog.serve(text)
+        assert fresh.oids == {"P1"}
+        assert fresh.lag == 0
 
     def test_view_backed_queries_served_fresh(self):
         catalog = self.make_catalog()
@@ -243,17 +275,20 @@ class TestCatalogServing:
             "define mview PROF as: SELECT ROOT.professor X WHERE X.age <= 45"
         )
         text = "SELECT PROF.professor X"
-        assert catalog.serve_oids(text) == {"PROF.P1"}
-        assert len(catalog.server.cache) == 0  # never cached
+        assert catalog.serve(text).oids == {"PROF.P1"}
+        assert len(catalog.server.carry) == 0  # never cached
         # Maintenance flows straight through on the next serve.
         catalog.store.modify_value("A1", 60)
-        assert catalog.serve_oids(text) == set()
+        answer = catalog.serve(text)
+        assert answer.oids == set()
+        assert answer.source == "interpreted"
 
     def test_serve_matches_query(self):
-        catalog = self.make_catalog()
-        for text in (
-            "SELECT ROOT.professor X WHERE X.age > 40",
-            "SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-            "SELECT ROOT.?.student X",
-        ):
-            assert catalog.serve_oids(text) == catalog.query_oids(text)
+        for with_label_index in (False, True):
+            catalog = self.make_catalog(with_label_index=with_label_index)
+            for text in (
+                "SELECT ROOT.professor X WHERE X.age > 40",
+                "SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
+                "SELECT ROOT.?.student X",
+            ):
+                assert catalog.serve(text).oids == catalog.query_oids(text)

@@ -118,9 +118,9 @@ class TestServeCommands:
             "serve SELECT ROOT.professor X",
             "serve SELECT ROOT.professor X",
         )
-        assert output.count("= {P1, P2}") == 2
-        assert "(evaluated)" in output
-        assert "(cache hit)" in output
+        assert output.count("{P1, P2}") == 2
+        assert "{P1, P2} (kernel, lag 0)" in output
+        assert "{P1, P2} (carry, lag 0)" in output
 
     def test_serve_sees_updates(self, person_file):
         output = run(
@@ -130,8 +130,8 @@ class TestServeCommands:
             "insert P2 A2",
             "serve SELECT ROOT.professor.age X",
         )
-        assert "= {A1}" in output
-        assert "= {A1, A2}" in output
+        assert "{A1} (kernel, lag 0)" in output
+        assert "{A1, A2} (kernel, lag 0)" in output
 
     def test_serve_usage(self):
         assert "usage: serve SELECT" in run("serve nonsense")
@@ -218,7 +218,13 @@ class TestProfileCommand:
         out = buffer.getvalue()
         assert out.count("total ") == 1
         assert out.count("gc-mark") == 1
-        assert "snapshot_" not in out  # nothing reads a columnar image
+        # Only serving reads a columnar image: the one server publishes
+        # one epoch (there are no writes during the phase) and answers
+        # its misses on it.  Every other phase stays off the image.
+        serve = out.index("  serve ")
+        assert "snapshot_" not in out[:serve]
+        assert "snapshot_" not in out[out.index("  gc-mark"):]
+        assert "snapshot_refreshes: 1" in out[serve:]
 
     def test_profile_bad_argument(self, capsys):
         assert main(["profile", "three"]) == 2

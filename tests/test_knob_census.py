@@ -24,8 +24,6 @@ KNOBS = frozenset(
         "repro.gsdb.indexes:ParentIndex.__init__(chain_cache)",
         "repro.gsdb.store:ObjectStore.__init__(check_references)",
         "repro.relational.maintenance:RelationalMirror.__init__(subscribe)",
-        "repro.serving.invalidation:Invalidator.__init__(subscribe)",
-        "repro.serving.server:QueryServer.__init__(subscribe)",
         "repro.views.aggregate:AggregateView.__init__(subscribe)",
         "repro.views.catalog:ViewCatalog.__init__(with_label_index)",
         "repro.views.catalog:ViewCatalog.__init__(with_parent_index)",
@@ -49,7 +47,6 @@ KNOBS = frozenset(
         "repro.warehouse.warehouse:WarehouseView(needs_resync)",
         "repro.workloads.scenarios:person_db(tree)",
         "repro.workloads.serving:build_query_pool(conditions)",
-        "repro.workloads.serving:run_serving_workload(with_label_index)",
         "repro.workloads.updates:UpdateStream(preserve_tree)",
     }
 )

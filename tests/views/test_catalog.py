@@ -264,5 +264,5 @@ class TestLabelIndexedCatalog:
         unindexed = self.updated_catalog(False)
         assert unindexed.query_oids(text) == expected
         assert indexed.query_oids(text) == expected
-        assert indexed.serve_oids(text) == expected
+        assert indexed.serve(text).oids == expected
         assert all(report.ok for report in indexed.check_all().values())
