@@ -112,9 +112,9 @@ def test_e12_table():
          "deferred recompute", "winner"],
         rows,
         note="incremental dominates read-heavy regimes; deferred "
-        "recomputation amortizes toward (but, with updates this cheap, "
-        "never below) the incremental cost as batches grow — the "
-        "scenario-dependence the paper flags in Section 4.4",
+        "recomputation amortizes toward the incremental cost as batches "
+        "grow, and below it on the small base with the longest batches "
+        "— the scenario-dependence the paper flags in Section 4.4",
         filename="e12_policies.txt",
     )
     # Eager recompute must never win, and incremental must win the

@@ -209,7 +209,10 @@ def test_e16_read_modes():
          "rows scanned/read", "p50 us", "p95 us", "p99 us"],
         rows,
         note="the cache amortizes all traversal after the first pass; "
-        "frontier evaluation cuts the uncached cost; the percentile "
+        "uncached, neither evaluator expands an accepted leaf, and every "
+        "other edge here lies on some query's path, so the label index "
+        "charges what the scan does (the path-depth table shows it "
+        "skipping off-path edges); the percentile "
         "columns are exact nearest-rank over every recorded read "
         "(repro.instrumentation.stats) and, unlike the charged "
         "columns, nondeterministic",

@@ -60,6 +60,29 @@ Counter semantics
                       epoch-pinned evaluation, so E20 can report how
                       much read traffic rode frozen views
 
+The charge rule of query evaluation
+-----------------------------------
+One *evaluation* — the select sweep plus every WHERE sweep of one query
+or one view recomputation
+(:func:`~repro.query.evaluator.select_and_filter`) — shares one
+:class:`~repro.paths.automaton.ChargeLedger`, and within it:
+
+* an object costs one ``object_reads`` the first time it is touched
+  (a probe for an absent or out-of-scope OID included);
+* a parent's ``index_probes`` and its out-edge ``edge_traversals`` are
+  charged once, the first time it is expanded (through the index, each
+  followed label group's existing children once);
+* reading a witness atom's value after the sweep reached it costs
+  nothing;
+* a state set with no outgoing transition is never expanded, with or
+  without an index, so an accepted leaf's children are not read.
+
+A store without an uncharged ``peek`` (a warehouse's remote store)
+charges through its own ``get_optional``, once per object per ledger.
+The view maintainers' per-candidate walks
+(:meth:`~repro.paths.automaton.PathNFA.evaluate`,
+:func:`~repro.query.conditions.evaluate_condition`) charge per walk.
+
 The cache/screening counters are bookkeeping, not base accesses, so
 they do not contribute to :meth:`CostCounters.total_base_accesses` —
 they exist to *explain* why base accesses went down (experiment E14).

@@ -1,9 +1,9 @@
 """The bitset frontier kernel over frozen columnar epochs.
 
-:meth:`~repro.paths.automaton.PathNFA.evaluate` runs the NFA product
-construction over Python objects: a dict lookup, a set-membership test
-and a counter increment per edge.  :func:`evaluate_many_on_snapshot`
-runs the *same* product construction over a frozen
+:meth:`~repro.paths.automaton.PathNFA.evaluate_many` runs the NFA
+product construction over a store's Python objects, many starts in one
+sweep with origin bitmasks.  :func:`evaluate_many_on_snapshot` is its
+twin: the *same* multi-source product construction over a frozen
 :class:`~repro.gsdb.columnar.EpochView`'s integer rows: a whole
 frontier's children arrive as one
 :meth:`~repro.gsdb.columnar.EpochView.gather` (a C-level slice per CSR
@@ -12,11 +12,13 @@ pair once" — becomes a row → origin-mask dict per reachable state set.
 A single-source evaluation is the one-start call.
 
 Equivalence contract: for any store, any compiled expression and any
-start, ``evaluate_many_on_snapshot(view, nfa, [start])[start]`` returns
-exactly ``nfa.evaluate(store, start)`` on the state the view froze —
-the read-path suite ``tests/property/test_read_path_equivalence.py``
-pins both against a brute-force reference under random cyclic graphs,
-wildcard expressions and mid-stream updates.  Notable mirrored corner
+starts, ``evaluate_many_on_snapshot(view, nfa, starts)[start]``,
+``nfa.evaluate_many(store, starts)[start]`` and
+``nfa.evaluate(store, start)`` are the same set on the state the view
+froze — the read-path suite
+``tests/property/test_read_path_equivalence.py`` pins all three
+against a brute-force reference under random cyclic graphs, wildcard
+expressions and mid-stream updates.  Notable mirrored corner
 cases: the start OID is a member when the expression accepts the empty
 path, *even if no such object exists*; a non-set (or absent) start has
 no expansions; dangling child references are never admitted.

@@ -8,20 +8,29 @@ objects reached by the path never satisfy an atomic comparison.
 Boolean connectives (our extension, anticipated by the paper's closing
 remark in Section 2) evaluate compositionally on top of the atoms.
 
-Every helper takes an optional *label_index* and hands it to
-:meth:`~repro.paths.automaton.PathNFA.evaluate`: with one, condition
-paths resolve through its children-by-label adjacency; without one,
-they scan out-edges.  Pass an index only for the unscoped store it was
-built over.
+Two shapes evaluate a condition.  :func:`evaluate_condition` tests one
+candidate, one walk per comparison — the view maintainers' shape, with
+their shared witness memo.  :func:`filter_candidates` tests a whole
+candidate set at once: each Comparison/Exists leaf is one multi-source
+sweep from every candidate, and the connectives are set algebra over
+the results.  It is parameterised by the sweep and a value reader, so
+the live store (:func:`filter_on_store`, over
+:meth:`~repro.paths.automaton.PathNFA.evaluate_many` with one charge
+ledger) and a frozen MVCC epoch (over the bitset kernel) share it.
+
+Every store helper takes an optional *label_index* and hands it to the
+path evaluator: with one, condition paths resolve through its
+children-by-label adjacency; without one, they scan out-edges.  Pass
+an index only for the unscoped store it was built over.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.gsdb.indexes import LabelIndex
 from repro.gsdb.store import ObjectStore
-from repro.paths.automaton import compile_expression
+from repro.paths.automaton import ChargeLedger, compile_expression
 from repro.paths.expression import PathExpression
 from repro.query.ast import And, Comparison, Condition, Exists, Not, Or
 
@@ -110,6 +119,91 @@ def evaluate_condition(
             for operand in condition.operands
         )
     raise TypeError(f"unknown condition node: {condition!r}")
+
+
+def filter_candidates(
+    candidates: set[str],
+    condition: Condition,
+    members: Callable[[set[str], PathExpression], dict[str, set[str]]],
+    value: Callable[[str], object | None],
+) -> set[str]:
+    """Set-at-a-time twin of :func:`evaluate_condition`: the subset of
+    *candidates* satisfying *condition*.
+
+    *members* answers ``(candidates, path)`` with ``candidate.path``
+    for every candidate in one sweep; *value* reads a reached object's
+    atomic value (None for set or absent objects).  Each
+    Comparison/Exists leaf costs a single sweep for the whole candidate
+    set, and the boolean connectives become set algebra: ``any``/
+    ``all``/``not`` per candidate map to union / progressive
+    intersection / complement.  ``And`` narrows the candidate set
+    before evaluating later operands and ``Or`` only re-tests the
+    still-unsatisfied remainder, mirroring the per-candidate
+    evaluator's short-circuiting at set granularity.
+    """
+    if isinstance(condition, Comparison):
+        reached = members(candidates, condition.path)
+        satisfied = set()
+        test = condition.test_value
+        for candidate in candidates:
+            for oid in reached[candidate]:
+                witnessed = value(oid)
+                if witnessed is not None and test(witnessed):
+                    satisfied.add(candidate)
+                    break
+        return satisfied
+    if isinstance(condition, Exists):
+        reached = members(candidates, condition.path)
+        return {c for c in candidates if reached[c]}
+    if isinstance(condition, Not):
+        return candidates - filter_candidates(
+            candidates, condition.operand, members, value
+        )
+    if isinstance(condition, And):
+        surviving = candidates
+        for operand in condition.operands:
+            if not surviving:
+                break
+            surviving = filter_candidates(surviving, operand, members, value)
+        return surviving
+    if isinstance(condition, Or):
+        satisfied: set[str] = set()
+        remaining = candidates
+        for operand in condition.operands:
+            if not remaining:
+                break
+            hits = filter_candidates(remaining, operand, members, value)
+            satisfied |= hits
+            remaining = remaining - hits
+        return satisfied
+    raise TypeError(f"unknown condition node: {condition!r}")
+
+
+def filter_on_store(
+    store: ObjectStore,
+    candidates: set[str],
+    condition: Condition,
+    *,
+    label_index: LabelIndex | None = None,
+    charged: ChargeLedger | None = None,
+) -> set[str]:
+    """:func:`filter_candidates` over a store: one
+    :meth:`~repro.paths.automaton.PathNFA.evaluate_many` sweep per
+    leaf, all charged against *charged* (the evaluation's ledger, or a
+    fresh one), so a witness the sweep reached is read for free."""
+    ledger = ChargeLedger() if charged is None else charged
+    reached = ledger.objects
+
+    def members(starts: Iterable[str], path: PathExpression):
+        return compile_expression(path).evaluate_many(
+            store, starts, label_index=label_index, charged=ledger
+        )
+
+    def value(oid: str):
+        obj = reached[oid] if oid in reached else ledger.touch(store, oid)
+        return None if obj is None or obj.is_set else obj.value
+
+    return filter_candidates(candidates, condition, members, value)
 
 
 def comparisons_disjoint(first: Comparison, second: Comparison) -> bool:

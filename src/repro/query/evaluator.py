@@ -15,14 +15,20 @@ out-of-scope objects do not exist, so they are invisible both as
 intermediate path nodes and in conditions (the paper's example: with
 ``WITHIN D1`` and ``A1`` stored elsewhere, ``X.age > 40`` fails).
 
+Steps 2 and 3 are set-at-a-time (:func:`select_and_filter`): one
+:meth:`~repro.paths.automaton.PathNFA.evaluate_many` sweep for the
+select path, then one sweep per WHERE leaf from every candidate at
+once (:func:`~repro.query.conditions.filter_on_store`), all charged
+against one :class:`~repro.paths.automaton.ChargeLedger` — each object
+is read, and each parent expanded, at most once per query.
+
 Given a :class:`~repro.gsdb.indexes.LabelIndex` (the view catalog
 passes the one it builds with ``with_label_index=True``), an unscoped
 query resolves its select path and every condition path through the
-index's children-by-label adjacency
-(:meth:`~repro.paths.automaton.PathNFA.evaluate` with the index): an
-expanded object costs one index probe, and only out-edges
-whose label the path can consume are read — the base accesses the
-paper's indexes exist to avoid (Section 4.4).  A ``WITHIN`` query keeps
+index's children-by-label adjacency: an expanded object costs one
+index probe, and only out-edges whose label the path can consume are
+followed — the base accesses the paper's indexes exist to avoid
+(Section 4.4).  A ``WITHIN`` query keeps
 the scan: the index sees the whole store, so it would reach children
 the :class:`ScopedStore` must hide, and skip the probe reads an
 out-of-scope child charges.  So does a query entered at a registered
@@ -42,9 +48,10 @@ from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import LabelIndex
 from repro.gsdb.object import Object
 from repro.gsdb.store import ObjectStore
+from repro.paths.automaton import ChargeLedger, compile_expression
 from repro.query.answer import make_answer
 from repro.query.ast import Query
-from repro.query.conditions import evaluate_condition, objects_on_path
+from repro.query.conditions import filter_on_store
 from repro.query.parser import parse_query
 
 
@@ -53,8 +60,10 @@ class ScopedStore:
 
     Implements the subset of the :class:`ObjectStore` read interface the
     traversal and condition machinery uses (``get_optional``, ``get``,
-    ``counters``, ``__contains__``), returning None/absent for objects
-    outside the scope.  The entry point of the running query is always
+    ``peek``, ``counters``, ``__contains__``), returning None/absent for
+    objects outside the scope.  The uncharged ``peek`` lets a sweep
+    charge by the ledger's rule, where an out-of-scope probe still
+    costs its one read.  The entry point of the running query is always
     admitted, since the user evidently holds its OID already.
     """
 
@@ -75,6 +84,9 @@ class ScopedStore:
             return None
         return self._store.get_optional(oid)
 
+    def peek(self, oid: str) -> Object | None:
+        return self._store.peek(oid) if oid in self._scope else None
+
     def get(self, oid: str) -> Object:
         obj = self.get_optional(oid)
         if obj is None:
@@ -85,6 +97,31 @@ class ScopedStore:
 
     def __contains__(self, oid: str) -> bool:
         return oid in self._scope and oid in self._store
+
+
+def select_and_filter(
+    store: ObjectStore | ScopedStore,
+    entry_oid: str,
+    query: Query,
+    *,
+    label_index: LabelIndex | None = None,
+) -> set[str]:
+    """Steps 2–3: ``entry.sel_path_exp`` filtered by the WHERE clause,
+    one select sweep plus one sweep per WHERE leaf under one charge
+    ledger (see the module docstring)."""
+    ledger = ChargeLedger()
+    candidates = compile_expression(query.select_path).evaluate_many(
+        store, [entry_oid], label_index=label_index, charged=ledger
+    )[entry_oid]
+    if query.condition is None:
+        return candidates
+    return filter_on_store(
+        store,
+        candidates,
+        query.condition,
+        label_index=label_index,
+        charged=ledger,
+    )
 
 
 def index_applies(query: Query, names: AbstractSet[str]) -> bool:
@@ -143,17 +180,9 @@ class QueryEvaluator:
             query, self.registry.names()
         ):
             index = None
-        candidates = objects_on_path(
-            store, entry_oid, query.select_path, label_index=index
+        candidates = select_and_filter(
+            store, entry_oid, query, label_index=index
         )
-        if query.condition is not None:
-            candidates = {
-                oid
-                for oid in candidates
-                if evaluate_condition(
-                    store, oid, query.condition, label_index=index
-                )
-            }
         if query.ans_int is not None:
             candidates &= self.registry.members(query.ans_int)
         return candidates

@@ -72,7 +72,8 @@ from repro.gsdb.updates import Update
 from repro.instrumentation.counters import CostCounters
 from repro.paths.automaton import compile_expression
 from repro.paths.kernel import evaluate_many_on_snapshot
-from repro.query.ast import And, Comparison, Condition, Exists, Not, Or, Query
+from repro.query.ast import Query
+from repro.query.conditions import filter_candidates
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.serving.cache import QueryCache, cache_key
@@ -497,7 +498,9 @@ class EpochServer:
             entry_oid
         ]
         if query.condition is not None:
-            candidates = _filter_on_epoch(view, candidates, query.condition)
+            candidates = filter_candidates(
+                candidates, query.condition, *_epoch_readers(view)
+            )
         return candidates
 
     # -- introspection ------------------------------------------------------
@@ -531,73 +534,19 @@ class EpochServer:
         }
 
 
-# -- conditions over a frozen epoch ----------------------------------------
+def _epoch_readers(view):
+    """:func:`~repro.query.conditions.filter_candidates`' sweep and
+    value reader over a frozen view: one bitset-kernel sweep per WHERE
+    leaf, values from the imaged value column."""
 
+    def members(starts, path):
+        return evaluate_many_on_snapshot(view, compile_expression(path), starts)
 
-def _members_by_candidate(
-    view, candidates: set[str], path
-) -> dict[str, set[str]]:
-    """One multi-source sweep of *path* from every candidate at once."""
-    return evaluate_many_on_snapshot(
-        view, compile_expression(path), candidates
-    )
+    def value(oid):
+        row = view.row(oid)
+        return None if row is None else view.atomic_value(row)
 
-
-def _filter_on_epoch(
-    view, candidates: set[str], condition: Condition
-) -> set[str]:
-    """Set-at-a-time twin of :func:`~repro.query.conditions.
-    evaluate_condition` over a frozen view: returns the subset of
-    *candidates* satisfying *condition*.
-
-    The node-at-a-time shape — one interpreted path evaluation per
-    candidate per comparison — dominated epoch evaluation cost (>90%
-    on E20's fanout trees).  Here each Comparison/Exists leaf costs a
-    single :func:`~repro.paths.kernel.evaluate_many_on_snapshot`
-    sweep for the whole candidate set, and the boolean connectives
-    become set algebra: ``any``/``all``/``not`` per candidate map to
-    union / progressive intersection / complement.  ``And`` narrows
-    the candidate set before evaluating later operands and ``Or``
-    only re-tests the still-unsatisfied remainder, mirroring the
-    interpreted evaluator's short-circuiting at set granularity.
-    """
-    if isinstance(condition, Comparison):
-        members = _members_by_candidate(view, candidates, condition.path)
-        satisfied = set()
-        test = condition.test_value
-        for candidate in candidates:
-            for oid in members[candidate]:
-                row = view.row(oid)
-                if row is None:
-                    continue
-                value = view.atomic_value(row)
-                if value is not None and test(value):
-                    satisfied.add(candidate)
-                    break
-        return satisfied
-    if isinstance(condition, Exists):
-        members = _members_by_candidate(view, candidates, condition.path)
-        return {c for c in candidates if members[c]}
-    if isinstance(condition, Not):
-        return candidates - _filter_on_epoch(view, candidates, condition.operand)
-    if isinstance(condition, And):
-        surviving = candidates
-        for operand in condition.operands:
-            if not surviving:
-                break
-            surviving = _filter_on_epoch(view, surviving, operand)
-        return surviving
-    if isinstance(condition, Or):
-        satisfied: set[str] = set()
-        remaining = candidates
-        for operand in condition.operands:
-            if not remaining:
-                break
-            hits = _filter_on_epoch(view, remaining, operand)
-            satisfied |= hits
-            remaining = remaining - hits
-        return satisfied
-    raise TypeError(f"unknown condition node: {condition!r}")
+    return members, value
 
 
 class AsyncEpochServer:

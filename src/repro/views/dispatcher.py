@@ -719,8 +719,14 @@ class _DefinitionIndex:
                         break
         heapify(pending)
         verdicts: dict[tuple, bool] = {}  # extended screens, this update
+        # Registration order of the last turn taken (delivered or
+        # screened out).  A view's own delivery can make it look gated
+        # again (``SELECT ROOT X WHERE ...`` dropping ROOT, re-pushed by
+        # a later root resolution); a turn that has passed is never
+        # taken twice.
+        turn = -1
         while pending:
-            _order, kind, item = heappop(pending)
+            order, kind, item = heappop(pending)
             if kind == _RESOLVE:
                 buckets = self._roots[item]
                 if ctx.label_only(update):
@@ -740,12 +746,16 @@ class _DefinitionIndex:
                 for entry in found:
                     if not entry.maintainer.view.contains(oid):
                         heappush(pending, (entry.order, _MATCHED, entry))
-            elif (
-                kind == _MATCHED
-                or item.screen is None
-                or item.screen.relevant(update, ctx, verdicts)
-            ):
-                yield item
+            elif order <= turn:
+                continue
+            else:
+                turn = order
+                if (
+                    kind == _MATCHED
+                    or item.screen is None
+                    or item.screen.relevant(update, ctx, verdicts)
+                ):
+                    yield item
 
 
 class MaintenanceDispatcher:

@@ -15,9 +15,11 @@ from repro.errors import QueryEvaluationError
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import LabelIndex
 from repro.gsdb.store import ObjectStore
-from repro.paths.automaton import compile_expression
-from repro.query.conditions import evaluate_condition
-from repro.query.evaluator import QueryEvaluator, index_applies
+from repro.query.evaluator import (
+    QueryEvaluator,
+    index_applies,
+    select_and_filter,
+)
 from repro.views.definition import ViewDefinition
 from repro.views.materialized import MaterializedView
 
@@ -33,7 +35,9 @@ def compute_view_members(
 
     When the definition has scope clauses (``WITHIN``/``ANS INT``) a
     registry is required to resolve the database names; scope-free
-    definitions are evaluated directly against the store.  A
+    definitions are evaluated directly against the store, one select
+    sweep plus one sweep per WHERE leaf under one charge ledger
+    (:func:`~repro.query.evaluator.select_and_filter`).  A
     *label_index* over *base_store* resolves the select and condition
     paths through its adjacency where :func:`index_applies` allows.
     """
@@ -55,18 +59,7 @@ def compute_view_members(
         entry = registry.resolve(entry).oid
     if entry not in base_store:
         raise QueryEvaluationError(f"entry object {entry!r} not in store")
-    candidates = compile_expression(query.select_path).evaluate(
-        base_store, entry, label_index=label_index
-    )
-    if query.condition is None:
-        return candidates
-    return {
-        oid
-        for oid in candidates
-        if evaluate_condition(
-            base_store, oid, query.condition, label_index=label_index
-        )
-    }
+    return select_and_filter(base_store, entry, query, label_index=label_index)
 
 
 def recompute_view(

@@ -1,7 +1,9 @@
 """Tests for NFA compilation and graph evaluation of expressions."""
 
-from repro.gsdb import ObjectStore
+from repro.gsdb import LabelIndex, ObjectStore
+from repro.instrumentation import Meter
 from repro.paths import PathExpression, compile_expression, evaluate_expression
+from repro.paths.automaton import ChargeLedger
 
 
 class TestNfaAcceptance:
@@ -81,3 +83,51 @@ class TestGraphEvaluation:
         nfa = compile_expression(PathExpression.parse("a"))
         assert nfa.evaluate(person_store, "ROOT", from_states=frozenset()) == set()
 
+
+
+class TestMultiSourceSweepCharges:
+    """:meth:`PathNFA.evaluate_many` charges by the one-evaluation rule."""
+
+    @staticmethod
+    def store():
+        store = ObjectStore()
+        store.add_atomic("b1", "b", 1)
+        store.add_atomic("b2", "b", 2)
+        store.add_set("a", "a", ["b1", "b2"])
+        store.add_set("root", "root", ["a"])
+        return store
+
+    def test_accepted_leaf_children_are_never_touched(self):
+        # ``root.a`` accepts at ``a`` with no transition left: its two
+        # children are neither traversed nor read, scanning or probing.
+        nfa = compile_expression(PathExpression.parse("a"))
+        for indexed in (False, True):
+            store = self.store()
+            index = LabelIndex(store) if indexed else None
+            with Meter(store.counters) as sweep:
+                found = nfa.evaluate_many(store, ["root"], label_index=index)
+            assert found == {"root": {"a"}}
+            assert sweep.delta.edge_traversals == 1  # root -> a only
+            assert sweep.delta.object_reads == 2  # root, a
+            assert sweep.delta.index_probes == (1 if indexed else 0)
+
+    def test_one_ledger_charges_each_object_once(self):
+        store = self.store()
+        nfa = compile_expression(PathExpression.parse("?.b"))
+        ledger = ChargeLedger()
+        with Meter(store.counters) as first:
+            nfa.evaluate_many(store, ["root"], charged=ledger)
+        assert first.delta.object_reads == 4
+        assert first.delta.edge_traversals == 3
+        with Meter(store.counters) as again:
+            assert nfa.evaluate_many(store, ["root"], charged=ledger) == {
+                "root": {"b1", "b2"}
+            }
+            assert ledger.touch(store, "b1").value == 1
+        assert again.delta.total_base_accesses() == 0
+
+    def test_many_starts_equal_single_walks(self, person_store):
+        nfa = compile_expression(PathExpression.parse("*.name"))
+        starts = ["ROOT", "P1", "P3", "absent"]
+        many = nfa.evaluate_many(person_store, starts)
+        assert many == {start: nfa.evaluate(person_store, start) for start in starts}

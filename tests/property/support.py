@@ -17,7 +17,9 @@ from hypothesis import HealthCheck
 from repro.gsdb import ObjectStore
 from repro.paths import PathExpression
 from repro.paths.expression import AnyPathSegment
+from repro.paths.automaton import compile_expression
 from repro.query.ast import And, Comparison, Exists, Not, Or, Query
+from repro.query.conditions import evaluate_condition
 from repro.views import (
     ExtendedViewMaintainer,
     MaterializedView,
@@ -382,3 +384,48 @@ def reference_answer(store: ObjectStore, registry, query: Query) -> set[str]:
     if query.ans_int is not None:
         answer &= registry.members(query.ans_int)
     return answer
+
+
+# ---------------------------------------------------------------------------
+# the per-candidate query path set-at-a-time evaluation replaced (charged)
+# ---------------------------------------------------------------------------
+
+
+def per_candidate_answer(store, entry: str, query: Query, *, label_index=None):
+    """Steps 2-3 one candidate at a time: one walk for the select path,
+    then one :func:`~repro.query.conditions.evaluate_condition` walk per
+    candidate per comparison, re-reading candidates and witnesses —
+    the reference :func:`~repro.query.evaluator.select_and_filter`'s
+    answers must equal and its charges must never exceed."""
+    candidates = compile_expression(query.select_path).evaluate(
+        store, entry, label_index=label_index
+    )
+    if query.condition is None:
+        return candidates
+    return {
+        oid
+        for oid in candidates
+        if evaluate_condition(
+            store, oid, query.condition, label_index=label_index
+        )
+    }
+
+
+class TouchRecorder:
+    """A store proxy remembering every OID looked up, charged or not."""
+
+    def __init__(self, store) -> None:
+        self._store = store
+        self.counters = store.counters
+        self.touched: set[str] = set()
+
+    def peek(self, oid: str):
+        self.touched.add(oid)
+        return self._store.peek(oid)
+
+    def get_optional(self, oid: str):
+        self.touched.add(oid)
+        return self._store.get_optional(oid)
+
+    def __contains__(self, oid: str) -> bool:
+        return oid in self._store

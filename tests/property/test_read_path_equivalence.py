@@ -18,6 +18,16 @@ the same way, with and without the index, against
 :func:`tests.property.support.reference_answer`.  The epoch side is
 checked across delta refreshes, forced rebuilds and re-created OIDs,
 and an old epoch must keep answering for the state it froze.
+
+The store's multi-source sweep
+(:meth:`~repro.paths.automaton.PathNFA.evaluate_many`) must equal one
+walk per start on the scan, indexed and ``WITHIN`` paths;
+:func:`~repro.query.conditions.filter_candidates` over the store must
+equal per-candidate :func:`~repro.query.conditions.evaluate_condition`
+and the epoch under every connective; and one evaluation must keep the
+charge rule: no more reads than distinct OIDs touched, and never more
+than the per-candidate path
+(:func:`tests.property.support.per_candidate_answer`).
 """
 
 from __future__ import annotations
@@ -33,12 +43,21 @@ from repro.gsdb.columnar import ColumnarSnapshot, EpochView
 from repro.instrumentation import Meter
 from repro.paths import PathExpression, compile_expression
 from repro.paths.kernel import evaluate_many_on_snapshot
-from repro.query import QueryEvaluator, parse_query
+from repro.query import QueryEvaluator, ScopedStore, parse_query
 from repro.query.ast import Query
+from repro.query.conditions import (
+    evaluate_condition,
+    filter_candidates,
+    filter_on_store,
+)
+from repro.query.evaluator import select_and_filter
+from repro.serving.mvcc import _epoch_readers
 from tests.property.support import (
+    TouchRecorder,
     build_store,
     common_settings,
     mutate,
+    per_candidate_answer,
     reach,
     reference_answer,
 )
@@ -60,6 +79,13 @@ CONDITIONS = (
     "NOT X.a < 50",
     "X.a < 20 OR X.b.c > 60",
     "X.b > 10 AND NOT EXISTS X.*.c",
+)
+
+#: Nested connectives for the set-at-a-time filter.
+NESTED_CONDITIONS = CONDITIONS[1:] + (
+    "EXISTS X.a AND (X.b > 30 OR NOT X.*.c < 50)",
+    "NOT (X.? > 30 AND EXISTS X.b.c) OR X < 20",
+    "(X.a > 10 OR X.b < 90) AND NOT (EXISTS X.c OR X.*.a = 55)",
 )
 
 #: ``WITHIN`` keeps the scan; ``ANS INT`` alone may use the index.
@@ -281,3 +307,108 @@ def test_indexed_equals_scan_equals_reference(
     assert_queries_agree(store, index, registry, query)
     churn(store, random.Random(seed ^ 0xC0DE), steps)
     assert_queries_agree(store, index, registry, query)
+
+
+# -- set-at-a-time evaluation over the store -------------------------------------
+
+
+def scoped(store, registry, entry: str) -> ScopedStore:
+    """The store as ``WITHIN SOME`` sees it from *entry*."""
+    return ScopedStore(
+        store,
+        frozenset(registry.members("SOME")),
+        admit=(entry, registry.resolve("SOME").oid),
+    )
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(5, 40),
+    steps=st.integers(0, 12),
+    text=st.sampled_from(SELECT_PATHS),
+)
+@settings(**COMMON)
+def test_store_sweep_equals_one_walk_per_start(seed, nodes, steps, text):
+    store, index, registry = build(seed, nodes)
+    churn(store, random.Random(seed ^ 0x5EEB), steps)
+    nfa = compile_expression(PathExpression.parse(text))
+    starts = sorted(store.oids()) + ["absent"]
+    for target, label_index in (
+        (store, None),
+        (store, index),
+        (scoped(store, registry, "root0"), None),
+    ):
+        many = nfa.evaluate_many(target, starts, label_index=label_index)
+        assert set(many) == set(starts)
+        for start in starts:
+            walked = nfa.evaluate(target, start, label_index=label_index)
+            assert many[start] == walked, (text, start, label_index)
+        one = random.Random(seed).choice(starts)
+        assert nfa.evaluate_many(target, [one], label_index=label_index) == {
+            one: many[one]
+        }
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(5, 40),
+    steps=st.integers(0, 12),
+    condition=st.sampled_from(NESTED_CONDITIONS),
+)
+@settings(**COMMON)
+def test_filter_candidates_store_equals_per_candidate_equals_epoch(
+    seed, nodes, steps, condition
+):
+    store, index, _ = build(seed, nodes)
+    churn(store, random.Random(seed ^ 0xF117), steps)
+    where = parse_query(f"SELECT root0 X WHERE {condition}").condition
+    candidates = set(store.oids()) | {"absent"}
+    expected = {
+        oid for oid in candidates if evaluate_condition(store, oid, where)
+    }
+    assert filter_on_store(store, candidates, where) == expected, condition
+    assert (
+        filter_on_store(store, candidates, where, label_index=index) == expected
+    ), condition
+    view = ColumnarSnapshot(store).freeze()
+    epoch = filter_candidates(candidates, where, *_epoch_readers(view))
+    assert epoch == expected, condition
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(5, 40),
+    steps=st.integers(0, 12),
+    select=st.sampled_from(SELECT_PATHS),
+    condition=st.sampled_from((None,) + NESTED_CONDITIONS),
+    entry=st.sampled_from(("root0", "node3")),
+    mode=st.sampled_from(("scan", "indexed", "within")),
+)
+@settings(**COMMON)
+def test_one_evaluation_charges_each_object_once(
+    seed, nodes, steps, select, condition, entry, mode
+):
+    store, index, registry = build(seed, nodes)
+    churn(store, random.Random(seed ^ 0xC4A6), steps)
+    text = f"SELECT {entry}.{select} X"
+    if condition is not None:
+        text += f" WHERE {condition}"
+    query = parse_query(text)
+    label_index = index if mode == "indexed" else None
+
+    def target():
+        return scoped(store, registry, entry) if mode == "within" else store
+
+    recorder = TouchRecorder(target())
+    with Meter(store.counters) as swept:
+        answer = select_and_filter(recorder, entry, query, label_index=label_index)
+    with Meter(store.counters) as walked:
+        expected = per_candidate_answer(
+            target(), entry, query, label_index=label_index
+        )
+    assert answer == expected, (text, mode)
+    reads = swept.delta.object_reads
+    assert reads <= len(recorder.touched), (text, mode)
+    assert reads <= walked.delta.object_reads, (text, mode)
+    assert swept.delta.edge_traversals <= walked.delta.edge_traversals
+    assert swept.delta.index_probes <= walked.delta.index_probes

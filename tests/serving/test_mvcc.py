@@ -460,4 +460,10 @@ class TestInterpretedReadsTakeTheCatalogPath:
         assert answer.source == "interpreted"
         assert set(answer.oids) == expected == {"P1"}
         assert served.delta.as_dict() == queried.delta.as_dict()
-        assert served.delta.total_base_accesses() == 11
+        # One charge ledger per query.  Select: read ROOT, probe it,
+        # follow and read P1 and P2 (1 + 2 + 2).  WHERE sweep from
+        # {P1, P2}: both already read; probe each, follow and read A1
+        # (1 + 1), whose value is then free.  ANS INT reads PERSON (1).
+        # 5 reads + 3 traversals = 8 (3 probes).
+        assert served.delta.total_base_accesses() == 8
+        assert served.delta.index_probes == 3

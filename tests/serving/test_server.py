@@ -209,7 +209,13 @@ class TestScopedQueriesShareNothing:
         each out-of-scope rejection (B here) on the scan path (no label
         index through a ScopedStore), on every read, exactly as a
         direct evaluation does; the bare twin's kernel miss and its hit
-        charge the store nothing."""
+        charge the store nothing.
+
+        By hand: resolving D1 for the scope and for its admission reads
+        it twice; the select sweep reads R, follows its two out-edges
+        and reads A and the out-of-scope B once each.  A is accepted
+        with no transition left, so it is never expanded and A1/A2
+        are never touched: 2 + 3 = 5 reads, 2 traversals."""
         store, registry, server = self.scoped_env()
         scoped = "SELECT R.emp X WITHIN D1"
         bare = "SELECT R.emp X"
@@ -218,8 +224,8 @@ class TestScopedQueriesShareNothing:
         for _ in range(2):
             with Meter(store.counters) as scoped_read:
                 assert oids(server, scoped) == {"A"}
-            assert scoped_read.delta.object_reads == 8
-            assert scoped_read.delta.edge_traversals == 4
+            assert scoped_read.delta.object_reads == 5
+            assert scoped_read.delta.edge_traversals == 2
             assert scoped_read.delta.index_probes == 0  # scan, not index
             assert scoped_read.delta.as_dict() == direct.delta.as_dict()
         server.checkpoint()

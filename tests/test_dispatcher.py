@@ -396,6 +396,33 @@ class TestIndexLifecycle:
         store.insert_edge("A1", "A1w")
         assert [name for name, _ in log] == ["V0", "V1", "V3", "V5", "V6"]
 
+    def test_a_view_is_delivered_an_update_once(self):
+        # V holds ROOT itself; deleting ROOT's ``a`` child drops it, so
+        # when W's turn resolves ROOT's gate, V no longer holds ROOT and
+        # looks gated again.  Its turn has passed: one delivery each,
+        # exactly as asking every screen in turn.
+        store = ObjectStore()
+        store.add_tree(("ROOT", "root", [("A", "a", 47), ("B", "b", 1)]))
+        index = ParentIndex(store)
+        dispatcher = MaintenanceDispatcher(
+            store, parent_index=index, subscribe=True
+        )
+        log: list = []
+        for name, query in (
+            ("V", "SELECT ROOT X WHERE X.a < 60"),
+            ("W", "SELECT ROOT.a X"),
+        ):
+            view = MaterializedView(
+                ViewDefinition.parse(f"define mview {name} as: {query}"),
+                store,
+                ObjectStore(),
+            )
+            populate_view(view)
+            dispatcher.register(_Named(view, log, parent_index=index))
+        store.delete_edge("ROOT", "A")
+        assert [name for name, _ in log] == ["V", "W"]
+        assert store.counters.updates_screened == 0
+
 
 class TestCoalescing:
     def test_insert_then_delete_cancels(self):
