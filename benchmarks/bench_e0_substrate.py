@@ -58,7 +58,7 @@ def test_e0_constant_path_traversal(benchmark, tree):
 def test_e0_wildcard_evaluation(benchmark, tree):
     store, root = tree
     nfa = compile_expression(PathExpression.parse("*.l4"))
-    benchmark(lambda: nfa.evaluate(store, root))
+    benchmark(lambda: nfa.evaluate_many(store, [root]))
 
 
 @pytest.mark.benchmark(group="e0-query")

@@ -249,9 +249,9 @@ def run_depth_sweep():
         )
         nfa = compile_expression(expression)
         with Meter(store.counters) as classic_meter:
-            expected = nfa.evaluate(store, root)
+            expected = nfa.evaluate_many(store, [root])
         with Meter(store.counters) as indexed_meter:
-            indexed = nfa.evaluate(store, root, label_index=label_index)
+            indexed = nfa.evaluate_many(store, [root], label_index=label_index)
         assert expected == indexed
         rows.append(
             [
@@ -282,8 +282,8 @@ def test_e16_frontier_traversals():
         ["depth", "fanout", "objects", "classic edges", "indexed edges",
          "index probes", "edges saved %"],
         rows,
-        note="label-directed expansion skips off-path edges and never "
-        "expands the accept-only frontier",
+        note="label-directed expansion skips off-path edges; neither "
+        "side expands the accept-only frontier",
         filename="e16_frontier_traversals.txt",
         config={"seed": 29, "sweep": str(DEPTH_SWEEP)},
     )
@@ -311,4 +311,6 @@ def test_e16_frontier_evaluate(benchmark):
     store, root = _noisy_tree(6, 3)
     label_index = LabelIndex(store)
     nfa = compile_expression(PathExpression.parse("l1.l2.l3"))
-    benchmark(lambda: nfa.evaluate(store, root, label_index=label_index))
+    benchmark(
+        lambda: nfa.evaluate_many(store, [root], label_index=label_index)
+    )

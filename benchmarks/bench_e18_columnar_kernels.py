@@ -111,7 +111,7 @@ def test_e18_recompute_speedup():
         before = store.counters.snapshot()
         interp_ms[key] = best_ms(
             lambda: interpreted.__setitem__(
-                key, nfa.evaluate(store, root)
+                key, nfa.evaluate_many(store, [root])[root]
             )
         )
         interp_accesses[key] = (

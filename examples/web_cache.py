@@ -11,7 +11,8 @@ site changes.
 Run:  python examples/web_cache.py
 """
 
-from repro.gsdb import ObjectStore, ParentIndex
+from repro.gsdb import DatabaseRegistry, ObjectStore, ParentIndex
+from repro.query import QueryEvaluator
 from repro.views import (
     ExtendedViewMaintainer,
     MaterializedView,
@@ -23,19 +24,9 @@ from repro.workloads import web_db
 
 
 def flower_pages(store, root) -> set[str]:
-    from repro.paths import PathExpression, evaluate_expression
-    from repro.query.conditions import evaluate_condition
-    from repro.query.parser import parse_query
-
-    query = parse_query(
+    return QueryEvaluator(DatabaseRegistry(store)).evaluate_oids(
         f"SELECT {root}.*.page X WHERE X.word = 'flower'"
     )
-    candidates = evaluate_expression(store, root, query.select_path)
-    return {
-        oid
-        for oid in candidates
-        if evaluate_condition(store, oid, query.condition)
-    }
 
 
 def main() -> None:

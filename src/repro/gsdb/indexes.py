@@ -389,7 +389,7 @@ class LabelIndex:
 
     The index also maintains a *children-by-label adjacency*: for each
     set object, its out-edges grouped by the child's label.  Path
-    evaluation (:meth:`~repro.paths.automaton.PathNFA.evaluate`)
+    evaluation (:meth:`~repro.paths.automaton.PathNFA.evaluate_many`)
     probes it to touch only the out-edges whose
     label has an automaton transition, instead of scanning and
     discarding the rest.  The adjacency is maintained incrementally

@@ -64,7 +64,8 @@ The charge rule of query evaluation
 -----------------------------------
 One *evaluation* — the select sweep plus every WHERE sweep of one query
 or one view recomputation
-(:func:`~repro.query.evaluator.select_and_filter`) — shares one
+(:func:`~repro.query.evaluator.select_and_filter`), or one view
+maintainer's walk — shares one
 :class:`~repro.paths.automaton.ChargeLedger`, and within it:
 
 * an object costs one ``object_reads`` the first time it is touched
@@ -79,9 +80,6 @@ or one view recomputation
 
 A store without an uncharged ``peek`` (a warehouse's remote store)
 charges through its own ``get_optional``, once per object per ledger.
-The view maintainers' per-candidate walks
-(:meth:`~repro.paths.automaton.PathNFA.evaluate`,
-:func:`~repro.query.conditions.evaluate_condition`) charge per walk.
 
 The cache/screening counters are bookkeeping, not base accesses, so
 they do not contribute to :meth:`CostCounters.total_base_accesses` —

@@ -9,11 +9,7 @@
   procedures needed by the Section 6 extended maintainers.
 """
 
-from repro.paths.automaton import (
-    PathNFA,
-    compile_expression,
-    evaluate_expression,
-)
+from repro.paths.automaton import PathNFA, compile_expression
 from repro.paths.containment import (
     are_equivalent,
     containment_counterexample,
@@ -42,7 +38,6 @@ __all__ = [
     "are_equivalent",
     "compile_expression",
     "containment_counterexample",
-    "evaluate_expression",
     "evaluate_many_on_snapshot",
     "intersection_witness",
     "is_contained",

@@ -18,22 +18,24 @@ extended view maintainer (:mod:`repro.views.extended`): feed it a known
 prefix path (``path(ROOT, N1) + label(N2)``) and continue matching only
 in the affected subtree.
 
-:meth:`PathNFA.evaluate_many` is the query evaluator over a store: one
+:meth:`PathNFA.evaluate_many` is the one evaluator over a store: one
 multi-source sweep from many starts (a select path from its entry, a
-WHERE path from every candidate at once), expanding whole OID frontiers
-level by level.  Given a :class:`~repro.gsdb.indexes.LabelIndex` it
-probes the children-by-label adjacency wherever the residual alphabet
-is bounded, and otherwise scans out-edges.  :meth:`PathNFA.evaluate` is
-the single-start walk the view maintainers use (residual
-``from_states`` walks, witness memos).  The frozen epochs of the MVCC
+WHERE path from every candidate at once, a maintainer's residual walk
+from one subtree root with ``from_states``), expanding whole OID
+frontiers level by level.  Given a
+:class:`~repro.gsdb.indexes.LabelIndex` it probes the children-by-label
+adjacency wherever the residual alphabet is bounded, and otherwise
+scans out-edges; pass an index only for the same, unscoped store (a
+:class:`~repro.query.evaluator.ScopedStore` must keep the scan so
+out-of-scope children stay invisible).  The frozen epochs of the MVCC
 tier have their own multi-source evaluator over integer rows
-(:mod:`repro.paths.kernel`); for any start,
-``evaluate_many(store, starts)[start] == evaluate(store, start)`` ==
-the kernel's answer on the state an epoch froze.
+(:mod:`repro.paths.kernel`); for any starts,
+``evaluate_many(store, starts)`` equals the kernel's answer on the
+state an epoch froze.
 
 The charge rule (one evaluation — the select sweep plus every WHERE
-sweep of one query or one recompute — shares one
-:class:`ChargeLedger`):
+sweep of one query or one recompute, or one maintainer walk — shares
+one :class:`ChargeLedger`):
 
 * an object costs one ``object_reads`` the first time it is touched
   (under the index, a child's existence rides on the uncharged
@@ -126,6 +128,10 @@ class PathNFA:
         #: label alphabets with a transition out of a state set (None =
         #: every label moves), memoized per state set.
         self._alphabet_cache: dict[StateSet, frozenset[str] | None] = {}
+        #: (state-set, label) → the step as a sweep uses it: None when
+        #: it dies, else (target, accepting), the target None when it
+        #: is accept-only.
+        self._move_cache: dict[tuple[StateSet, str], tuple | None] = {}
         self._initial = self._closure({0})
 
     # -- core NFA operations -----------------------------------------------------
@@ -173,8 +179,9 @@ class PathNFA:
 
         Wildcard segments (``*`` self-loops, ``?``) consume every label,
         so any live state sitting on one makes the alphabet unbounded.
-        :meth:`evaluate` uses a bounded alphabet to probe the label
-        index instead of scanning out-edges.
+        :meth:`evaluate_many` uses a bounded alphabet to probe the label
+        index instead of scanning out-edges, and an empty one to leave
+        an accept-only state set unexpanded.
         """
         cached = self._alphabet_cache.get(states, _ALPHABET_MISS)
         if cached is not _ALPHABET_MISS:
@@ -219,118 +226,6 @@ class PathNFA:
 
     # -- graph evaluation ---------------------------------------------------------
 
-    def evaluate(
-        self,
-        store: ObjectStore,
-        start: str,
-        *,
-        label_index=None,
-        from_states: StateSet | None = None,
-    ) -> set[str]:
-        """Return ``start.e`` — every object reached along an instance.
-
-        With *from_states*, evaluation continues an already-consumed
-        prefix (the residual trick used for incremental maintenance of
-        wildcard views).  The start object itself is included when the
-        (residual) expression accepts the empty path, even if no such
-        object exists.
-
-        Objects sharing a state set are expanded level by level, so the
-        per-label NFA step is derived once per (state set, label) and
-        shared across the whole frontier (with :meth:`step`'s memo, once
-        ever).  Without *label_index*, or where the residual alphabet
-        is unbounded (``*``, ``?``), an expanded object charges its own
-        ``object_reads`` plus one ``edge_traversals`` and one
-        ``object_reads`` per out-edge.  With a
-        :class:`~repro.gsdb.indexes.LabelIndex` and a bounded alphabet,
-        each parent is expanded through the children-by-label
-        adjacency: one ``index_probes`` per expanded parent replaces one
-        ``edge_traversals`` per out-edge whose label has no transition;
-        admitted children charge one ``edge_traversals`` +
-        ``object_reads`` each (the
-        :func:`~repro.gsdb.traversal.follow_path` accounting — the
-        label test rides on the adjacency, existence on the uncharged
-        ``peek``).  Answers are the same either way.
-
-        Only pass a *label_index* built over the *same, unscoped* store:
-        a :class:`~repro.query.evaluator.ScopedStore` must keep the
-        scan so out-of-scope children stay invisible (and charge their
-        probe reads).
-
-        Cycle-safe, and expansion order is free: the search is
-        level-synchronous and deduplicates on (object, state-set), so a
-        pair enters the next frontier only if no earlier level (nor
-        this one) produced it.  The set of pairs expanded — and with it
-        every charge and the result set — is the same whichever order
-        the frontier's state sets, OIDs and labels are visited in.
-        """
-        initial = self._initial if from_states is None else from_states
-        if not initial:
-            return set()
-        accept = self._accept
-        step = self.step
-        get_optional = store.get_optional
-        results: set[str] = {start} if accept in initial else set()
-        seen: set[tuple[str, StateSet]] = {(start, initial)}
-        peek = getattr(store, "peek", None)
-        indexed = label_index is not None and peek is not None
-        counters = store.counters
-        frontier: dict[StateSet, set[str]] = {initial: {start}}
-        while frontier:
-            next_frontier: dict[StateSet, set[str]] = {}
-            for states, oids in frontier.items():
-                alphabet = (
-                    self.transition_labels(states) if indexed else None
-                )
-                if alphabet is not None and not alphabet:
-                    continue  # no live transition: nothing to expand
-                for oid in oids:
-                    obj = get_optional(oid)
-                    if obj is None or not obj.is_set:
-                        continue
-                    if alphabet is not None:
-                        by_label = label_index.children_by_label(oid)
-                        for label in alphabet:
-                            children = by_label.get(label)
-                            if not children:
-                                continue
-                            next_states = step(states, label)
-                            if not next_states:
-                                continue
-                            accepting = accept in next_states
-                            for child in children:
-                                if peek(child) is None:
-                                    continue
-                                counters.edge_traversals += 1
-                                counters.object_reads += 1
-                                if accepting:
-                                    results.add(child)
-                                key = (child, next_states)
-                                if key not in seen:
-                                    seen.add(key)
-                                    next_frontier.setdefault(
-                                        next_states, set()
-                                    ).add(child)
-                    else:
-                        for child in obj.children():
-                            counters.edge_traversals += 1
-                            child_obj = get_optional(child)
-                            if child_obj is None:
-                                continue
-                            next_states = step(states, child_obj.label)
-                            if not next_states:
-                                continue
-                            if accept in next_states:
-                                results.add(child)
-                            key = (child, next_states)
-                            if key not in seen:
-                                seen.add(key)
-                                next_frontier.setdefault(
-                                    next_states, set()
-                                ).add(child)
-            frontier = next_frontier
-        return results
-
     def evaluate_many(
         self,
         store: ObjectStore,
@@ -338,28 +233,43 @@ class PathNFA:
         *,
         label_index=None,
         charged: ChargeLedger | None = None,
+        from_states: StateSet | None = None,
     ) -> dict[str, set[str]]:
-        """``start.e`` for *many* starts in one multi-source sweep.
+        """``start.e`` for every start, in one multi-source sweep.
 
-        The store twin of
-        :func:`~repro.paths.kernel.evaluate_many_on_snapshot`: origin
-        provenance rides along as an integer bitmask (one bit per
-        distinct start), so each (object, state-set) pair is expanded
-        once per *new* origin arrival instead of once per start, and
-        ``evaluate_many(store, starts)[s] == evaluate(store, s)`` for
-        every start.  Charges follow the module's charge rule against
-        *charged* (a fresh ledger when None): pass one ledger to every
-        sweep of an evaluation and each object, probe and out-edge is
-        paid for once across all of them.  *label_index* is used as in
-        :meth:`evaluate` — only for the same, unscoped store.
+        Origin provenance rides along as an integer bitmask (one bit
+        per distinct start), so each (object, state-set) pair is
+        expanded once per *new* origin arrival instead of once per
+        start; ``evaluate_many(store, starts)[s]`` equals
+        ``evaluate_many(store, [s])[s]`` for every start.
 
-        Counters are added once per call; a single start skips the
-        origin-mask decoding.
+        With *from_states*, every start continues an already-consumed
+        prefix (the residual trick of incremental maintenance of
+        wildcard views) instead of the initial state set.  A start is
+        its own member when the (residual) expression accepts the empty
+        path, even if no such object exists.
+
+        Charges follow the module's charge rule against *charged* (a
+        fresh ledger when None): pass one ledger to every sweep of an
+        evaluation and each object, probe and out-edge is paid for once
+        across all of them.  Counters are added once per call; a single
+        start skips the origin-mask decoding.
+
+        Only pass a *label_index* built over the *same, unscoped*
+        store: a :class:`~repro.query.evaluator.ScopedStore` must keep
+        the scan so out-of-scope children stay invisible (and charge
+        their probe reads).  Answers are the same with or without one.
+
+        Cycle-safe, and expansion order is free: the sweep is
+        level-synchronous and deduplicates on (object, state-set,
+        origin), so the pairs expanded — and with them every charge and
+        the answer — are the same whichever order a frontier's state
+        sets, OIDs and labels are visited in.
         """
         order = list(dict.fromkeys(starts))
-        results: dict[str, set[str]] = {start: set() for start in order}
-        if not order:
-            return results
+        initial = self._initial if from_states is None else from_states
+        if not order or not initial:
+            return {start: set() for start in order}
         ledger = ChargeLedger() if charged is None else charged
         objects = ledger.objects
         expanded = ledger.expanded
@@ -369,7 +279,6 @@ class PathNFA:
         indexed = label_index is not None and peek is not None
         transition_labels = self.transition_labels
         reads = traversals = 0
-        initial = self._initial
         seeds = {start: 1 << bit for bit, start in enumerate(order)}
         visited: dict[StateSet, dict[str, int]] = {initial: dict(seeds)}
         accepted = dict(seeds) if self._accept in initial else {}
@@ -378,6 +287,8 @@ class PathNFA:
             while frontier:
                 next_frontier: dict[StateSet, dict[str, int]] = {}
                 for states, bucket in frontier.items():
+                    if not bucket:
+                        continue  # a step was derived, but nothing new
                     alphabet = transition_labels(states)
                     if alphabet is not None and not alphabet:
                         continue  # accept-only state set: never expanded
@@ -484,19 +395,15 @@ class PathNFA:
                             next_bucket[child] = next_bucket.get(child, 0) | new
                             if accepting:
                                 accepted[child] = accepted.get(child, 0) | new
-                frontier = {
-                    states: bucket
-                    for states, bucket in next_frontier.items()
-                    if bucket
-                }
+                frontier = next_frontier
         finally:  # charge what was touched, even if a fetch raised
             counters = store.counters
             if peek is not None:
                 counters.object_reads += reads
             counters.edge_traversals += traversals
         if len(order) == 1:
-            results[order[0]] = set(accepted)
-            return results
+            return {order[0]: set(accepted)}
+        results: dict[str, set[str]] = {start: set() for start in order}
         for member, mask in accepted.items():
             while mask:
                 low = mask & -mask
@@ -509,21 +416,33 @@ class PathNFA:
         frontier state set: the target's visited masks, its bucket in
         the next frontier, and whether it accepts; None when it dies.
         An accept-only target is never expanded, so it needs neither
-        masks nor a bucket: its arrivals only join the answer."""
-        next_states = self.step(states, label)
-        if not next_states:
+        masks nor a bucket: its arrivals only join the answer.  The
+        step itself is pure, so it is memoized per automaton."""
+        key = (states, label)
+        pure = self._move_cache.get(key, _UNSEEN)
+        if pure is _UNSEEN:
+            target = self.step(states, label)
+            if not target:
+                pure = None
+            elif self.transition_labels(target) == frozenset():
+                pure = (None, True)
+            else:
+                pure = (target, self._accept in target)
+            self._move_cache[key] = pure
+        if pure is None:
             moves[label] = None
             return None
-        if self.transition_labels(next_states) == frozenset():
+        target, accepting = pure
+        if target is None:
             move = moves[label] = (None, None, True)
             return move
-        bits = visited.get(next_states)
+        bits = visited.get(target)
         if bits is None:
-            bits = visited[next_states] = {}
-        bucket = next_frontier.get(next_states)
+            bits = visited[target] = {}
+        bucket = next_frontier.get(target)
         if bucket is None:
-            bucket = next_frontier[next_states] = {}
-        move = moves[label] = (bits, bucket, self._accept in next_states)
+            bucket = next_frontier[target] = {}
+        move = moves[label] = (bits, bucket, accepting)
         return move
 
 
@@ -536,9 +455,3 @@ def compile_expression(expression: PathExpression) -> PathNFA:
     """Compile (with caching — expressions are immutable and hashable)."""
     return _compile_cached(expression)
 
-
-def evaluate_expression(
-    store: ObjectStore, start: str, expression: PathExpression
-) -> set[str]:
-    """Convenience: ``start.expression`` on *store* (paper's ``N.e``)."""
-    return compile_expression(expression).evaluate(store, start)

@@ -12,11 +12,10 @@ pair once" — becomes a row → origin-mask dict per reachable state set.
 A single-source evaluation is the one-start call.
 
 Equivalence contract: for any store, any compiled expression and any
-starts, ``evaluate_many_on_snapshot(view, nfa, starts)[start]``,
-``nfa.evaluate_many(store, starts)[start]`` and
-``nfa.evaluate(store, start)`` are the same set on the state the view
-froze — the read-path suite
-``tests/property/test_read_path_equivalence.py`` pins all three
+starts, ``evaluate_many_on_snapshot(view, nfa, starts)[start]`` and
+``nfa.evaluate_many(store, starts)[start]`` are the same set on the
+state the view froze — the read-path suite
+``tests/property/test_read_path_equivalence.py`` pins both
 against a brute-force reference under random cyclic graphs, wildcard
 expressions and mid-stream updates.  Notable mirrored corner
 cases: the start OID is a member when the expression accepts the empty

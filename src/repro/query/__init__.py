@@ -17,12 +17,7 @@ from repro.query.ast import (
     Query,
     condition_paths,
 )
-from repro.query.conditions import (
-    atomic_values_on_path,
-    evaluate_condition,
-    is_simple_condition,
-    objects_on_path,
-)
+from repro.query.conditions import atomic_values_on_path, is_simple_condition
 from repro.query.evaluator import QueryEvaluator, ScopedStore
 from repro.query.parser import (
     ViewDefinitionStatement,
@@ -53,10 +48,8 @@ __all__ = [
     "answer_over_virtual_view",
     "atomic_values_on_path",
     "condition_paths",
-    "evaluate_condition",
     "is_simple_condition",
     "make_answer",
-    "objects_on_path",
     "parse_query",
     "parse_statement",
     "rewrite_over_view",

@@ -8,15 +8,14 @@ objects reached by the path never satisfy an atomic comparison.
 Boolean connectives (our extension, anticipated by the paper's closing
 remark in Section 2) evaluate compositionally on top of the atoms.
 
-Two shapes evaluate a condition.  :func:`evaluate_condition` tests one
-candidate, one walk per comparison — the view maintainers' shape, with
-their shared witness memo.  :func:`filter_candidates` tests a whole
-candidate set at once: each Comparison/Exists leaf is one multi-source
-sweep from every candidate, and the connectives are set algebra over
-the results.  It is parameterised by the sweep and a value reader, so
-the live store (:func:`filter_on_store`, over
+A condition is evaluated a candidate *set* at a time
+(:func:`filter_candidates`): each Comparison/Exists leaf is one
+multi-source sweep from every candidate, and the connectives are set
+algebra over the results.  It is parameterised by the sweep and a value
+reader, so the live store (:func:`filter_on_store`, over
 :meth:`~repro.paths.automaton.PathNFA.evaluate_many` with one charge
-ledger) and a frozen MVCC epoch (over the bitset kernel) share it.
+ledger) and a frozen MVCC epoch (over the bitset kernel) share it; a
+single candidate is the one-element set.
 
 Every store helper takes an optional *label_index* and hands it to the
 path evaluator: with one, condition paths resolve through its
@@ -35,19 +34,6 @@ from repro.paths.expression import PathExpression
 from repro.query.ast import And, Comparison, Condition, Exists, Not, Or
 
 
-def objects_on_path(
-    store: ObjectStore,
-    start: str,
-    path: PathExpression,
-    *,
-    label_index: LabelIndex | None = None,
-) -> set[str]:
-    """``start.path`` for a (possibly wildcard) path."""
-    return compile_expression(path).evaluate(
-        store, start, label_index=label_index
-    )
-
-
 def atomic_values_on_path(
     store: ObjectStore,
     start: str,
@@ -55,70 +41,20 @@ def atomic_values_on_path(
     *,
     label_index: LabelIndex | None = None,
 ) -> list:
-    """Values of atomic objects in ``start.path`` (sorted by OID)."""
+    """Values of atomic objects in ``start.path`` (sorted by OID): one
+    :meth:`~repro.paths.automaton.PathNFA.evaluate_many` sweep under
+    one ledger, so reading a witness the sweep reached is free."""
+    ledger = ChargeLedger()
+    members = compile_expression(path).evaluate_many(
+        store, (start,), label_index=label_index, charged=ledger
+    )[start]
+    reached = ledger.objects
     values = []
-    for oid in sorted(
-        objects_on_path(store, start, path, label_index=label_index)
-    ):
-        obj = store.get_optional(oid)
+    for oid in sorted(members):
+        obj = reached[oid] if oid in reached else ledger.touch(store, oid)
         if obj is not None and obj.is_atomic:
             values.append(obj.atomic_value())
     return values
-
-
-def evaluate_condition(
-    store: ObjectStore,
-    start: str,
-    condition: Condition,
-    *,
-    values: Callable[[str, PathExpression], list] | None = None,
-    label_index: LabelIndex | None = None,
-) -> bool:
-    """Evaluate a condition tree for candidate object *start*.
-
-    *values* answers ``(start, comparison path)`` in place of
-    :func:`atomic_values_on_path` — view maintainers pass a memoized
-    one so views comparing the same witnesses against different
-    constants read them once.
-    """
-    if isinstance(condition, Comparison):
-        witnessed = (
-            atomic_values_on_path(
-                store, start, condition.path, label_index=label_index
-            )
-            if values is None
-            else values(start, condition.path)
-        )
-        return any(condition.test_value(value) for value in witnessed)
-    if isinstance(condition, Exists):
-        return bool(
-            objects_on_path(
-                store, start, condition.path, label_index=label_index
-            )
-        )
-    if isinstance(condition, Not):
-        return not evaluate_condition(
-            store,
-            start,
-            condition.operand,
-            values=values,
-            label_index=label_index,
-        )
-    if isinstance(condition, And):
-        return all(
-            evaluate_condition(
-                store, start, operand, values=values, label_index=label_index
-            )
-            for operand in condition.operands
-        )
-    if isinstance(condition, Or):
-        return any(
-            evaluate_condition(
-                store, start, operand, values=values, label_index=label_index
-            )
-            for operand in condition.operands
-        )
-    raise TypeError(f"unknown condition node: {condition!r}")
 
 
 def filter_candidates(
@@ -127,8 +63,7 @@ def filter_candidates(
     members: Callable[[set[str], PathExpression], dict[str, set[str]]],
     value: Callable[[str], object | None],
 ) -> set[str]:
-    """Set-at-a-time twin of :func:`evaluate_condition`: the subset of
-    *candidates* satisfying *condition*.
+    """The subset of *candidates* satisfying *condition*.
 
     *members* answers ``(candidates, path)`` with ``candidate.path``
     for every candidate in one sweep; *value* reads a reached object's
@@ -138,8 +73,7 @@ def filter_candidates(
     ``all``/``not`` per candidate map to union / progressive
     intersection / complement.  ``And`` narrows the candidate set
     before evaluating later operands and ``Or`` only re-tests the
-    still-unsatisfied remainder, mirroring the per-candidate
-    evaluator's short-circuiting at set granularity.
+    still-unsatisfied remainder: short-circuiting at set granularity.
     """
     if isinstance(condition, Comparison):
         reached = members(candidates, condition.path)

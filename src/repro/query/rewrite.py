@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.object import Object
-from repro.paths.automaton import compile_expression
+from repro.paths.automaton import ChargeLedger, compile_expression
 from repro.query.answer import make_answer
 from repro.query.ast import Query
-from repro.query.conditions import evaluate_condition
+from repro.query.conditions import filter_on_store
 from repro.query.evaluator import QueryEvaluator
 
 
@@ -83,23 +83,25 @@ def _rewritten(
     members = evaluator.evaluate_oids(view_query)
     store = evaluator.store
     nfa = compile_expression(query.select_path)
+    ledger = ChargeLedger()
     results: set[str] = set()
     # The (virtual) view object is the entry point, so the select path's
     # first step consumes the edge from the view object to a member:
     # feed each member's label to the NFA, then continue from the member.
     initial = nfa.initial()
     for member in sorted(members):
-        obj = store.get_optional(member)
+        obj = ledger.touch(store, member)
         if obj is None:
             continue
         states = nfa.step(initial, obj.label)
-        if not states:
-            continue
-        for candidate in nfa.evaluate(store, member, from_states=states):
-            if query.condition is None or evaluate_condition(
-                store, candidate, query.condition
-            ):
-                results.add(candidate)
+        if states:
+            results |= nfa.evaluate_many(
+                store, (member,), charged=ledger, from_states=states
+            )[member]
+    if query.condition is not None:
+        results = filter_on_store(
+            store, results, query.condition, charged=ledger
+        )
     if query.ans_int is not None:
         results &= evaluator.registry.members(query.ans_int)
     return make_answer(sorted(results), store=store)

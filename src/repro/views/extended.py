@@ -47,7 +47,8 @@ from repro.gsdb.traversal import chain_between
 from repro.gsdb.updates import Delete, Insert, Modify, Update
 from repro.paths.automaton import compile_expression
 from repro.paths.expression import PathExpression
-from repro.query.conditions import atomic_values_on_path, evaluate_condition
+from repro.query.ast import And
+from repro.query.conditions import atomic_values_on_path
 from repro.views.maintenance import purge_stranded, unshared
 from repro.views.materialized import MaterializedView
 
@@ -81,7 +82,15 @@ class ExtendedViewMaintainer:
             parent_index.ignore_view(view.oid)
         self.root = view.definition.entry
         self.sel_nfa = compile_expression(view.definition.select_expression)
-        self.condition = view.definition.condition
+        self.condition = condition = view.definition.condition
+        # The WHERE clause's conjuncts: ``is_extended`` admits a
+        # comparison or an ``And`` of comparisons.
+        if condition is None:
+            self.comparisons = ()
+        elif isinstance(condition, And):
+            self.comparisons = condition.operands
+        else:
+            self.comparisons = (condition,)
         self.updates_processed = 0
         self._context: "PathContext | None" = None
         self._shared = unshared
@@ -169,7 +178,9 @@ class ExtendedViewMaintainer:
             states = nfa.step(states, child.label)
             if not states:
                 return set()
-            return nfa.evaluate(self.base, child_oid, from_states=states)
+            return nfa.evaluate_many(
+                self.base, (child_oid,), from_states=states
+            )[child_oid]
 
         return self._shared(
             ("down", self.root, nfa, chain[-1], child_oid), walk
@@ -186,8 +197,12 @@ class ExtendedViewMaintainer:
         )
 
     def _holds(self, candidate: str) -> bool:
-        return self.condition is None or evaluate_condition(
-            self.base, candidate, self.condition, values=self._witness_values
+        return all(
+            any(
+                comparison.test_value(value)
+                for value in self._witness_values(candidate, comparison.path)
+            )
+            for comparison in self.comparisons
         )
 
     def _derives(self, oid: str) -> bool:

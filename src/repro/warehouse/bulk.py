@@ -47,7 +47,7 @@ from typing import Callable
 from repro.gsdb.object import AtomicValue
 from repro.gsdb.store import ObjectStore
 from repro.gsdb.updates import Modify
-from repro.paths.automaton import compile_expression
+from repro.paths.automaton import ChargeLedger, compile_expression
 from repro.paths.containment import is_empty_intersection
 from repro.paths.expression import (
     AnyLabelSegment,
@@ -55,10 +55,7 @@ from repro.paths.expression import (
     PathExpression,
 )
 from repro.query.ast import Comparison
-from repro.query.conditions import (
-    comparisons_disjoint,
-    evaluate_condition,
-)
+from repro.query.conditions import comparisons_disjoint, filter_on_store
 from repro.views.definition import ViewDefinition
 
 
@@ -97,15 +94,16 @@ def execute_bulk(
     store: ObjectStore, root: str, bulk: BulkUpdate
 ) -> list[Modify]:
     """Apply *bulk* at the source; returns the basic updates performed."""
-    owners = compile_expression(bulk.owner_path).evaluate(store, root)
+    ledger = ChargeLedger()
+    owners = compile_expression(bulk.owner_path).evaluate_many(
+        store, (root,), charged=ledger
+    )[root]
+    if bulk.guard is not None:
+        owners = filter_on_store(store, owners, bulk.guard, charged=ledger)
     applied: list[Modify] = []
     for owner in sorted(owners):
         obj = store.get_optional(owner)
         if obj is None or not obj.is_set:
-            continue
-        if bulk.guard is not None and not evaluate_condition(
-            store, owner, bulk.guard
-        ):
             continue
         for child_oid in obj.sorted_children():
             child = store.get_optional(child_oid)

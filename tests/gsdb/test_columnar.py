@@ -235,7 +235,7 @@ class TestRefreshPostcondition:
         view = EpochView(snap, store.counters)
         members = evaluate_many_on_snapshot(view, AGE, ["r"])["r"]
         assert "a2" in members
-        assert members == AGE.evaluate(store, "r")
+        assert members == AGE.evaluate_many(store, ["r"])["r"]
 
     def test_epoch_advances_once_per_refresh(self):
         store = wide_store()

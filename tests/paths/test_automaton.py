@@ -2,8 +2,15 @@
 
 from repro.gsdb import LabelIndex, ObjectStore
 from repro.instrumentation import Meter
-from repro.paths import PathExpression, compile_expression, evaluate_expression
+from repro.paths import PathExpression, compile_expression
 from repro.paths.automaton import ChargeLedger
+
+
+def evaluate(store, start, expression, **kwargs):
+    """``start.expression`` on *store*: the one-start sweep."""
+    return compile_expression(expression).evaluate_many(
+        store, (start,), **kwargs
+    )[start]
 
 
 class TestNfaAcceptance:
@@ -32,7 +39,7 @@ class TestNfaAcceptance:
 class TestGraphEvaluation:
     def test_paper_view_vj(self, person_store):
         # ROOT.* reaches every descendant (and ROOT itself).
-        result = evaluate_expression(
+        result = evaluate(
             person_store, "ROOT", PathExpression.parse("*")
         )
         assert "ROOT" in result
@@ -40,25 +47,25 @@ class TestGraphEvaluation:
 
     def test_paper_view_prof(self, person_store):
         # Expression 3.4: SELECT ROOT.*.professor
-        result = evaluate_expression(
+        result = evaluate(
             person_store, "ROOT", PathExpression.parse("*.professor")
         )
         assert result == {"P1", "P2"}
 
     def test_paper_view_student_under_prof(self, person_store):
-        result = evaluate_expression(
+        result = evaluate(
             person_store, "ROOT", PathExpression.parse("*.professor.*.student")
         )
         assert result == {"P3"}
 
     def test_question_mark_children(self, person_store):
-        result = evaluate_expression(
+        result = evaluate(
             person_store, "P2", PathExpression.parse("?")
         )
         assert result == {"N2", "ADD2"}
 
     def test_constant_path(self, person_store):
-        result = evaluate_expression(
+        result = evaluate(
             person_store, "ROOT", PathExpression.parse("professor.age")
         )
         assert result == {"A1"}
@@ -68,7 +75,7 @@ class TestGraphEvaluation:
         s.add_set("a", "x", ["b"])
         s.add_set("b", "x", ["a", "c"])
         s.add_atomic("c", "leaf", 1)
-        result = evaluate_expression(s, "a", PathExpression.parse("*.leaf"))
+        result = evaluate(s, "a", PathExpression.parse("*.leaf"))
         assert result == {"c"}
 
     def test_from_states_residual_evaluation(self, person_store):
@@ -76,13 +83,13 @@ class TestGraphEvaluation:
         e = PathExpression.parse("professor.age")
         nfa = compile_expression(e)
         states = nfa.residual(["professor"])
-        result = nfa.evaluate(person_store, "P1", from_states=states)
+        result = evaluate(person_store, "P1", e, from_states=states)
         assert result == {"A1"}
 
     def test_empty_from_states(self, person_store):
-        nfa = compile_expression(PathExpression.parse("a"))
-        assert nfa.evaluate(person_store, "ROOT", from_states=frozenset()) == set()
-
+        e = PathExpression.parse("a")
+        empty = frozenset()
+        assert evaluate(person_store, "ROOT", e, from_states=empty) == set()
 
 
 class TestMultiSourceSweepCharges:
@@ -130,4 +137,7 @@ class TestMultiSourceSweepCharges:
         nfa = compile_expression(PathExpression.parse("*.name"))
         starts = ["ROOT", "P1", "P3", "absent"]
         many = nfa.evaluate_many(person_store, starts)
-        assert many == {start: nfa.evaluate(person_store, start) for start in starts}
+        assert many == {
+            start: nfa.evaluate_many(person_store, [start])[start]
+            for start in starts
+        }

@@ -1,6 +1,7 @@
 """Tests for the bitset frontier kernel over frozen columnar epochs.
 
-Answers are checked against the store evaluator (``PathNFA.evaluate``)
+Answers are checked against the store evaluator
+(``PathNFA.evaluate_many`` with one start)
 — the kernel's contract is byte-identical member sets, corner cases
 included — and the one-start sweep's row scans are pinned as literals.
 """
@@ -20,6 +21,11 @@ def nfa_for(text: str):
 
 def frozen(store):
     return ColumnarSnapshot(store).freeze()
+
+
+def on_store(store, nfa, start):
+    """``start.e`` on *store*: the store evaluator with one start."""
+    return nfa.evaluate_many(store, [start])[start]
 
 
 def on_epoch(view, nfa, start):
@@ -54,8 +60,8 @@ class TestEvaluateEquivalence:
         view = frozen(person_store)
         for text in EXPRESSIONS:
             nfa = nfa_for(text)
-            assert on_epoch(view, nfa, "ROOT") == nfa.evaluate(
-                person_store, "ROOT"
+            assert on_epoch(view, nfa, "ROOT") == on_store(
+                person_store, nfa, "ROOT"
             ), text
 
     def test_tracks_updates_through_delta_refresh(self, person_store):
@@ -64,33 +70,33 @@ class TestEvaluateEquivalence:
         person_store.delete_edge("ROOT", "P1")
         view = manager.freeze()
         nfa = nfa_for("professor.name")
-        assert on_epoch(view, nfa, "ROOT") == nfa.evaluate(
-            person_store, "ROOT"
+        assert on_epoch(view, nfa, "ROOT") == on_store(
+            person_store, nfa, "ROOT"
         )
 
     def test_missing_entry_matches_interpreted(self, person_store):
         view = frozen(person_store)
         nfa = nfa_for("professor")
-        assert on_epoch(view, nfa, "GHOST") == nfa.evaluate(
-            person_store, "GHOST"
+        assert on_epoch(view, nfa, "GHOST") == on_store(
+            person_store, nfa, "GHOST"
         )
 
     def test_empty_expression_admits_absent_start(self, person_store):
-        # evaluate() admits the start under an initially-accepting NFA
+        # The store evaluator admits the start under an accepting NFA
         # even when the OID does not exist; the kernel must mirror that.
         view = frozen(person_store)
         nfa = nfa_for("*")
-        assert "GHOST" in nfa.evaluate(person_store, "GHOST")
-        assert on_epoch(view, nfa, "GHOST") == nfa.evaluate(
-            person_store, "GHOST"
+        assert "GHOST" in on_store(person_store, nfa, "GHOST")
+        assert on_epoch(view, nfa, "GHOST") == on_store(
+            person_store, nfa, "GHOST"
         )
 
     def test_non_set_start_never_expands(self, person_store):
         view = frozen(person_store)
         for text in ("*", "name"):
             nfa = nfa_for(text)
-            assert on_epoch(view, nfa, "N1") == nfa.evaluate(
-                person_store, "N1"
+            assert on_epoch(view, nfa, "N1") == on_store(
+                person_store, nfa, "N1"
             ), text
 
     def test_cycle_terminates(self):
@@ -105,17 +111,15 @@ class TestEvaluateEquivalence:
         store.add_set("root", "root", ["gone"])
         view = frozen(store)
         nfa = nfa_for("*")
-        assert on_epoch(view, nfa, "root") == nfa.evaluate(
-            store, "root"
-        )
+        assert on_epoch(view, nfa, "root") == on_store(store, nfa, "root")
 
     def test_shared_subtree_admitted_once(self, person_store):
         # P3 has two parents (DAG); results are sets either way but the
         # traversal must not loop or double-expand.
         view = frozen(person_store)
         nfa = nfa_for("?.?")
-        assert on_epoch(view, nfa, "ROOT") == nfa.evaluate(
-            person_store, "ROOT"
+        assert on_epoch(view, nfa, "ROOT") == on_store(
+            person_store, nfa, "ROOT"
         )
 
 
@@ -128,15 +132,15 @@ class TestFrozenEpoch:
         nfa = nfa_for(text)
         manager = ColumnarSnapshot(person_store)
         view = manager.freeze()
-        before = nfa.evaluate(person_store, "ROOT")
+        before = on_store(person_store, nfa, "ROOT")
         person_store.delete_edge("ROOT", "P1")
         person_store.add_atomic("N9", "name", "Nina")
         person_store.add_set("P9", "professor", ["N9"])
         person_store.insert_edge("ROOT", "P9")
         later = manager.freeze()
         assert on_epoch(view, nfa, "ROOT") == before, text
-        assert on_epoch(later, nfa, "ROOT") == nfa.evaluate(
-            person_store, "ROOT"
+        assert on_epoch(later, nfa, "ROOT") == on_store(
+            person_store, nfa, "ROOT"
         ), text
 
     def test_sweeps_charge_the_view_counters(self, person_store):

@@ -17,9 +17,7 @@ from hypothesis import HealthCheck
 from repro.gsdb import ObjectStore
 from repro.paths import PathExpression
 from repro.paths.expression import AnyPathSegment
-from repro.paths.automaton import compile_expression
 from repro.query.ast import And, Comparison, Exists, Not, Or, Query
-from repro.query.conditions import evaluate_condition
 from repro.views import (
     ExtendedViewMaintainer,
     MaterializedView,
@@ -307,17 +305,23 @@ def mutate(
 
 
 def reach(
-    store: ObjectStore, start: str, path: PathExpression, exists=None
+    store: ObjectStore,
+    start: str,
+    path: PathExpression,
+    exists=None,
+    *,
+    positions=(0,),
 ) -> set[str]:
     """``start.path`` from the definitions alone: a search over (object,
     segment position) pairs, reading the store uncharged.  *exists*
     narrows which objects are visible (default: those in *store*); the
     start is a member when the path accepts the empty word, present or
-    not."""
+    not.  *positions* are the segment positions the search starts at
+    (a residual start: the NFA states after a consumed prefix)."""
     if exists is None:
         exists = store.__contains__
     segments = path.segments
-    todo = [(start, 0)]
+    todo = [(start, position) for position in positions]
     seen = set(todo)
     found = set()
     while todo:
@@ -344,6 +348,32 @@ def reach(
     return found
 
 
+def reference_holds(store: ObjectStore, condition, oid: str, exists=None):
+    """``cond()`` for candidate *oid* from the definitions alone:
+    existential comparisons over :func:`reach`, and the connectives
+    read as booleans.  *exists* is as for :func:`reach`."""
+    if exists is None:
+        exists = store.__contains__
+    if isinstance(condition, Comparison):
+        return any(
+            condition.test_value(store.peek(hit).atomic_value())
+            for hit in reach(store, oid, condition.path, exists)
+            if exists(hit) and store.peek(hit).is_atomic
+        )
+    if isinstance(condition, Exists):
+        return bool(reach(store, oid, condition.path, exists))
+    if isinstance(condition, Not):
+        return not reference_holds(store, condition.operand, oid, exists)
+    parts = (
+        reference_holds(store, part, oid, exists)
+        for part in condition.operands
+    )
+    if isinstance(condition, And):
+        return all(parts)
+    assert isinstance(condition, Or)
+    return any(parts)
+
+
 def reference_answer(store: ObjectStore, registry, query: Query) -> set[str]:
     """``entry.sel_path_exp`` filtered by ``cond``, scoped by ``WITHIN``
     and ``ANS INT``, from the definitions alone (see :func:`reach`)."""
@@ -360,26 +390,11 @@ def reference_answer(store: ObjectStore, registry, query: Query) -> set[str]:
     def exists(oid: str) -> bool:
         return oid in store and (visible is None or oid in visible)
 
-    def holds(condition, oid: str) -> bool:
-        if isinstance(condition, Comparison):
-            return any(
-                condition.test_value(store.peek(hit).atomic_value())
-                for hit in reach(store, oid, condition.path, exists)
-                if exists(hit) and store.peek(hit).is_atomic
-            )
-        if isinstance(condition, Exists):
-            return bool(reach(store, oid, condition.path, exists))
-        if isinstance(condition, Not):
-            return not holds(condition.operand, oid)
-        if isinstance(condition, And):
-            return all(holds(part, oid) for part in condition.operands)
-        assert isinstance(condition, Or)
-        return any(holds(part, oid) for part in condition.operands)
-
     answer = {
         oid
         for oid in reach(store, entry, query.select_path, exists)
-        if query.condition is None or holds(query.condition, oid)
+        if query.condition is None
+        or reference_holds(store, query.condition, oid, exists)
     }
     if query.ans_int is not None:
         answer &= registry.members(query.ans_int)
@@ -387,28 +402,8 @@ def reference_answer(store: ObjectStore, registry, query: Query) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# the per-candidate query path set-at-a-time evaluation replaced (charged)
+# what one evaluation touched
 # ---------------------------------------------------------------------------
-
-
-def per_candidate_answer(store, entry: str, query: Query, *, label_index=None):
-    """Steps 2-3 one candidate at a time: one walk for the select path,
-    then one :func:`~repro.query.conditions.evaluate_condition` walk per
-    candidate per comparison, re-reading candidates and witnesses —
-    the reference :func:`~repro.query.evaluator.select_and_filter`'s
-    answers must equal and its charges must never exceed."""
-    candidates = compile_expression(query.select_path).evaluate(
-        store, entry, label_index=label_index
-    )
-    if query.condition is None:
-        return candidates
-    return {
-        oid
-        for oid in candidates
-        if evaluate_condition(
-            store, oid, query.condition, label_index=label_index
-        )
-    }
 
 
 class TouchRecorder:

@@ -73,7 +73,9 @@ class TestGraphEvaluation:
             nodes=nodes, labels=LABELS, seed=seed
         )
         expression = PathExpression.parse(expr)
-        evaluated = compile_expression(expression).evaluate(store, root)
+        evaluated = compile_expression(expression).evaluate_many(
+            store, [root]
+        )[root]
 
         brute: set[str] = set()
         # A tree of n nodes has paths no longer than n; the feasibility

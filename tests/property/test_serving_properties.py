@@ -94,9 +94,9 @@ class TestServedAnswersNeverStale:
             assert served == fresh.evaluate_oids(text), text
         for k in range(1, spec.depth + 1):
             path = PathExpression.parse(".".join(spec.labels[:k]))
-            assert compile_expression(path).evaluate(
-                store, root, label_index=label_index
-            ) == reach(store, root, path)
+            assert compile_expression(path).evaluate_many(
+                store, [root], label_index=label_index
+            ) == {root: reach(store, root, path)}
 
 
 class TestFrontierEquivalence:
@@ -124,6 +124,6 @@ class TestFrontierEquivalence:
         ] + ["*", "?", f"*.{spec.labels[-1]}"]
         for text in expressions:
             path = PathExpression.parse(text)
-            assert compile_expression(path).evaluate(
-                store, root, label_index=index
-            ) == reach(store, root, path), text
+            assert compile_expression(path).evaluate_many(
+                store, [root], label_index=index
+            ) == {root: reach(store, root, path)}, text

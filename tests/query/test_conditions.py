@@ -11,59 +11,70 @@ from repro.query import (
     Exists,
     Not,
     Or,
-    evaluate_condition,
     is_simple_condition,
 )
-from repro.query.conditions import atomic_values_on_path, objects_on_path
+from repro.query.conditions import atomic_values_on_path, filter_on_store
 
 p = PathExpression.parse
+
+
+def holds(store, oid, condition, **kwargs):
+    """Does candidate *oid* satisfy *condition*: a one-candidate filter."""
+    return oid in filter_on_store(store, {oid}, condition, **kwargs)
+
+
+def reached(store, start, path, **kwargs):
+    """``start.path``: the one-start sweep."""
+    return compile_expression(path).evaluate_many(
+        store, (start,), **kwargs
+    )[start]
 
 
 class TestComparisonAtom:
     def test_existential_semantics(self, person_store):
         # P1 has one age (45); cond true if ANY value satisfies.
-        assert evaluate_condition(
+        assert holds(
             person_store, "P1", Comparison(p("age"), "<=", 45)
         )
-        assert not evaluate_condition(
+        assert not holds(
             person_store, "P1", Comparison(p("age"), ">", 45)
         )
 
     def test_multiple_values_any(self, person_store):
         person_store.add_atomic("A1b", "age", 99)
         person_store.insert_edge("P1", "A1b")
-        assert evaluate_condition(
+        assert holds(
             person_store, "P1", Comparison(p("age"), ">", 90)
         )
 
     def test_missing_path_is_false(self, person_store):
-        assert not evaluate_condition(
+        assert not holds(
             person_store, "P2", Comparison(p("age"), ">", 0)
         )
 
     def test_string_equality(self, person_store):
-        assert evaluate_condition(
+        assert holds(
             person_store, "P1", Comparison(p("name"), "=", "John")
         )
 
     def test_contains(self, person_store):
-        assert evaluate_condition(
+        assert holds(
             person_store, "P2", Comparison(p("address"), "contains", "Palo")
         )
 
     def test_matches_regex(self, person_store):
-        assert evaluate_condition(
+        assert holds(
             person_store, "P2", Comparison(p("name"), "matches", "^Sal")
         )
 
     def test_type_mismatch_is_false_not_error(self, person_store):
-        assert not evaluate_condition(
+        assert not holds(
             person_store, "P1", Comparison(p("name"), ">", 40)
         )
 
     def test_wildcard_condition_path(self, person_store):
         # any descendant name = 'John' under P1 (includes student P3's).
-        assert evaluate_condition(
+        assert holds(
             person_store, "P1", Comparison(p("*.name"), "=", "John")
         )
 
@@ -74,33 +85,33 @@ class TestComparisonAtom:
 
 class TestBooleanConnectives:
     def test_exists(self, person_store):
-        assert evaluate_condition(person_store, "P1", Exists(p("salary")))
-        assert not evaluate_condition(person_store, "P2", Exists(p("salary")))
+        assert holds(person_store, "P1", Exists(p("salary")))
+        assert not holds(person_store, "P2", Exists(p("salary")))
 
     def test_and(self, person_store):
         cond = And((
             Comparison(p("age"), "<=", 45),
             Comparison(p("name"), "=", "John"),
         ))
-        assert evaluate_condition(person_store, "P1", cond)
-        assert not evaluate_condition(person_store, "P4", cond)
+        assert holds(person_store, "P1", cond)
+        assert not holds(person_store, "P4", cond)
 
     def test_or(self, person_store):
         cond = Or((
             Comparison(p("age"), ">", 100),
             Comparison(p("name"), "=", "Sally"),
         ))
-        assert evaluate_condition(person_store, "P2", cond)
+        assert holds(person_store, "P2", cond)
 
     def test_not(self, person_store):
         cond = Not(Exists(p("salary")))
-        assert evaluate_condition(person_store, "P2", cond)
-        assert not evaluate_condition(person_store, "P1", cond)
+        assert holds(person_store, "P2", cond)
+        assert not holds(person_store, "P1", cond)
 
 
 class TestPathHelpers:
-    def test_objects_on_path(self, person_store):
-        assert objects_on_path(person_store, "ROOT", p("professor")) == {
+    def test_reached(self, person_store):
+        assert reached(person_store, "ROOT", p("professor")) == {
             "P1", "P2",
         }
 
@@ -144,9 +155,9 @@ class TestIndexedConditionPaths:
         for condition in self.CONDITIONS:
             for oid in ("P1", "P2", "P3", "P4"):
                 with Meter(person_store.counters) as scanned:
-                    expected = evaluate_condition(person_store, oid, condition)
+                    expected = holds(person_store, oid, condition)
                 with Meter(person_store.counters) as probed:
-                    got = evaluate_condition(
+                    got = holds(
                         person_store, oid, condition, label_index=index
                     )
                 assert got == expected, (condition, oid)
@@ -165,15 +176,16 @@ class TestIndexedConditionPaths:
             )
         assert values == [45]
         assert probed.delta.index_probes == 1
-        # P1 read, edge to A1 + its read, A1 re-read for its value.
-        assert probed.delta.total_base_accesses() == 4
+        # P1 read, edge to A1 + its read; the sweep reached A1, so its
+        # value is read for free.
+        assert probed.delta.total_base_accesses() == 3
 
     def test_self_path_is_the_start_object(self, person_store):
         index = LabelIndex(person_store)
-        assert objects_on_path(person_store, "A1", p(""), label_index=index) == {
+        assert reached(person_store, "A1", p(""), label_index=index) == {
             "A1"
         }
-        assert evaluate_condition(
+        assert holds(
             person_store, "A1", Comparison(p(""), "=", 45), label_index=index
         )
 
@@ -221,10 +233,10 @@ class TestIndexedConditionPaths:
     ):
         index = LabelIndex(person_store)
         with Meter(person_store.counters) as scanned:
-            assert evaluate_condition(person_store, oid, condition) is verdict
+            assert holds(person_store, oid, condition) is verdict
         with Meter(person_store.counters) as probed:
             assert (
-                evaluate_condition(
+                holds(
                     person_store, oid, condition, label_index=index
                 )
                 is verdict
@@ -235,12 +247,12 @@ class TestIndexedConditionPaths:
         )
 
     def test_without_index_scans(self, person_store):
+        # An Exists leaf is one sweep from the candidate set: without an
+        # index it charges exactly the plain scan.
         for text in ("professor", "*.name", "?"):
             with Meter(person_store.counters) as via_helper:
-                got = objects_on_path(person_store, "ROOT", p(text))
+                got = filter_on_store(person_store, {"ROOT"}, Exists(p(text)))
             with Meter(person_store.counters) as scanned:
-                expected = compile_expression(p(text)).evaluate(
-                    person_store, "ROOT"
-                )
-            assert got == expected
+                expected = reached(person_store, "ROOT", p(text))
+            assert got == ({"ROOT"} if expected else set())
             assert via_helper.delta.as_dict() == scanned.delta.as_dict()
