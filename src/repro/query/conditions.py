@@ -21,10 +21,16 @@ Every store helper takes an optional *label_index* and hands it to the
 path evaluator: with one, condition paths resolve through its
 children-by-label adjacency; without one, they scan out-edges.  Pass
 an index only for the unscoped store it was built over.
+
+Beside evaluation sit two sound, incomplete tests between conditions:
+:func:`comparisons_disjoint` (no value satisfies both) screens updates,
+and :func:`condition_implies` (every candidate satisfying one satisfies
+the other) lets a query be answered from a materialized view.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterable
 
 from repro.gsdb.indexes import LabelIndex
@@ -172,6 +178,112 @@ def _value_ranges_disjoint(first: Comparison, second: Comparison) -> bool:
             return a_lit > b_lit or (strict and a_lit >= b_lit)  # type: ignore[operator]
     except TypeError:
         return False
+    return False
+
+
+#: Ordering operators: (direction, strict).
+_ORDERINGS = {
+    "<": (-1, True),
+    "<=": (-1, False),
+    ">": (1, True),
+    ">=": (1, False),
+}
+
+
+def comparison_implies(first: Comparison, second: Comparison) -> bool:
+    """Does every value satisfying *first* also satisfy *second*?
+
+    Sound, not complete: True only when provable for every schemaless
+    atomic value (bool, int, float, NaN included, str, bytes), so
+    ``price > 95`` implies ``price > 93`` but ``price > 95`` does not
+    imply ``price >= 96`` (95.5).  Over one condition path, an
+    existential witness of *first* is then one of *second*.  Used to
+    answer a query from a materialized view its condition implies.
+    """
+    if first.path != second.path:
+        return False  # a witness on one path says nothing of another
+    try:
+        return _value_implies(first, second)
+    except re.error:  # a malformed ``matches`` pattern
+        return False
+
+
+def _value_implies(first: Comparison, second: Comparison) -> bool:
+    a_op, a_lit = first.op, first.literal
+    b_op, b_lit = second.op, second.literal
+    if a_op == "=":
+        # Only values equal to a_lit satisfy it, and an equal value
+        # compares, contains and matches as a_lit does.
+        return second.test_value(a_lit)
+    if b_op == "!=":
+        # A value equal to b_lit would make b_lit satisfy *first*.
+        return not first.test_value(b_lit)
+    if a_op == "!=":
+        return False  # all but one value: only "!=" b_lit above
+    if a_op == "contains" and b_op == "contains":
+        return str(b_lit) in str(a_lit)
+    if a_op == "matches" and b_op == "matches":
+        return str(a_lit) == str(b_lit)
+    if a_op not in _ORDERINGS or b_op not in _ORDERINGS:
+        return False
+    if _family(a_lit) != _family(b_lit):
+        return False  # a value of a_lit's family never orders against b_lit
+    (a_dir, a_strict), (b_dir, b_strict) = _ORDERINGS[a_op], _ORDERINGS[b_op]
+    if a_dir != b_dir:
+        return False  # a ray never lies inside an opposite one
+    # v > a_lit implies v > b_lit iff a_lit >= b_lit; for ">=" against
+    # ">" the bound must be strictly inside (mirrored for "<").
+    low, high = (b_lit, a_lit) if a_dir > 0 else (a_lit, b_lit)
+    if b_strict and not a_strict:
+        return high > low  # type: ignore[operator]
+    return high >= low  # type: ignore[operator]
+
+
+def _family(literal: object) -> type:
+    """The type a literal orders against: numbers (bool included)
+    compare with each other, str and bytes only with themselves."""
+    if isinstance(literal, (bool, int, float)):
+        return float
+    return type(literal)
+
+
+def condition_implies(
+    first: Condition | None, second: Condition | None
+) -> bool:
+    """Does *first* imply *second* for every candidate?
+
+    Sound, not complete: True when *second* is absent, or when every
+    conjunct of *second* is implied by some conjunct of *first*
+    (:func:`comparison_implies`; a comparison or an ``EXISTS`` over a
+    path also implies ``EXISTS`` over it).  ``Or`` and ``Not`` never
+    imply anything.
+    """
+    if second is None:
+        return True
+    if first is None:
+        return False
+    have = _conjuncts(first)
+    return all(
+        any(_conjunct_implies(a, b) for a in have) for b in _conjuncts(second)
+    )
+
+
+def _conjuncts(condition: Condition) -> list[Condition]:
+    if isinstance(condition, And):
+        return [
+            leaf for operand in condition.operands for leaf in _conjuncts(operand)
+        ]
+    return [condition]
+
+
+def _conjunct_implies(first: Condition, second: Condition) -> bool:
+    if isinstance(second, Exists):
+        return (
+            isinstance(first, (Comparison, Exists))
+            and first.path == second.path
+        )
+    if isinstance(first, Comparison) and isinstance(second, Comparison):
+        return comparison_implies(first, second)
     return False
 
 

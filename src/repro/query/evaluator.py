@@ -37,6 +37,15 @@ database or view, or at an object in one's namespace (a delegate
 store updates, so the index, fed by those updates, never sees their
 edges (:func:`index_applies`).  Without an index every query scans;
 answers are the same either way.
+
+This evaluator always reads the base.  The view catalog may answer a
+query from a materialized view it implies instead
+(:func:`~repro.query.rewrite.view_answers`: same entry and select path,
+no scope clauses, the view's condition implied by the query's), and only
+while the view is current: no batch open, no dispatch running, no
+failed dispatch left it behind.  Recomputation and the consistency
+oracles call this evaluator directly, never the catalog's read path:
+they must derive a view from the base, not from itself.
 """
 
 from __future__ import annotations
@@ -132,10 +141,12 @@ def index_applies(query: Query, names: AbstractSet[str]) -> bool:
     registry does not tell views from databases, and view objects and
     their delegates change without the store updates the index follows.
     """
-    if query.within is not None:
-        return False
-    entry = query.entry
-    return entry not in names and not any(
+    return query.within is None and not under_names(query.entry, names)
+
+
+def under_names(entry: str, names: AbstractSet[str]) -> bool:
+    """Is *entry* one of *names*, or dotted below one (``MV.P1``)?"""
+    return entry in names or any(
         entry[:i] in names for i, char in enumerate(entry) if char == "."
     )
 

@@ -14,6 +14,22 @@ The paper discusses two strategies:
 
 Both strategies are implemented so the benchmarks can compare them.
 The two are observably equivalent; tests assert that.
+
+The other direction is answering a query over the *base* from a
+*materialized* view it implies (:func:`view_answers`,
+:func:`answer_from_view`), the read MV4PG's query rewriting gets its
+speed from.  A query Q may read view V's extent when both have the same
+entry and select path, neither has ``WITHIN`` or ``ANS INT``, and every
+conjunct of V's condition is implied by a conjunct of Q's
+(:func:`~repro.query.conditions.condition_implies`): then Q's answer is
+contained in V's, and Q's own condition evaluated on V's members alone
+is exactly Q's answer.  The caller must vouch that V's membership is
+current -- the view catalog does so only when no batch is open, no
+dispatch is running and no failed dispatch left V behind.  Only V's
+membership is read, never its delegates, so value-level edits of the
+view (swizzling, hidden edges) do not matter.  Consistency oracles never
+take this path: they recompute from the base, or they would check a
+view against itself.
 """
 
 from __future__ import annotations
@@ -22,11 +38,13 @@ import enum
 from dataclasses import dataclass
 
 from repro.gsdb.database import DatabaseRegistry
+from repro.gsdb.indexes import LabelIndex
 from repro.gsdb.object import Object
+from repro.gsdb.store import ObjectStore
 from repro.paths.automaton import ChargeLedger, compile_expression
 from repro.query.answer import make_answer
 from repro.query.ast import Query
-from repro.query.conditions import filter_on_store
+from repro.query.conditions import condition_implies, filter_on_store
 from repro.query.evaluator import QueryEvaluator
 
 
@@ -126,3 +144,37 @@ def _materialize_then_query(
         return evaluator.evaluate(effective)
     finally:
         registry.unregister(temp_name)
+
+
+def view_answers(query: Query, view_query: Query) -> bool:
+    """May *query* be answered from the extent of a materialized view
+    defined by *view_query* (see the module docstring)?"""
+    return (
+        query.entry == view_query.entry
+        and query.select_path == view_query.select_path
+        and query.within is None
+        and query.ans_int is None
+        and view_query.within is None
+        and view_query.ans_int is None
+        and condition_implies(query.condition, view_query.condition)
+    )
+
+
+def answer_from_view(
+    store: ObjectStore,
+    query: Query,
+    members: set[str],
+    *,
+    label_index: LabelIndex | None = None,
+) -> set[str]:
+    """*query*'s answer from the current *members* of a view it
+    implies (:func:`view_answers`): its condition, evaluated on those
+    members alone by one :func:`~repro.query.conditions.filter_on_store`
+    under one charge ledger.  Reading the membership charges one read,
+    for the view object."""
+    store.counters.object_reads += 1
+    if query.condition is None:
+        return members
+    return filter_on_store(
+        store, members, query.condition, label_index=label_index
+    )

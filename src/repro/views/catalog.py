@@ -18,6 +18,9 @@ Algorithm 1 (:class:`SimpleViewMaintainer`); extended ones the
 affected-region maintainer; everything else falls back to recompute-on-
 update.  Pass ``'dag'`` for DAG bases (simple definitions only) or
 ``'recompute'`` to force the baseline.
+
+A query over the base that a materialized view implies is answered
+from that view's members (:meth:`ViewCatalog.query_oids`).
 """
 
 from __future__ import annotations
@@ -31,9 +34,12 @@ from repro.gsdb.indexes import LabelIndex, ParentIndex
 from repro.gsdb.object import Object
 from repro.gsdb.store import ObjectStore
 from repro.gsdb.updates import Update
+from repro.paths.expression import PathExpression
+from repro.query.answer import make_answer
 from repro.query.ast import Query
-from repro.query.evaluator import QueryEvaluator
+from repro.query.evaluator import QueryEvaluator, index_applies, under_names
 from repro.query.parser import parse_query
+from repro.query.rewrite import answer_from_view, view_answers
 from repro.views.consistency import ConsistencyReport, check_consistency
 from repro.views.dag import DagCountingMaintainer
 from repro.views.definition import ViewDefinition
@@ -106,6 +112,13 @@ class ViewCatalog:
         self.materialized_views: dict[str, MaterializedView] = {}
         self.maintainers: dict[str, object] = {}
         self._definition_order: list[str] = []
+        #: Every view name: virtual, materialized, partial, multipath.
+        self._view_names: set[str] = set()
+        # The views that may answer a query, by (entry, select path):
+        # the plain materialized views :meth:`define` builds.
+        self._answering: dict[
+            tuple[str, PathExpression], list[MaterializedView]
+        ] = {}
 
     # -- databases ----------------------------------------------------------
 
@@ -142,6 +155,7 @@ class ViewCatalog:
         if not definition.materialized:
             view = VirtualView(definition, self.registry, auto_refresh=False)
             self.virtual_views[name] = view
+            self._view_names.add(name)
             try:
                 view.refresh()
             except Exception:
@@ -162,6 +176,7 @@ class ViewCatalog:
                 annotate_timestamps=annotate_timestamps,
             )
         self.materialized_views[name] = mview
+        self._view_names.add(name)
         try:
             populate_view(mview, registry=self.registry)
         except Exception:
@@ -170,6 +185,10 @@ class ViewCatalog:
             raise
         self._definition_order.append(name)
         self.maintainers[name] = self._make_maintainer(mview, maintainer)
+        query = definition.query
+        self._answering.setdefault(
+            (query.entry, query.select_path), []
+        ).append(mview)
         return mview
 
     @contextmanager
@@ -264,6 +283,7 @@ class ViewCatalog:
         )
         self.store.subscribe(view.handle_fragment_update)
         self.materialized_views[name] = view  # type: ignore[assignment]
+        self._view_names.add(name)
         self.maintainers[name] = maintainer
         self._definition_order.append(name)
         if view.view_store is self.store:
@@ -312,6 +332,7 @@ class ViewCatalog:
         for branch_maintainer in view.maintainers:
             self.dispatcher.register(branch_maintainer)
         self.materialized_views[name] = view.view
+        self._view_names.add(name)
         self.maintainers[name] = view
         self._definition_order.append(name)
         if view.view.view_store is self.store:
@@ -334,6 +355,12 @@ class ViewCatalog:
                     pass
         mview = self.materialized_views.pop(name, None)
         if mview is not None:
+            key = (mview.definition.entry, mview.definition.select_expression)
+            kept = [v for v in self._answering.get(key, ()) if v is not mview]
+            if kept:
+                self._answering[key] = kept
+            else:
+                self._answering.pop(key, None)
             mview.clear()
             if mview.oid in mview.view_store:
                 mview.view_store.remove_object(mview.oid)
@@ -341,6 +368,7 @@ class ViewCatalog:
         if vview is not None and vview.oid in self.store:
             self.store.remove_object(vview.oid)
         self.registry.unregister(name)
+        self._view_names.discard(name)
         if self.parent_index is not None:
             self.parent_index.unignore_view(name)
         if name in self._definition_order:
@@ -354,7 +382,7 @@ class ViewCatalog:
         Virtual views are refreshed in definition order so views defined
         over other views (paper expression 3.4) observe fresh values.
         """
-        return self.evaluator.evaluate(self._fresh_query(text))
+        return make_answer(sorted(self.query_oids(text)), store=self.store)
 
     def _fresh_query(self, text: str | Query) -> Query:
         """Parse *text* and refresh the virtual views it references, in
@@ -369,8 +397,55 @@ class ViewCatalog:
 
     def query_oids(self, text: str | Query) -> set[str]:
         """Like :meth:`query` but returns the raw OID set (and registers
-        no answer object in the store)."""
-        return self.evaluator.evaluate_oids(self._fresh_query(text))
+        no answer object in the store).
+
+        A query that a materialized view implies is answered from the
+        smallest such view's members
+        (:func:`~repro.query.rewrite.view_answers`): its own condition
+        evaluated on them alone, exactly its answer over the base.  A
+        query no view can answer pays one dict lookup for finding out.
+        """
+        query = self._fresh_query(text)
+        views = self._answering.get((query.entry, query.select_path))
+        if views is not None:
+            answer = self._answer_from_view(query, views)
+            if answer is not None:
+                return answer
+        return self.evaluator.evaluate_oids(query)
+
+    def _answer_from_view(
+        self, query: Query, views: list[MaterializedView]
+    ) -> set[str] | None:
+        """*query*'s answer from the smallest of *views* that implies it,
+        or None when none may answer.
+
+        A view answers only while its members agree with the store: no
+        batch open, no dispatch running, and not left behind by a
+        dispatch that raised (until :meth:`recompute`).  The entry must
+        not be a registered database or view name, nor dotted below
+        one.  Only membership is read, so value-level edits of the view
+        (swizzling, hidden edges) do not disqualify it.
+        """
+        dispatcher = self.dispatcher
+        if not dispatcher.settled or not index_applies(
+            query, self.registry.names()
+        ):
+            return None
+        behind = dispatcher.behind
+        usable = [
+            view
+            for view in views
+            if view_answers(query, view.definition.query)
+            and not (behind and self.maintainers[view.oid] in behind)
+        ]
+        if not usable:
+            return None
+        return answer_from_view(
+            self.store,
+            query,
+            min(usable, key=len).members(),
+            label_index=self.label_index,
+        )
 
     # -- read-path serving (experiments E16 and E20) -------------------------
 
@@ -428,14 +503,18 @@ class ViewCatalog:
         """False when the query's answer depends on view delegates:
         it names a view, enters under one, or enters a database that
         groups one."""
-        names = set(self.virtual_views) | set(self.materialized_views)
-        if {query.entry, query.within, query.ans_int} & names:
+        names = self._view_names
+        if not names:
+            return True
+        if (
+            query.within in names
+            or query.ans_int in names
+            or under_names(query.entry, names)
+        ):
             return False
-        if any(query.entry.startswith(name + ".") for name in names):
-            return False
-        if names and query.entry in self.registry.names():
+        if query.entry in self.registry.names():
             grouped = self.registry.resolve(query.entry).children()
-            return not any(name in grouped for name in names)
+            return names.isdisjoint(grouped)
         return True
 
     def serve(
@@ -505,6 +584,8 @@ class ViewCatalog:
         view = self.materialized_views.get(name)
         if view is None:
             raise ViewError(f"no materialized view named {name!r}")
-        return recompute_view(
+        recomputed = recompute_view(
             view, registry=self.registry, label_index=self.label_index
         )
+        self.dispatcher.behind.discard(self.maintainers.get(name))
+        return recomputed

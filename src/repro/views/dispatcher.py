@@ -770,6 +770,9 @@ class MaintenanceDispatcher:
 
     Attributes:
         updates_dispatched: updates fanned out (post-coalescing).
+        behind: maintainers a dispatch that raised part-way may have
+            left behind the store; an owner takes one out once it has
+            recomputed that maintainer's view.
     """
 
     def __init__(
@@ -784,6 +787,8 @@ class MaintenanceDispatcher:
         self._entries: list[_Registration] = []
         self._index: _DefinitionIndex | None = None
         self._buffer: list[Update] | None = None
+        self._dispatching = False
+        self.behind: set = set()
         self.updates_dispatched = 0
         if subscribe:
             store.subscribe(self.handle)
@@ -823,10 +828,18 @@ class MaintenanceDispatcher:
             if entry.maintainer is not maintainer
         ]
         self._index = None
+        self.behind.discard(maintainer)
 
     def registered(self) -> list:
         """The registered maintainers, in registration order."""
         return [entry.maintainer for entry in self._entries]
+
+    @property
+    def settled(self) -> bool:
+        """Has every maintainer not :attr:`behind` seen every applied
+        update?  False inside an open :meth:`batch` and while a
+        dispatch runs."""
+        return self._buffer is None and not self._dispatching
 
     # -- dispatch ----------------------------------------------------------
 
@@ -888,10 +901,17 @@ class MaintenanceDispatcher:
         context = PathContext(self.store, self.parent_index, moved=moved)
         counters = self.store.counters
         index = self._definition_index()
-        for update in updates:
-            self.updates_dispatched += 1
-            matched = 0
-            for entry in index.matching(update, context):
-                matched += 1
-                entry.deliver(update, context)
-            counters.updates_screened += index.registered - matched
+        outer, self._dispatching = self._dispatching, True
+        try:
+            for update in updates:
+                self.updates_dispatched += 1
+                matched = 0
+                for entry in index.matching(update, context):
+                    matched += 1
+                    entry.deliver(update, context)
+                counters.updates_screened += index.registered - matched
+        except BaseException:
+            self.behind.update(entry.maintainer for entry in self._entries)
+            raise
+        finally:
+            self._dispatching = outer

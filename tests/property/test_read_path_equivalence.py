@@ -28,6 +28,12 @@ the store must equal the per-candidate reference
 (:func:`tests.property.support.reference_holds`) and the epoch under
 every connective; and one evaluation must answer as the reference and
 keep the charge rule: no more reads than distinct OIDs touched.
+
+A catalog's reads must equal the reference whether a materialized view
+they imply answers them or the base does: after every streamed update
+and every ``apply_batch``, inside an open dispatcher batch (views not
+yet maintained), and after a maintainer raised mid-dispatch (views left
+behind until recomputed).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from hypothesis import strategies as st
 
 from repro.gsdb import DatabaseRegistry, LabelIndex, ObjectStore, columnar
 from repro.gsdb.columnar import ColumnarSnapshot, EpochView
+from repro.gsdb.updates import Delete, Insert, Modify
 from repro.instrumentation import Meter
 from repro.paths import PathExpression, compile_expression
 from repro.paths.kernel import evaluate_many_on_snapshot
@@ -48,6 +55,8 @@ from repro.query.ast import Query
 from repro.query.conditions import filter_candidates, filter_on_store
 from repro.query.evaluator import select_and_filter
 from repro.serving.mvcc import _epoch_readers
+from repro.views import ViewCatalog
+from repro.workloads.generators import random_labelled_tree
 from tests.property.support import (
     TouchRecorder,
     build_store,
@@ -413,3 +422,173 @@ def test_one_evaluation_charges_each_object_once(
         answer = select_and_filter(recorder, entry, query, label_index=label_index)
     assert answer == expected, (text, mode)
     assert swept.delta.object_reads <= len(recorder.touched), (text, mode)
+
+
+# -- reads answered from the materialized views they imply -----------------------
+
+#: View definitions over ``root0``: ``{t}``/``{u}`` are drawn thresholds.
+#: On a tree base, constant paths get Algorithm 1, wildcards and
+#: conjunctions the extended maintainer, the disjunction
+#: recompute-on-update.
+VIEW_TEMPLATES = (
+    "SELECT root0.a X WHERE X.b > {t}",
+    "SELECT root0.a X WHERE X.b <= {t}",
+    "SELECT root0.a X",
+    "SELECT root0.a.b X WHERE X.c >= {t}",
+    "SELECT root0.* X WHERE X.c > {t}",
+    "SELECT root0.?.b X WHERE X > {t}",
+    "SELECT root0.* X WHERE X.a > {t} AND X.b < {u}",
+    "SELECT root0.a X WHERE X.b > {t} OR X.c < {u}",
+)
+
+#: Conjuncts a query may add to its view's condition.
+EXTRA_CONJUNCTS = (
+    "X.c < 50",
+    "EXISTS X.a",
+    "NOT X.b > 70",
+    "X.a > 20 OR X.c < 30",
+)
+
+
+def draw_view_queries(rng: random.Random, template: str, t: int, u: int):
+    """Queries with *template*'s entry and select path: its condition
+    with thresholds moved either way (so implied or not), maybe one
+    conjunct more, or no condition at all."""
+    head, _, where = template.partition(" WHERE ")
+    queries = [head]
+    for _ in range(3):
+        moved = where.format(t=t + rng.randint(-15, 15), u=u + rng.randint(-15, 15))
+        condition = " AND ".join(
+            part for part in (moved, rng.choice(("",) + EXTRA_CONJUNCTS)) if part
+        )
+        if condition:
+            queries.append(f"{head} WHERE {condition}")
+    return [parse_query(text) for text in queries]
+
+
+def draw_batch(
+    store: ObjectStore, rng: random.Random, size: int, *, tree: bool, tag: int
+) -> list:
+    """*size* updates valid in sequence from the store's current state.
+    With *tree*, the base stays a forest: inserts attach objects created
+    here (objects are created without updates), never existing ones."""
+    oids = sorted(store.oids())
+    sets = [oid for oid in oids if store.peek(oid).is_set]
+    edges = {oid: set(store.peek(oid).children()) for oid in sets}
+    values = {oid: store.peek(oid).value for oid in oids if oid not in edges}
+    batch = []
+    for ordinal in range(size):
+        kind = rng.randrange(3)
+        parent = rng.choice(sets)
+        if kind == 0:
+            if tree:
+                child = f"fresh{tag}_{ordinal}"
+                label = rng.choice(("a", "b", "c"))
+                if rng.random() < 0.5:
+                    store.add_atomic(child, label, rng.randint(0, 100))
+                else:
+                    store.add_set(child, label, [])
+            else:
+                child = rng.choice(oids)
+            if child not in edges[parent]:
+                edges[parent].add(child)
+                batch.append(Insert(parent, child))
+        elif kind == 1 and edges[parent]:
+            child = rng.choice(sorted(edges[parent]))
+            edges[parent].discard(child)
+            batch.append(Delete(parent, child))
+        elif values:
+            atom = rng.choice(sorted(values))
+            new = rng.randint(0, 100)
+            if new != values[atom]:
+                batch.append(Modify(atom, values[atom], new))
+                values[atom] = new
+    return batch
+
+
+class Raising:
+    """A maintainer that raises on every *every*-th update it is handed."""
+
+    def __init__(self, every: int) -> None:
+        self.every = every
+        self.handed = 0
+
+    def handle(self, update) -> None:
+        self.handed += 1
+        if self.handed % self.every == 0:
+            raise RuntimeError("injected maintenance failure")
+
+    def handle_all(self, updates) -> None:
+        for update in updates:
+            self.handle(update)
+
+
+def assert_reads_agree(catalog: ViewCatalog, queries, when: str) -> None:
+    for query in queries:
+        expected = reference_answer(catalog.store, catalog.registry, query)
+        assert catalog.query_oids(query) == expected, (when, str(query))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(8, 30),
+    steps=st.integers(1, 12),
+    tree=st.booleans(),
+    with_label_index=st.booleans(),
+    raise_every=st.integers(2, 6),
+)
+@settings(**COMMON)
+def test_view_answered_reads_equal_reference(
+    seed, nodes, steps, tree, with_label_index, raise_every
+):
+    # Algorithm 1 and the extended maintainer need a tree base; over
+    # build_store's cycles every view is recomputed on each update.
+    if tree:
+        store, _ = random_labelled_tree(
+            nodes=nodes, labels=("a", "b", "c"), atomic_fraction=0.4, seed=seed
+        )
+    else:
+        store, _ = build_store(seed, nodes)
+    catalog = ViewCatalog(store, with_label_index=with_label_index)
+    rng = random.Random(seed ^ 0x71E3)
+    queries = []
+    templates = rng.sample(VIEW_TEMPLATES, 4)
+    # The failing maintainer sits among the views, so some see the
+    # update it raises on and some do not.
+    position = rng.randrange(len(templates) + 1)
+    for ordinal, template in enumerate(templates):
+        if ordinal == position:
+            catalog.dispatcher.register(Raising(raise_every))
+        t, u = rng.randint(0, 100), rng.randint(0, 100)
+        catalog.define(
+            f"define mview V{ordinal} as: {template.format(t=t, u=u)}",
+            maintainer="auto" if tree else "recompute",
+            view_store=ObjectStore(),  # the updates below never touch it
+        )
+        queries += draw_view_queries(rng, template, t, u)
+    if position == len(templates):
+        catalog.dispatcher.register(Raising(raise_every))
+    assert_reads_agree(catalog, queries, "defined")
+    for tag in range(steps):
+        when = rng.choice(("streamed", "apply_batch", "batch"))
+        try:
+            if when == "streamed" and not tree:
+                mutate(store, rng, tag)
+            elif when == "streamed":
+                store.apply_all(draw_batch(store, rng, 1, tree=True, tag=tag))
+            else:
+                batch = draw_batch(
+                    store, rng, rng.randint(1, 8), tree=tree, tag=tag
+                )
+                if when == "apply_batch":
+                    catalog.apply_batch(batch)
+                else:
+                    with catalog.dispatcher.batch():
+                        store.apply_all(batch)
+                        assert_reads_agree(catalog, queries, "batch open")
+        except RuntimeError:
+            when = "raised"
+        assert_reads_agree(catalog, queries, when)
+        if catalog.dispatcher.behind and rng.random() < 0.5:
+            catalog.recompute(rng.choice(sorted(catalog.materialized_views)))
+            assert_reads_agree(catalog, queries, "recomputed")

@@ -1,6 +1,10 @@
 """Tests for condition evaluation (cond() semantics, Section 2)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gsdb import LabelIndex
 from repro.instrumentation import Meter
@@ -13,7 +17,13 @@ from repro.query import (
     Or,
     is_simple_condition,
 )
-from repro.query.conditions import atomic_values_on_path, filter_on_store
+from repro.query.ast import COMPARISON_OPS
+from repro.query.conditions import (
+    atomic_values_on_path,
+    comparison_implies,
+    condition_implies,
+    filter_on_store,
+)
 
 p = PathExpression.parse
 
@@ -256,3 +266,117 @@ class TestIndexedConditionPaths:
                 expected = reached(person_store, "ROOT", p(text))
             assert got == ({"ROOT"} if expected else set())
             assert via_helper.delta.as_dict() == scanned.delta.as_dict()
+
+
+class TestImplication:
+    """``comparison_implies``/``condition_implies`` are sound: True only
+    when every value (every candidate) satisfying the first satisfies
+    the second."""
+
+    def test_tighter_threshold_implies_looser(self):
+        assert comparison_implies(
+            Comparison(p("price"), ">", 95), Comparison(p("price"), ">", 93)
+        )
+        assert not comparison_implies(
+            Comparison(p("price"), ">", 93), Comparison(p("price"), ">", 95)
+        )
+
+    def test_integer_steps_are_not_assumed(self):
+        # Schemaless values may be floats: 95.5 > 95 but not >= 96.
+        assert not comparison_implies(
+            Comparison(p("price"), ">", 95), Comparison(p("price"), ">=", 96)
+        )
+        assert comparison_implies(
+            Comparison(p("price"), ">=", 96), Comparison(p("price"), ">", 95)
+        )
+        assert not comparison_implies(
+            Comparison(p("price"), ">=", 95), Comparison(p("price"), ">", 95)
+        )
+
+    def test_different_paths_never_imply(self):
+        assert not comparison_implies(
+            Comparison(p("price"), ">", 95), Comparison(p("cost"), ">", 93)
+        )
+        assert not comparison_implies(
+            Comparison(p("?.price"), ">", 95), Comparison(p("price"), ">", 93)
+        )
+
+    def test_mixed_literal_types_never_order(self):
+        assert not comparison_implies(
+            Comparison(p("a"), ">", 95), Comparison(p("a"), ">", "9")
+        )
+        assert comparison_implies(
+            Comparison(p("a"), ">", 2.5), Comparison(p("a"), ">=", True)
+        )
+
+    def test_equality_and_inequality(self):
+        assert comparison_implies(
+            Comparison(p("a"), "=", 40), Comparison(p("a"), "<", 45)
+        )
+        assert comparison_implies(
+            Comparison(p("a"), ">", 40), Comparison(p("a"), "!=", 40)
+        )
+        assert not comparison_implies(
+            Comparison(p("a"), "!=", 40), Comparison(p("a"), ">", 40)
+        )
+        assert comparison_implies(
+            Comparison(p("a"), "contains", "John"),
+            Comparison(p("a"), "contains", "oh"),
+        )
+
+    def test_or_and_not_never_imply(self):
+        tight = Comparison(p("a"), ">", 95)
+        loose = Comparison(p("a"), ">", 90)
+        either = Or((tight, tight))
+        negated = Not(Comparison(p("a"), "<=", 95))
+        assert not condition_implies(either, loose)
+        assert not condition_implies(negated, loose)
+        assert not condition_implies(tight, either)
+        assert not condition_implies(either, either)
+
+    def test_conjuncts_each_implied_by_some_conjunct(self):
+        price = Comparison(p("price"), ">", 95)
+        stock = Comparison(p("stock"), "<", 5)
+        view = And((Comparison(p("price"), ">", 93), Exists(p("stock"))))
+        assert condition_implies(And((price, stock)), view)
+        assert not condition_implies(price, view)
+        assert condition_implies(price, None)
+        assert not condition_implies(None, price)
+
+
+#: Values and literals of every schemaless kind, NaN and infinities
+#: included, clustered so that implications are often provable.
+ATOMS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0, 2.5, math.nan, math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text("ab", max_size=3),
+)
+
+
+#: Every operator, the orderings (whose bounds need care) the likeliest.
+OPS = st.sampled_from(COMPARISON_OPS) | st.sampled_from(("<", "<=", ">", ">="))
+
+
+@given(
+    first_op=OPS,
+    first_literal=ATOMS,
+    second_op=OPS,
+    second_literal=ATOMS,
+    shared=st.booleans(),
+    values=st.lists(ATOMS, max_size=8),
+)
+@settings(max_examples=500, deadline=None)
+def test_comparison_implies_is_sound(
+    first_op, first_literal, second_op, second_literal, shared, values
+):
+    if shared:  # the boundary cases: one literal, two operators
+        second_literal = first_literal
+    first = Comparison(p("a"), first_op, first_literal)
+    second = Comparison(p("a"), second_op, second_literal)
+    if not comparison_implies(first, second):
+        return
+    for value in values + [first_literal, second_literal]:
+        if first.test_value(value):
+            assert second.test_value(value), (first, second, value)

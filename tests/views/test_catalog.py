@@ -8,7 +8,9 @@ from repro.errors import (
     ViewDefinitionError,
     ViewError,
 )
-from repro.views import ViewCatalog
+from repro.instrumentation import Meter
+from repro.query import parse_query
+from repro.views import ViewCatalog, catalog as catalog_module
 from repro.views.catalog import _RecomputeMaintainer
 from repro.views.dag import DagCountingMaintainer
 from repro.views.extended import ExtendedViewMaintainer
@@ -266,3 +268,137 @@ class TestLabelIndexedCatalog:
         assert indexed.query_oids(text) == expected
         assert indexed.serve(text).oids == expected
         assert all(report.ok for report in indexed.check_all().values())
+
+
+class TestAnswersFromViews:
+    """A query a materialized view implies reads that view's members."""
+
+    WIDE = "define mview WIDE as: SELECT ROOT.* X WHERE X.age < 50"
+    NARROW = "define mview NARROW as: SELECT ROOT.* X WHERE X.age < 30"
+    QUERY = "SELECT ROOT.* X WHERE X.age < 25"
+
+    @staticmethod
+    def views_read(monkeypatch) -> list:
+        """Record the member sets the catalog answers from."""
+        read = []
+        real = catalog_module.answer_from_view
+
+        def spy(store, query, members, **kwargs):
+            read.append(set(members))
+            return real(store, query, members, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "answer_from_view", spy)
+        return read
+
+    def test_smallest_implied_view_answers(self, catalog, monkeypatch):
+        catalog.define(self.WIDE)
+        catalog.define(self.NARROW)
+        read = self.views_read(monkeypatch)
+        assert catalog.query_oids(self.QUERY) == {"P3"}
+        assert read == [{"P3"}]
+        assert catalog.query(self.QUERY).children() == {"P3"}
+
+    def test_the_query_condition_refilters_the_members(
+        self, catalog, monkeypatch
+    ):
+        catalog.define(self.WIDE)
+        read = self.views_read(monkeypatch)
+        text = "SELECT ROOT.* X WHERE X.age < 42 AND X.name = 'Tom'"
+        assert catalog.query_oids(text) == {"P4"}
+        assert read == [{"P1", "P3", "P4"}]
+
+    def test_reading_the_view_charges_one_read(self, catalog):
+        catalog.define("define mview PROFS as: SELECT ROOT.professor X")
+        with Meter(catalog.store.counters) as meter:
+            answer = catalog.query_oids("SELECT ROOT.professor X")
+        assert answer == {"P1", "P2"}
+        assert meter.delta.as_dict() == {"object_reads": 1}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT ROOT.* X WHERE X.age < 40",
+            "SELECT ROOT.* X",
+            "SELECT ROOT.professor X WHERE X.age < 25",
+            "SELECT ROOT.* X WHERE X.age < 25 WITHIN PERSON",
+            "SELECT ROOT.* X WHERE X.age < 25 ANS INT PERSON",
+            "SELECT ROOT.* X WHERE X.age < 25 OR X.age < 20",
+            "SELECT PERSON.? X WHERE X.age < 25",
+        ],
+    )
+    def test_queries_no_view_implies_read_the_base(
+        self, catalog, monkeypatch, text
+    ):
+        catalog.define(self.NARROW)
+        catalog.define(
+            "define mview DB as: SELECT PERSON.? X WHERE X.age < 30"
+        )
+        read = self.views_read(monkeypatch)
+        expected = catalog.evaluator.evaluate_oids(parse_query(text))
+        assert catalog.query_oids(text) == expected
+        assert read == []
+
+    def test_an_open_batch_reads_the_base(self, catalog, monkeypatch):
+        catalog.define(self.NARROW)
+        read = self.views_read(monkeypatch)
+        with catalog.dispatcher.batch():
+            catalog.store.modify_value("A4", 10)  # NARROW not maintained yet
+            assert catalog.query_oids(self.QUERY) == {"P3", "P4"}
+        assert read == []
+        assert catalog.query_oids(self.QUERY) == {"P3", "P4"}
+        assert read == [{"P3", "P4"}]
+
+    def test_views_a_failed_dispatch_left_behind_read_the_base(
+        self, catalog, monkeypatch
+    ):
+        class Failing:
+            def handle(self, update):
+                raise RuntimeError("maintenance failed")
+
+        failing = catalog.dispatcher.register(Failing())
+        catalog.define(self.NARROW)
+        with pytest.raises(RuntimeError):
+            catalog.store.modify_value("A4", 10)
+        catalog.dispatcher.unregister(failing)
+        read = self.views_read(monkeypatch)
+        assert catalog.query_oids(self.QUERY) == {"P3", "P4"}
+        assert read == []
+        catalog.recompute("NARROW")
+        assert catalog.query_oids(self.QUERY) == {"P3", "P4"}
+        assert read == [{"P3", "P4"}]
+
+    def test_only_plain_defined_views_answer(self, catalog, monkeypatch):
+        catalog.define_partial(
+            "define mview PART as: SELECT ROOT.professor X WHERE X.age < 50"
+        )
+        catalog.define(self.NARROW)
+        catalog.drop_view("NARROW")
+        read = self.views_read(monkeypatch)
+        assert catalog.query_oids(self.QUERY) == {"P3"}
+        assert catalog.query_oids(
+            "SELECT ROOT.professor X WHERE X.age < 46"
+        ) == {"P1"}
+        assert read == []
+
+
+class TestCacheableQuery:
+    """The serving tier caches only answers that no view delegate
+    shapes."""
+
+    @pytest.mark.parametrize(
+        "text, cacheable",
+        [
+            ("SELECT YP.? X", False),  # a view name
+            ("SELECT YP.P1.age X", False),  # dotted below a view
+            ("SELECT HOLDS.? X", False),  # a database grouping a view
+            ("SELECT PERSON.? X", True),  # a database grouping none
+            ("SELECT ROOT.professor X", True),  # a plain OID
+            ("SELECT ROOT.professor X WITHIN YP", False),
+        ],
+    )
+    def test_verdicts(self, catalog, text, cacheable):
+        catalog.define(
+            "define mview YP as: SELECT ROOT.professor X WHERE X.age <= 45"
+        )
+        catalog.create_database("HOLDS", ["YP"])
+        assert catalog._cacheable_query(parse_query(text)) is cacheable
