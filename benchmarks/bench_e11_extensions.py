@@ -111,9 +111,11 @@ def test_e11_bulk_table():
     index = ParentIndex(store)
     view = PartialMaterializedView(definition, store, depth=2)
     index.ignore_view("PJ")
-    SimpleViewMaintainer(view, parent_index=index, subscribe=True)  # type: ignore[arg-type]
+    store.subscribe(
+        SimpleViewMaintainer(view, parent_index=index).handle  # type: ignore[arg-type]
+    )
     view.load_members(compute_view_members(definition, store))
-    store.subscribe(view.handle_fragment_update)
+    store.subscribe(view.handle)
     before = store.counters.snapshot()
     applied = execute_bulk(store, "ROOT", raise_marks)
     per_update_cost = store.counters.delta_since(

@@ -39,13 +39,17 @@ def run_engine(kind: str):
     index = ParentIndex(store)
     view = MaterializedView(ViewDefinition.parse(SEL_DEF), store)
     if kind == "dag-counting":
-        DagCountingMaintainer(view, index, subscribe=True)
+        store.subscribe(DagCountingMaintainer(view, index).handle)
     else:
         populate_view(view)
         if kind == "algorithm-1":
-            SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+            store.subscribe(
+                SimpleViewMaintainer(view, parent_index=index).handle
+            )
         elif kind == "extended":
-            ExtendedViewMaintainer(view, parent_index=index, subscribe=True)
+            store.subscribe(
+                ExtendedViewMaintainer(view, parent_index=index).handle
+            )
         elif kind == "recompute":
             store.subscribe(lambda update: recompute_view(view))
     stream = UpdateStream(

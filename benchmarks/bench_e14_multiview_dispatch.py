@@ -86,10 +86,10 @@ def build_views(store: ObjectStore, nviews: int, mode: str):
         )
         view = MaterializedView(definition, store, ObjectStore())
         populate_view(view)
-        maintainer = SimpleViewMaintainer(
-            view, parent_index=index, subscribe=(dispatcher is None)
-        )
-        if dispatcher is not None:
+        maintainer = SimpleViewMaintainer(view, parent_index=index)
+        if dispatcher is None:
+            store.subscribe(maintainer.handle)
+        else:
             dispatcher.register(maintainer)
         views.append(view)
     return views, dispatcher

@@ -28,7 +28,8 @@ def build():
     index = ParentIndex(store)
     view = MaterializedView(ViewDefinition.parse(YP_DEF), store)
     populate_view(view)
-    maintainer = SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+    maintainer = SimpleViewMaintainer(view, parent_index=index)
+    store.subscribe(maintainer.handle)
     return store, view, maintainer
 
 

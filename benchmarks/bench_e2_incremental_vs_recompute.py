@@ -41,7 +41,7 @@ def build(tuples: int, *, maintained: bool):
     view = MaterializedView(ViewDefinition.parse(SEL_DEF), store)
     populate_view(view)
     if maintained:
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
     return store, view
 
 

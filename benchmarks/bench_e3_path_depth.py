@@ -54,7 +54,7 @@ def build(depth: int, fanout: int, *, maintained: bool):
     )
     populate_view(view)
     if maintained:
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
     return store, root, view
 
 

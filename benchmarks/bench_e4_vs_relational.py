@@ -41,7 +41,7 @@ def build_native(tuples=100):
     index = ParentIndex(store)
     view = MaterializedView(ViewDefinition.parse(SEL_DEF), store)
     populate_view(view)
-    SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+    store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
     return store, view
 
 

@@ -81,7 +81,9 @@ def run_maintenance_experiment():
             )
             view = MaterializedView(definition, store)
             populate_view(view)
-            SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+            store.subscribe(
+                SimpleViewMaintainer(view, parent_index=index).handle
+            )
             parent = store.get(leaf) and leaf  # leaf is atomic; use its parent
             # Find the leaf's parent by searching downward once.
             chain_parent = root

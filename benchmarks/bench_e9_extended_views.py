@@ -38,7 +38,9 @@ def build_wildcard(fanout: int, *, maintained: bool):
     populate_view(view)
     if maintained:
         index = ParentIndex(store)
-        ExtendedViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(
+            ExtendedViewMaintainer(view, parent_index=index).handle
+        )
     return store, root, view
 
 
@@ -84,7 +86,7 @@ def build_dag(width: int, *, maintained: bool):
     view = MaterializedView(definition, store)
     index = ParentIndex(store)
     if maintained:
-        DagCountingMaintainer(view, index, subscribe=True)
+        store.subscribe(DagCountingMaintainer(view, index).handle)
     else:
         populate_view(view)
     return store, root, view

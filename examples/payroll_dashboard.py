@@ -16,18 +16,11 @@ Run:  python examples/payroll_dashboard.py
 
 import random
 
-from repro.gsdb import ObjectStore, ParentIndex
+from repro.gsdb import ObjectStore
 from repro.instrumentation import Meter, print_table
 from repro.paths import PathExpression
 from repro.query.ast import Comparison
-from repro.views import (
-    AggregateKind,
-    AggregateView,
-    PartialMaterializedView,
-    SimpleViewMaintainer,
-    ViewDefinition,
-    compute_view_members,
-)
+from repro.views import AggregateKind, ViewCatalog, ViewDefinition
 from repro.warehouse import BulkUpdate, bulk_is_relevant, execute_bulk
 
 
@@ -48,23 +41,18 @@ def build_company(engineers: int = 40, managers: int = 10) -> ObjectStore:
 
 def main() -> None:
     store = build_company()
-    index = ParentIndex(store)
+    catalog = ViewCatalog(store)
 
     # -- depth-2 partial view: engineers with their field values local --
-    definition = ViewDefinition.parse(
-        "define mview ENG as: SELECT ROOT.engineer X WHERE X.salary > 0"
+    view = catalog.define_partial(
+        "define mview ENG as: SELECT ROOT.engineer X WHERE X.salary > 0",
+        depth=2,
     )
-    view = PartialMaterializedView(definition, store, depth=2)
-    index.ignore_view("ENG")
-    SimpleViewMaintainer(view, parent_index=index, subscribe=True)
-    view.load_members(compute_view_members(definition, store))
-    store.subscribe(view.handle_fragment_update)
 
     # -- incremental aggregates over the view ---------------------------
     aggregates = {
-        kind: AggregateView(
-            f"ENG_{kind.value}", view, kind,
-            value_path=("salary",), subscribe=True,
+        kind: catalog.define_aggregate(
+            f"ENG_{kind.value}", "ENG", kind, value_path=("salary",)
         )
         for kind in (
             AggregateKind.COUNT, AggregateKind.AVG,

@@ -50,7 +50,7 @@ def main() -> None:
     # Keep the cache fresh as the site changes (wildcard view -> the
     # extended maintainer of paper Section 6).
     index = ParentIndex(site)
-    ExtendedViewMaintainer(cache, parent_index=index, subscribe=True)
+    site.subscribe(ExtendedViewMaintainer(cache, parent_index=index).handle)
 
     # A page gains the word 'flower': it enters the cache.
     site.add_atomic("w_new", "word", "flower")

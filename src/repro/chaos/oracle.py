@@ -218,17 +218,6 @@ def audit_serving(server, queries) -> list[ServingAudit]:
     return audits
 
 
-def assert_serving_consistent(server, queries) -> list[ServingAudit]:
-    """Run the serving oracle; raise on any stale read."""
-    audits = audit_serving(server, queries)
-    broken = [audit for audit in audits if not audit.consistent]
-    if broken:
-        raise QuiescenceError(
-            "; ".join(audit.describe() for audit in broken)
-        )
-    return audits
-
-
 def assert_quiescent(target) -> dict[str, ViewAudit]:
     """Run the oracle and raise :class:`~repro.errors.QuiescenceError`
     when any view diverges.  *target* is a Warehouse or a ViewCatalog;

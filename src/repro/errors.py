@@ -171,10 +171,6 @@ class CapabilityError(WarehouseError):
     """A source was asked a query beyond its declared capability."""
 
 
-class ProtocolError(WarehouseError):
-    """A malformed or out-of-order warehouse protocol message."""
-
-
 class SourceUnavailableError(WarehouseError):
     """A source could not be reached (crashed or partitioned).
 

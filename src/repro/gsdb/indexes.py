@@ -360,10 +360,6 @@ class ParentIndex:
         chain, stopped_at_multi = self._upward_chain(oid)
         return tuple(entry_oid for entry_oid, _label in chain), stopped_at_multi
 
-    def chain_cache_size(self) -> int:
-        """Number of memoized chains (introspection for tests/benches)."""
-        return len(self._chain_cache)
-
     def roots(self) -> set[str]:
         """Return all set-object OIDs with no recorded parent.
 

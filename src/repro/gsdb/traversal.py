@@ -467,8 +467,3 @@ def chain_between(
                 seen.add(child)
                 stack.append((child, chain + [child]))
     return None
-
-
-def collect_labels(store: ObjectStore, oids: Iterable[str]) -> list[str]:
-    """Labels of the given objects, in OID-sorted order (helper)."""
-    return [store.get(oid).label for oid in sorted(oids)]

@@ -45,7 +45,7 @@ class MirrorStats:
 class RelationalMirror:
     """Keeps a relational image + counting views in sync with a store."""
 
-    def __init__(self, store: ObjectStore, *, subscribe: bool = True) -> None:
+    def __init__(self, store: ObjectStore) -> None:
         self.store = store
         self.db = Database()
         self.flattener = Flattener(store, self.db)
@@ -53,9 +53,8 @@ class RelationalMirror:
         self.views: dict[str, CountingView] = {}
         self.definitions: dict[str, ViewDefinition] = {}
         self.stats = MirrorStats()
-        if subscribe:
-            store.subscribe(self.on_update)
-            store.subscribe_creations(self.on_creation)
+        store.subscribe(self.on_update)
+        store.subscribe_creations(self.on_creation)
 
     # -- view registration ------------------------------------------------------
 

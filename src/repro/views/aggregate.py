@@ -9,9 +9,10 @@ an aggregate (count / sum / avg / min / max) over the witness values of
 a simple view's members, e.g. "the number of young professors" or "the
 minimum age among them".  It is maintained *incrementally on top of* a
 maintained :class:`~repro.views.materialized.MaterializedView`: the
-aggregate subscribes to the same base store, recomputes only each
-member's contribution when that member's region is touched, and applies
-algebraic deltas.
+maintenance dispatcher delivers each base update (each coalesced batch)
+to the aggregate after the view's maintainer, and the aggregate
+recomputes only each member's contribution when that member's region
+is touched, and applies algebraic deltas.
 
 Incrementality notes (the classic self-maintainability asymmetry):
 
@@ -50,8 +51,10 @@ class AggregateView:
     Args:
         name: OID/label base for the aggregate object.
         view: the (separately maintained) materialized view to
-            aggregate over.  Subscribe this aggregate *after* the
-            view's maintainer so it observes post-maintenance state.
+            aggregate over.  Deliver updates to this aggregate *after*
+            the view's maintainer so it observes post-maintenance state
+            (:meth:`~repro.views.catalog.ViewCatalog.define_aggregate`
+            registers it with the dispatcher in that order).
         kind: which aggregate.
         value_path: labels from a member to the aggregated atomic
             values; defaults to the view's condition path, so "sum of
@@ -68,7 +71,6 @@ class AggregateView:
         *,
         value_path: tuple[str, ...] | None = None,
         value_filter: Callable[[object], bool] | None = None,
-        subscribe: bool = False,
     ) -> None:
         self.name = name
         self.view = view
@@ -92,8 +94,6 @@ class AggregateView:
         finally:
             store.check_references = previous
         self.refresh_all()
-        if subscribe:
-            view.base_store.subscribe(self.handle)
 
     # -- contribution extraction --------------------------------------------
 

@@ -40,6 +40,7 @@ from repro.query.ast import Query
 from repro.query.evaluator import QueryEvaluator, index_applies, under_names
 from repro.query.parser import parse_query
 from repro.query.rewrite import answer_from_view, view_answers
+from repro.views.aggregate import AggregateView
 from repro.views.consistency import ConsistencyReport, check_consistency
 from repro.views.dag import DagCountingMaintainer
 from repro.views.definition import ViewDefinition
@@ -111,6 +112,10 @@ class ViewCatalog:
         self.virtual_views: dict[str, VirtualView] = {}
         self.materialized_views: dict[str, MaterializedView] = {}
         self.maintainers: dict[str, object] = {}
+        #: View name -> what the dispatcher delivers to after that
+        #: view's maintainer(s): its aggregates, and a partial view's
+        #: fragment refresh (the view itself).
+        self._dependents: dict[str, list] = {}
         self._definition_order: list[str] = []
         #: Every view name: virtual, materialized, partial, multipath.
         self._view_names: set[str] = set()
@@ -145,7 +150,7 @@ class ViewCatalog:
 
         Virtual views are registered and evaluated immediately.
         Materialized views are populated, registered, and hooked to a
-        maintainer subscribed to the base store.
+        maintainer registered with the dispatcher.
         """
         if isinstance(definition, str):
             definition = ViewDefinition.parse(definition)
@@ -222,15 +227,11 @@ class ViewCatalog:
                 kind = "recompute"
         if kind == "simple":
             return self.dispatcher.register(
-                SimpleViewMaintainer(
-                    view, parent_index=self.parent_index, subscribe=False
-                )
+                SimpleViewMaintainer(view, parent_index=self.parent_index)
             )
         if kind == "extended":
             return self.dispatcher.register(
-                ExtendedViewMaintainer(
-                    view, parent_index=self.parent_index, subscribe=False
-                )
+                ExtendedViewMaintainer(view, parent_index=self.parent_index)
             )
         if kind == "dag":
             if self.parent_index is None:
@@ -238,7 +239,7 @@ class ViewCatalog:
                     "DAG maintenance requires a parent index"
                 )
             return self.dispatcher.register(
-                DagCountingMaintainer(view, self.parent_index, subscribe=False)
+                DagCountingMaintainer(view, self.parent_index)
             )
         if kind == "recompute":
             return self.dispatcher.register(
@@ -255,8 +256,9 @@ class ViewCatalog:
     ):
         """Define a partially materialized view (§6 open issue 3).
 
-        The view's membership is maintained by Algorithm 1; fragment
-        interiors are kept fresh by the view's own subscription.
+        The view's membership is maintained by Algorithm 1; the
+        dispatcher then hands each update to the view itself, which
+        rebuilds the fragments whose interior it touched.
         """
         from repro.views.partial import PartialMaterializedView
 
@@ -273,7 +275,6 @@ class ViewCatalog:
             SimpleViewMaintainer(
                 view,  # type: ignore[arg-type]
                 parent_index=self.parent_index,
-                subscribe=False,
             )
         )
         from repro.views.recompute import compute_view_members
@@ -281,7 +282,7 @@ class ViewCatalog:
         view.load_members(
             compute_view_members(definition, self.store, registry=self.registry)
         )
-        self.store.subscribe(view.handle_fragment_update)
+        self._dependents[name] = [self.dispatcher.register(view)]
         self.materialized_views[name] = view  # type: ignore[assignment]
         self._view_names.add(name)
         self.maintainers[name] = maintainer
@@ -299,15 +300,19 @@ class ViewCatalog:
         value_path: tuple[str, ...] | None = None,
     ):
         """Define an incrementally maintained aggregate (§6 open issue 2)
-        over an existing materialized view named *over*."""
-        from repro.views.aggregate import AggregateView
+        over an existing materialized view named *over*.
 
+        The dispatcher delivers each update (each coalesced batch) to
+        the aggregate after *over*'s maintainer(s), so it always reads
+        maintained membership."""
         view = self.materialized_views.get(over)
         if view is None:
             raise ViewError(f"no materialized view named {over!r}")
-        return AggregateView(
-            name, view, kind, value_path=value_path, subscribe=True
+        aggregate = AggregateView(name, view, kind, value_path=value_path)
+        self._dependents.setdefault(over, []).append(
+            self.dispatcher.register(aggregate)
         )
+        return aggregate
 
     def define_multipath(
         self, name: str, definitions, *, view_store: ObjectStore | None = None
@@ -324,7 +329,6 @@ class ViewCatalog:
                 self.store,
                 view_store,
                 parent_index=self.parent_index,
-                subscribe=False,
             )
         # Each branch is an ordinary simple maintainer over a branch
         # adapter; register them individually so each gets its own
@@ -340,19 +344,18 @@ class ViewCatalog:
         return view
 
     def drop_view(self, name: str) -> None:
-        """Remove a view, its maintainer subscription, its objects, and
-        its parent-index ignore entries."""
+        """Remove a view, its maintainer(s) and dependents from the
+        dispatcher, its objects and its aggregates' objects, and its
+        parent-index ignore entries."""
         maintainer = self.maintainers.pop(name, None)
         if maintainer is not None:
             self.dispatcher.unregister(maintainer)
             for sub_maintainer in getattr(maintainer, "maintainers", ()):
                 self.dispatcher.unregister(sub_maintainer)
-            handler = getattr(maintainer, "handle", None)
-            if handler is not None:
-                try:
-                    self.store.unsubscribe(handler)
-                except ValueError:
-                    pass
+        for dependent in self._dependents.pop(name, ()):
+            self.dispatcher.unregister(dependent)
+            if isinstance(dependent, AggregateView):
+                dependent.view.view_store.remove_object(dependent.name)
         mview = self.materialized_views.pop(name, None)
         if mview is not None:
             key = (mview.definition.entry, mview.definition.select_expression)
@@ -548,12 +551,6 @@ class ViewCatalog:
         :func:`~repro.views.dispatcher.screen_replayed` before
         application, so at-least-once delivery upstream cannot trigger
         ``InvalidUpdateError`` double-apply failures.
-
-        Limitation: :class:`~repro.views.aggregate.AggregateView`
-        instances subscribe to the base store directly and therefore
-        observe batched updates against not-yet-maintained membership;
-        call their ``refresh_all()`` after a batch that may affect
-        their underlying view.
         """
         fresh = screen_replayed(
             self.store, updates, counters=self.store.counters
@@ -580,12 +577,18 @@ class ViewCatalog:
         return {name: self.check(name) for name in self.materialized_views}
 
     def recompute(self, name: str) -> tuple[int, int]:
-        """Force full recomputation of a materialized view."""
+        """Force full recomputation of a materialized view, then of its
+        aggregates."""
         view = self.materialized_views.get(name)
         if view is None:
             raise ViewError(f"no materialized view named {name!r}")
         recomputed = recompute_view(
             view, registry=self.registry, label_index=self.label_index
         )
-        self.dispatcher.behind.discard(self.maintainers.get(name))
+        behind = self.dispatcher.behind
+        behind.discard(self.maintainers.get(name))
+        for dependent in self._dependents.get(name, ()):
+            if isinstance(dependent, AggregateView):
+                dependent.refresh_all()
+            behind.discard(dependent)
         return recomputed

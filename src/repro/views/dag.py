@@ -60,8 +60,6 @@ class DagCountingMaintainer:
         self,
         view: MaterializedView,
         parent_index: ParentIndex,
-        *,
-        subscribe: bool = False,
     ) -> None:
         view.definition.require_simple()
         self.view = view
@@ -78,8 +76,6 @@ class DagCountingMaintainer:
         self.wit: dict[str, int] = {}
         self.updates_processed = 0
         self._initialize()
-        if subscribe:
-            self.base.subscribe(self.handle)
 
     # -- initialization -----------------------------------------------------
 

@@ -68,7 +68,6 @@ class ExtendedViewMaintainer:
         view: MaterializedView,
         *,
         parent_index: ParentIndex | None = None,
-        subscribe: bool = False,
     ) -> None:
         if not view.definition.is_extended:
             raise MaintenanceError(
@@ -94,8 +93,6 @@ class ExtendedViewMaintainer:
         self.updates_processed = 0
         self._context: "PathContext | None" = None
         self._shared = unshared
-        if subscribe:
-            self.base.subscribe(self.handle)
 
     # -- dispatch ------------------------------------------------------------
 

@@ -108,11 +108,12 @@ class SimpleViewMaintainer:
         parent_index: the base store's inverse index; when None the
             maintainer uses root-down traversal for ``path()`` and
             ``ancestor()`` (the expensive case of Section 4.4).
-        subscribe: when True, register with the base store so every
-            applied update triggers maintenance automatically.  Note
-            listener order matters: construct the parent index *before*
-            the maintainer so the index is up to date when maintenance
-            runs (stores notify listeners in subscription order).
+
+    Updates reach :meth:`handle` through a
+    :class:`~repro.views.dispatcher.MaintenanceDispatcher`, or straight
+    from the base store when a standalone caller subscribes ``handle``.
+    Stores notify listeners in subscription order, so build the parent
+    index first.
     """
 
     def __init__(
@@ -120,7 +121,6 @@ class SimpleViewMaintainer:
         view: MaterializedView,
         *,
         parent_index: ParentIndex | None = None,
-        subscribe: bool = False,
     ) -> None:
         view.definition.require_simple()
         self.view = view
@@ -139,8 +139,6 @@ class SimpleViewMaintainer:
         self.updates_processed = 0
         self._context: "PathContext | None" = None
         self._shared = unshared
-        if subscribe:
-            self.base.subscribe(self.handle)
 
     # -- dispatch ---------------------------------------------------------
 

@@ -60,7 +60,13 @@ class _Branch:
 
 
 class MultiPathView:
-    """Union of simple views over one base, with shared delegates."""
+    """Union of simple views over one base, with shared delegates.
+
+    The per-branch :attr:`maintainers` are not connected to the store:
+    register each with a dispatcher, as
+    :meth:`~repro.views.catalog.ViewCatalog.define_multipath` does, or
+    subscribe its ``handle`` to the base store.
+    """
 
     def __init__(
         self,
@@ -70,7 +76,6 @@ class MultiPathView:
         view_store: ObjectStore | None = None,
         *,
         parent_index: ParentIndex | None = None,
-        subscribe: bool = True,
     ) -> None:
         parsed = [
             ViewDefinition.parse(d) if isinstance(d, str) else d
@@ -111,7 +116,6 @@ class MultiPathView:
             SimpleViewMaintainer(
                 branch,  # type: ignore[arg-type]
                 parent_index=parent_index,
-                subscribe=subscribe,
             )
             for branch in self.branches
         ]

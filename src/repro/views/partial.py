@@ -17,10 +17,12 @@ The class exposes the same mutation surface as
 :class:`~repro.views.materialized.MaterializedView` (``v_insert`` /
 ``v_delete`` / ``refresh`` / ``contains`` / ...), so the ordinary
 maintainers drive *membership* unchanged.  Fragment *contents* below
-the member are outside what Algorithm 1 refreshes, so the view also
-subscribes to the base store and rebuilds any fragment whose interior
-an update touches.  Fragments may overlap (a member nested inside
-another member's fragment); copied objects are reference counted.
+the member are outside what Algorithm 1 refreshes, so the maintenance
+dispatcher also delivers each update to the view itself, after its
+maintainer, and :meth:`PartialMaterializedView.handle` rebuilds any
+fragment whose interior the update touches.  Fragments may overlap (a
+member nested inside another member's fragment); copied objects are
+reference counted.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class PartialMaterializedView:
         view_store: ObjectStore | None = None,
         *,
         depth: int = 2,
-        subscribe_fragments: bool = False,
     ) -> None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
@@ -63,8 +64,6 @@ class PartialMaterializedView:
             self.view_store.add_object(self.view_object)
         finally:
             self.view_store.check_references = previous
-        if subscribe_fragments:
-            base_store.subscribe(self.handle_fragment_update)
 
     # -- identity / lookup -----------------------------------------------------
 
@@ -92,9 +91,6 @@ class PartialMaterializedView:
         if base_oid not in self._refcounts:
             return None
         return self.view_store.get_optional(self.delegate_oid(base_oid))
-
-    def fragment_of(self, member: str) -> tuple[str, ...]:
-        return self._fragments.get(member, ())
 
     def __len__(self) -> int:
         return len(self._members)
@@ -200,13 +196,13 @@ class PartialMaterializedView:
 
     # -- fragment-interior maintenance ----------------------------------------------------
 
-    def handle_fragment_update(self, update: Update) -> None:
+    def handle(self, update: Update) -> None:
         """Rebuild fragments whose interior the update touched.
 
         Membership itself is the job of the attached maintainer (which
-        runs first — it subscribed first); this pass only keeps copied
-        interiors fresh, the analogue of the delegate-refresh extension
-        for multi-level copies.
+        runs first — it was registered first); this pass only keeps
+        copied interiors fresh, the analogue of the delegate-refresh
+        extension for multi-level copies.
         """
         affected = set(update.directly_affected)
         for member in sorted(self._members):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.gsdb.updates import Update
 
@@ -196,13 +195,4 @@ def payload_from_object(obj) -> ObjectPayload:
     )
     return ObjectPayload(
         oid=obj.oid, label=obj.label, type=obj.type, value=value
-    )
-
-
-def sequence_chain(
-    oids: Sequence[str], labels: Sequence[str], target: str
-) -> PathPayload:
-    """Convenience constructor for a :class:`PathPayload`."""
-    return PathPayload(
-        target=target, oid_chain=tuple(oids), labels=tuple(labels)
     )

@@ -10,7 +10,7 @@ dependency one-directional at package level avoids the cycle.
 
 from __future__ import annotations
 
-from repro.chaos.faults import FaultRates, FaultSchedule
+from repro.chaos.faults import FaultRates
 
 #: The named severity presets the benchmark sweeps (message-fault mass
 #: split evenly across drop/duplicate/reorder, plus a small crash and
@@ -45,24 +45,3 @@ def uniform_rates(rate: float, *, timeout: float | None = None) -> FaultRates:
         reorder=rate,
         timeout=min(rate, 0.5) if timeout is None else timeout,
     )
-
-
-def fault_schedule(
-    seed: int,
-    severity: str | float = "moderate",
-    *,
-    max_hold: int = 4,
-    downtime: float = 2.0,
-) -> FaultSchedule:
-    """A seeded schedule at a named severity (or a uniform rate)."""
-    if isinstance(severity, str):
-        try:
-            rates = SEVERITIES[severity]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {severity!r}; "
-                f"pick one of {sorted(SEVERITIES)}"
-            ) from None
-    else:
-        rates = uniform_rates(float(severity))
-    return FaultSchedule(rates, seed=seed, max_hold=max_hold, downtime=downtime)

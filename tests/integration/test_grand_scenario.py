@@ -111,8 +111,10 @@ class TestLocalCompositeStack:
             member_view.load_members(
                 compute_view_members(member_view.definition, store)
             )
-            SimpleViewMaintainer(
-                member_view, parent_index=index, subscribe=True  # type: ignore[arg-type]
+            store.subscribe(
+                SimpleViewMaintainer(
+                    member_view, parent_index=index  # type: ignore[arg-type]
+                ).handle
             )
 
         # An aggregate over a separately materialized copy.
@@ -127,10 +129,11 @@ class TestLocalCompositeStack:
         from repro.views.recompute import populate_view
 
         populate_view(agg_view)
-        SimpleViewMaintainer(agg_view, parent_index=index, subscribe=True)
-        ages = AggregateView(
-            "SUMAGES", agg_view, AggregateKind.SUM, subscribe=True
+        store.subscribe(
+            SimpleViewMaintainer(agg_view, parent_index=index).handle
         )
+        ages = AggregateView("SUMAGES", agg_view, AggregateKind.SUM)
+        store.subscribe(ages.handle)
 
         # A depth-2 partial view in a separate local store.
         local = ObjectStore()
@@ -143,9 +146,11 @@ class TestLocalCompositeStack:
             local,
             depth=2,
         )
-        SimpleViewMaintainer(partial, parent_index=index, subscribe=True)  # type: ignore[arg-type]
+        store.subscribe(
+            SimpleViewMaintainer(partial, parent_index=index).handle  # type: ignore[arg-type]
+        )
         partial.load_members(compute_view_members(partial.definition, store))
-        store.subscribe(partial.handle_fragment_update)
+        store.subscribe(partial.handle)
 
         # Mixed workload.
         UpdateStream(

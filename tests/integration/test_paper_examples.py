@@ -181,7 +181,7 @@ class TestExample7IncrementalVsRecompute:
             store,
         )
         populate_view(view)
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
         before = store.counters.snapshot()
         insert_tuple(store, "R0", "T", age=40)
         delta = store.counters.delta_since(before)
@@ -199,7 +199,7 @@ class TestExample7IncrementalVsRecompute:
             store,
         )
         populate_view(view)
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
         members = view.members()
         insert_tuple(store, "R1", "T2", age=99)  # relation s
         assert view.members() == members

@@ -37,7 +37,7 @@ class TestScale:
             store,
         )
         populate_view(view)
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
         started = time.perf_counter()
         UpdateStream(
             store,
@@ -63,7 +63,9 @@ class TestScale:
             store,
         )
         populate_view(view)
-        ExtendedViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(
+            ExtendedViewMaintainer(view, parent_index=index).handle
+        )
         UpdateStream(
             store,
             seed=109,

@@ -162,7 +162,7 @@ def register_catalog(
             ExtendedViewMaintainer if kind == "extended" else SimpleViewMaintainer
         )
         dispatcher.register(
-            maintainer_cls(view, parent_index=parent_index, subscribe=False),
+            maintainer_cls(view, parent_index=parent_index),
             screen=screen and kind != "unscreened",
         )
         views.append(view)

@@ -223,9 +223,7 @@ def run_stream(
                 else ExtendedViewMaintainer
             )
             dispatcher.register(
-                maintainer_cls(
-                    view, parent_index=parent_index, subscribe=False
-                )
+                maintainer_cls(view, parent_index=parent_index)
             )
             views.append(view)
     if screens == "per-view":

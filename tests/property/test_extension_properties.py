@@ -1,8 +1,10 @@
 """Property-based tests for the Section 6 open-issue extensions.
 
-* Aggregate views track a from-scratch recomputation under random
-  update streams.
-* Partial views keep every fragment copy exactly equal to base state.
+* Aggregates a catalog defines (every kind, over a plain and over a
+  multi-path view) equal a from-scratch recomputation after every
+  streamed update and every ``apply_batch``.
+* Partial views a catalog defines keep every fragment copy exactly
+  equal to base state, streamed and batched.
 * Multi-path views equal the union of their branches' truths.
 * The bulk screen is sound: a screened (declared-irrelevant) bulk never
   changes the view it was screened for.
@@ -10,6 +12,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from tests.property.support import common_settings
@@ -20,14 +23,12 @@ from repro.paths import PathExpression
 from repro.query.ast import Comparison
 from repro.views import (
     AggregateKind,
-    AggregateView,
-    MaterializedView,
     MultiPathView,
     PartialMaterializedView,
     SimpleViewMaintainer,
+    ViewCatalog,
     ViewDefinition,
     compute_view_members,
-    populate_view,
 )
 from repro.warehouse import BulkUpdate, bulk_is_relevant, execute_bulk
 from repro.workloads import UpdateStream, random_labelled_tree
@@ -35,6 +36,17 @@ from repro.workloads import UpdateStream, random_labelled_tree
 COMMON = common_settings(20)
 
 DEF = "define mview V as: SELECT root0.a X WHERE X.b > 50"
+NODES = 25
+LABELS = ("a", "b", "c")
+#: The branches of the multi-path view the catalog properties define.
+BRANCHES = (
+    "define mview M as: SELECT root0.a X WHERE X.b > 50",
+    "define mview M as: SELECT root0.b X WHERE X.a < 40",
+    "define mview M as: SELECT root0.c X",
+)
+MODES = pytest.mark.parametrize(
+    "batched", [False, True], ids=["streamed", "apply_batch"]
+)
 
 
 def run_stream(store, root, seed, steps):
@@ -42,59 +54,98 @@ def run_stream(store, root, seed, steps):
         store,
         seed=seed,
         protected=frozenset({root}),
-        protected_prefixes=("V", "AGG"),
-        labels_for_new=("a", "b", "c"),
+        protected_prefixes=("V",),
+        labels_for_new=LABELS,
     ).run(steps)
 
 
+def drive(catalog, seed, rounds, size, batched, check):
+    """Hand *rounds* x *size* random updates to *catalog*, one at a time
+    or each round as one ``apply_batch``, calling *check* after each.
+
+    :class:`UpdateStream` applies what it draws, so it draws on a twin
+    of the catalog's base (``random_labelled_tree`` at *seed*); each
+    object it creates there is copied over, as created, before the
+    updates that link it arrive.
+    """
+    twin, _ = random_labelled_tree(nodes=NODES, labels=LABELS, seed=seed)
+    created = []
+    twin.subscribe_creations(lambda obj: created.append(obj.copy()))
+    stream = UpdateStream(twin, seed=seed + 1, labels_for_new=LABELS)
+    for _ in range(rounds):
+        updates = stream.run(size)
+        for obj in created:
+            catalog.store.add_object(obj)
+        created.clear()
+        if batched:
+            catalog.apply_batch(updates)
+            check()
+            continue
+        for update in updates:
+            catalog.store.apply(update)
+            check()
+
+
 class TestAggregateProperties:
+    @MODES
     @given(
         seed=st.integers(0, 10_000),
-        steps=st.integers(1, 20),
+        rounds=st.integers(1, 6),
+        size=st.integers(1, 6),
         kind=st.sampled_from(list(AggregateKind)),
     )
     @settings(**COMMON)
-    def test_aggregate_tracks_recomputation(self, seed, steps, kind):
-        store, root = random_labelled_tree(
-            nodes=25, labels=("a", "b", "c"), seed=seed
-        )
-        index = ParentIndex(store)
-        view = MaterializedView(ViewDefinition.parse(DEF), store)
-        populate_view(view)
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)
-        aggregate = AggregateView("AGG", view, kind, subscribe=True)
-        run_stream(store, root, seed + 1, steps)
-        maintained = aggregate.current_value()
-        aggregate.refresh_all()
-        assert aggregate.current_value() == maintained
+    def test_aggregate_tracks_recomputation(
+        self, batched, seed, rounds, size, kind
+    ):
+        store, _ = random_labelled_tree(nodes=NODES, labels=LABELS, seed=seed)
+        catalog = ViewCatalog(store)
+        catalog.define(DEF)
+        multipath = catalog.define_multipath("M", BRANCHES)
+        aggregates = [
+            catalog.define_aggregate(f"AGG_{each.value}", "V", each)
+            for each in AggregateKind
+        ]
+        aggregates.append(catalog.define_aggregate("AGG_M", "M", kind))
+
+        def check():
+            assert all(aggregate.check() for aggregate in aggregates)
+            # ViewCatalog.check audits a multi-path view against its
+            # first branch alone; the view audits its union itself.
+            assert multipath.check()
+            assert all(
+                report.ok
+                for name, report in catalog.check_all().items()
+                if name != "M"
+            )
+
+        drive(catalog, seed, rounds, size, batched, check)
 
 
 class TestPartialProperties:
+    @MODES
     @given(
         seed=st.integers(0, 10_000),
-        steps=st.integers(1, 20),
+        rounds=st.integers(1, 6),
+        size=st.integers(1, 6),
         depth=st.integers(1, 3),
     )
     @settings(**COMMON)
-    def test_fragments_stay_exact(self, seed, steps, depth):
-        store, root = random_labelled_tree(
-            nodes=25, labels=("a", "b", "c"), seed=seed
-        )
-        index = ParentIndex(store)
-        view = PartialMaterializedView(
-            ViewDefinition.parse(DEF), store, depth=depth
-        )
-        index.ignore_view("V")
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)  # type: ignore[arg-type]
-        view.load_members(
-            compute_view_members(view.definition, store)
-        )
-        store.subscribe(view.handle_fragment_update)
-        run_stream(store, root, seed + 1, steps)
-        assert view.members() == compute_view_members(
-            view.definition, store
-        )
-        assert view.check_fragments() == []
+    def test_fragments_stay_exact(self, batched, seed, rounds, size, depth):
+        store, _ = random_labelled_tree(nodes=NODES, labels=LABELS, seed=seed)
+        catalog = ViewCatalog(store)
+        partial = catalog.define_partial(DEF, depth=depth)
+        count = catalog.define_aggregate("AGG", "V", AggregateKind.COUNT)
+
+        def check():
+            assert partial.check_fragments() == []
+            assert partial.members() == compute_view_members(
+                partial.definition, store
+            )
+            assert count.check()
+            assert all(report.ok for report in catalog.check_all().values())
+
+        drive(catalog, seed, rounds, size, batched, check)
 
 
 class TestMultiPathProperties:
@@ -118,6 +169,8 @@ class TestMultiPathProperties:
         view = MultiPathView(
             "V", self.DEFS[:branch_count], store, parent_index=index
         )
+        for maintainer in view.maintainers:
+            store.subscribe(maintainer.handle)
         run_stream(store, root, seed + 1, steps)
         assert view.check()
 
@@ -169,9 +222,11 @@ class TestBulkScreenSoundness:
         index = ParentIndex(store)
         view = PartialMaterializedView(definition, store, depth=depth)
         index.ignore_view("V")
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)  # type: ignore[arg-type]
+        store.subscribe(
+            SimpleViewMaintainer(view, parent_index=index).handle  # type: ignore[arg-type]
+        )
         view.load_members(compute_view_members(definition, store))
-        store.subscribe(view.handle_fragment_update)
+        store.subscribe(view.handle)
 
         members_before = view.members()
         values_before = {

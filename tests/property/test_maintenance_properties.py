@@ -82,7 +82,7 @@ class TestSimpleMaintenanceEquivalence:
             ViewDefinition.parse(SIMPLE_DEFS[def_index]), store
         )
         populate_view(view)
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
         stream = UpdateStream(
             store,
             seed=seed + 1,
@@ -112,7 +112,9 @@ class TestExtendedMaintenanceEquivalence:
             ViewDefinition.parse(EXTENDED_DEFS[def_index]), store
         )
         populate_view(view)
-        ExtendedViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(
+            ExtendedViewMaintainer(view, parent_index=index).handle
+        )
         stream = UpdateStream(
             store,
             seed=seed + 1,
@@ -195,7 +197,7 @@ class TestDagMaintenanceEquivalence:
             else "define mview V as: SELECT dagroot.l1.l2 X"
         )
         view = MaterializedView(ViewDefinition.parse(definition), store)
-        DagCountingMaintainer(view, index, subscribe=True)
+        store.subscribe(DagCountingMaintainer(view, index).handle)
         _random_dag_updates(store, root, seed + 1, steps)
         report = check_consistency(view)
         assert report.ok, report.describe()
@@ -220,7 +222,7 @@ class TestDagMaintenanceEquivalence:
             ),
             store,
         )
-        DagCountingMaintainer(view, index, subscribe=True)
+        store.subscribe(DagCountingMaintainer(view, index).handle)
         _random_dag_updates(store, root, seed + 1, steps)
         report = check_consistency(view)
         assert report.ok, report.describe()
@@ -236,7 +238,7 @@ class TestInverseUpdatesRestoreView:
             ViewDefinition.parse(SIMPLE_DEFS[0]), store
         )
         populate_view(view)
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+        store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
         members_before = view.members()
         stream = UpdateStream(
             store,

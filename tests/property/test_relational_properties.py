@@ -50,7 +50,9 @@ class TestMirrorProperties:
         index = ParentIndex(store)
         native = MaterializedView(definition, store)
         populate_view(native)
-        SimpleViewMaintainer(native, parent_index=index, subscribe=True)
+        store.subscribe(
+            SimpleViewMaintainer(native, parent_index=index).handle
+        )
 
         stream = UpdateStream(
             store,

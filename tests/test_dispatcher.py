@@ -93,10 +93,10 @@ def _build_views(seed, nodes, simple_indices, extended_indices, *, dispatch):
         )
         view = MaterializedView(definition, store, ObjectStore())
         populate_view(view)
-        maintainer = maintainer_cls(
-            view, parent_index=index, subscribe=not dispatch
-        )
-        if dispatcher is not None:
+        maintainer = maintainer_cls(view, parent_index=index)
+        if dispatcher is None:
+            store.subscribe(maintainer.handle)
+        else:
             dispatcher.register(maintainer)
         views.append(view)
     return store, root, views, dispatcher

@@ -23,22 +23,15 @@ KNOBS = frozenset(
         "repro.gsdb.gc:collect_garbage(dry_run)",
         "repro.gsdb.indexes:ParentIndex.__init__(chain_cache)",
         "repro.gsdb.store:ObjectStore.__init__(check_references)",
-        "repro.relational.maintenance:RelationalMirror.__init__(subscribe)",
-        "repro.views.aggregate:AggregateView.__init__(subscribe)",
         "repro.views.catalog:ViewCatalog.__init__(with_label_index)",
         "repro.views.catalog:ViewCatalog.__init__(with_parent_index)",
         "repro.views.catalog:ViewCatalog.define(annotate_timestamps)",
         "repro.views.consistency:assert_consistent(check_values)",
         "repro.views.consistency:check_consistency(check_values)",
-        "repro.views.dag:DagCountingMaintainer.__init__(subscribe)",
         "repro.views.definition:ViewDefinition(materialized)",
         "repro.views.dispatcher:MaintenanceDispatcher.__init__(subscribe)",
         "repro.views.dispatcher:MaintenanceDispatcher.register(screen)",
-        "repro.views.extended:ExtendedViewMaintainer.__init__(subscribe)",
-        "repro.views.maintenance:SimpleViewMaintainer.__init__(subscribe)",
         "repro.views.materialized:MaterializedView.__init__(annotate_timestamps)",
-        "repro.views.multipath:MultiPathView.__init__(subscribe)",
-        "repro.views.partial:PartialMaterializedView.__init__(subscribe_fragments)",
         "repro.views.virtual:VirtualView.__init__(auto_refresh)",
         "repro.warehouse.bulk:BulkUpdate(functional_guard)",
         "repro.warehouse.warehouse:RemoteViewMaintainer.__init__(screen)",

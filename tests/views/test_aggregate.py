@@ -21,14 +21,14 @@ def setup(person_tree_store):
     index = ParentIndex(store)
     view = MaterializedView(ViewDefinition.parse(YP_DEF), store)
     populate_view(view)
-    SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+    store.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
     return store, view
 
 
 def make_aggregate(view, kind, **kwargs):
-    return AggregateView(
-        f"AGG_{kind.value}", view, kind, subscribe=True, **kwargs
-    )
+    aggregate = AggregateView(f"AGG_{kind.value}", view, kind, **kwargs)
+    view.base_store.subscribe(aggregate.handle)
+    return aggregate
 
 
 class TestInitialValues:
@@ -124,8 +124,8 @@ class TestCustomValuePath:
             AggregateKind.COUNT,
             value_path=("student",),
             value_filter=lambda v: True,
-            subscribe=True,
         )
+        store.subscribe(agg.handle)
         # COUNT with a value path counts atomic values on it; P1's
         # student P3 is a set object, so count its name instead:
         agg2 = AggregateView(
@@ -134,8 +134,8 @@ class TestCustomValuePath:
             AggregateKind.COUNT,
             value_path=("student", "name"),
             value_filter=lambda v: True,
-            subscribe=True,
         )
+        store.subscribe(agg2.handle)
         assert agg2.current_value() == 1  # N3
         store.delete_edge("P1", "P3")
         assert agg2.current_value() == 0

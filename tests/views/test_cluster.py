@@ -77,7 +77,7 @@ class TestMaintainedCluster:
             view = cluster.add_view(d)
             index.ignore_parent(view.oid)
             view.load_members(compute_view_members(d, s))
-            SimpleViewMaintainer(view, parent_index=index, subscribe=True)
+            s.subscribe(SimpleViewMaintainer(view, parent_index=index).handle)
         young = cluster.views["YOUNG"]
         johns = cluster.views["JOHNS"]
         assert young.members() == {"P1"}

@@ -15,7 +15,8 @@ from repro.views import (
 def make_dag_view(store, definition):
     index = ParentIndex(store)
     view = MaterializedView(ViewDefinition.parse(definition), store)
-    maintainer = DagCountingMaintainer(view, index, subscribe=True)
+    maintainer = DagCountingMaintainer(view, index)
+    store.subscribe(maintainer.handle)
     return view, maintainer
 
 

@@ -17,7 +17,7 @@ def make_view(store, definition):
     index = ParentIndex(store)
     view = MaterializedView(ViewDefinition.parse(definition), store)
     populate_view(view)
-    ExtendedViewMaintainer(view, parent_index=index, subscribe=True)
+    store.subscribe(ExtendedViewMaintainer(view, parent_index=index).handle)
     return view
 
 

@@ -24,9 +24,8 @@ def make_view(store, definition=YP_DEF, *, indexed=True):
     index = ParentIndex(store) if indexed else None
     view = MaterializedView(ViewDefinition.parse(definition), store)
     populate_view(view)
-    maintainer = SimpleViewMaintainer(
-        view, parent_index=index, subscribe=True
-    )
+    maintainer = SimpleViewMaintainer(view, parent_index=index)
+    store.subscribe(maintainer.handle)
     return view, maintainer
 
 

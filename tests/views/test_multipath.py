@@ -13,11 +13,18 @@ DEFS = (
 )
 
 
+def maintained(view):
+    """Subscribe each branch's maintainer to the base store."""
+    for maintainer in view.maintainers:
+        view.base_store.subscribe(maintainer.handle)
+    return view
+
+
 @pytest.fixture
 def setup():
     store = person_db(tree=True)
     index = ParentIndex(store)
-    view = MultiPathView("U", DEFS, store, parent_index=index)
+    view = maintained(MultiPathView("U", DEFS, store, parent_index=index))
     return store, view
 
 
@@ -42,7 +49,7 @@ class TestUnionSemantics:
             "define mview U as: SELECT ROOT.professor X WHERE X.age <= 45",
             "define mview U as: SELECT ROOT.professor X WHERE X.name = 'John'",
         )
-        view = MultiPathView("U", defs, store, parent_index=index)
+        view = maintained(MultiPathView("U", defs, store, parent_index=index))
         assert view.supporting_branches("P1") == {0, 1}
         # Losing one derivation keeps the member.
         store.modify_value("A1", 99)  # too old, still John
@@ -109,7 +116,7 @@ class TestDelegates:
             "define mview U as: SELECT ROOT.professor X WHERE X.age <= 45",
             "define mview U as: SELECT ROOT.professor X WHERE X.name = 'John'",
         )
-        view = MultiPathView("U", defs, store, parent_index=index)
+        view = maintained(MultiPathView("U", defs, store, parent_index=index))
         assert view.view.delegates() == {"U.P1"}
         assert view.delegate("P1").label == "professor"
 

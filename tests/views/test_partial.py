@@ -20,16 +20,16 @@ def make_partial(store, depth, *, view_store=None, subscribe=True):
         store,
         view_store,
         depth=depth,
-        subscribe_fragments=False,
     )
     if view_store is None:
         index.ignore_view("PV")
     maintainer = SimpleViewMaintainer(
-        view, parent_index=index, subscribe=subscribe  # type: ignore[arg-type]
+        view, parent_index=index  # type: ignore[arg-type]
     )
     view.load_members(compute_view_members(view.definition, store))
     if subscribe:
-        store.subscribe(view.handle_fragment_update)
+        store.subscribe(maintainer.handle)
+        store.subscribe(view.handle)
     return view
 
 

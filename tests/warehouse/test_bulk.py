@@ -223,9 +223,11 @@ class TestScreeningSoundness:
             depth=2,
         )
         index.ignore_view("PJ")
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)  # type: ignore[arg-type]
+        payroll.subscribe(
+            SimpleViewMaintainer(view, parent_index=index).handle  # type: ignore[arg-type]
+        )
         view.load_members(compute_view_members(self_def, payroll))
-        payroll.subscribe(view.handle_fragment_update)
+        payroll.subscribe(view.handle)
 
         assert not bulk_is_relevant(self_def, RAISE_MARKS, fragment_depth=2)
         salary_before = view.delegate("s1").value
@@ -243,9 +245,11 @@ class TestScreeningSoundness:
         )
         view = PartialMaterializedView(definition, payroll, depth=2)
         index.ignore_view("PM")
-        SimpleViewMaintainer(view, parent_index=index, subscribe=True)  # type: ignore[arg-type]
+        payroll.subscribe(
+            SimpleViewMaintainer(view, parent_index=index).handle  # type: ignore[arg-type]
+        )
         view.load_members(compute_view_members(definition, payroll))
-        payroll.subscribe(view.handle_fragment_update)
+        payroll.subscribe(view.handle)
 
         assert bulk_is_relevant(definition, RAISE_MARKS, fragment_depth=2)
         execute_bulk(payroll, "ROOT", RAISE_MARKS)
