@@ -132,7 +132,6 @@ class ColumnarSnapshot:
         self.value_of: list = []
         self._alive = bytearray()
         self._dead = 0
-        self._labels: set[str] = set()
         self._label_csr: dict[str, tuple[array, array]] = {}
         self._all_csr: tuple[array, array] | None = None
         self._csr_rows = 0
@@ -242,7 +241,6 @@ class ColumnarSnapshot:
             value_of.append(_SET_VALUE if obj.is_set else obj.atomic_value())
         self.label_of = label_of
         self.value_of = value_of
-        self._labels = set(label_of)
         self._alive = bytearray(b"\xff" * ((nrows + 7) >> 3))
         self._dead = 0
         self._patched = {}
@@ -405,7 +403,6 @@ class ColumnarSnapshot:
             if (row >> 3) >= len(self._alive):
                 self._alive.append(0)
             self._alive[row >> 3] |= 1 << (row & 7)
-            self._labels.add(label)
             self.counters.snapshot_rows_scanned += 1
             if is_set:
                 adj: dict[str, set[int]] = {}
@@ -458,9 +455,9 @@ class EpochView:
     """One store's columnar state frozen at a single epoch (immutable).
 
     The one implementation of the snapshot view protocol (``nrows`` /
-    :meth:`row` / :meth:`oid` / :meth:`label` / :meth:`label_names` /
-    :meth:`gather`) plus :meth:`atomic_value`: the bitset kernels and
-    the serving tier's condition evaluation run on it.  Sharing
+    :meth:`row` / :meth:`oid` / ``label_of`` / :meth:`gather`) plus
+    :meth:`atomic_value`: the bitset kernels and the serving tier's
+    condition evaluation run on it.  Sharing
     contract with the live :class:`ColumnarSnapshot` it was frozen
     from: ``oid_of``/``label_of`` only ever *append* between rebuilds
     and a rebuild *replaces* the list objects, so sharing them with an
@@ -482,7 +479,6 @@ class EpochView:
         self._value_of = list(snapshot.value_of)
         self._alive = bytes(snapshot._alive)
         self._dead = snapshot._dead
-        self._labels = set(snapshot._labels)
         self._label_csr = snapshot._label_csr
         self._all_csr = snapshot._all_csr
         self._csr_rows = snapshot._csr_rows
@@ -501,9 +497,6 @@ class EpochView:
 
     def label(self, row: int) -> str:
         return self.label_of[row]
-
-    def label_names(self) -> list[str]:
-        return sorted(self._labels)
 
     def atomic_value(self, row: int) -> object | None:
         value = self._value_of[row]

@@ -170,6 +170,11 @@ class ParentIndex:
         self._ignored.discard(view_oid)
         self._ignored_prefixes.discard(view_oid + ".")
 
+    def records_children(self, oid: str) -> bool:
+        """Are *oid*'s out-edges parent-child edges here?  False for an
+        absent OID and for ignored (grouping) parents."""
+        return self._store.peek(oid) is not None and not self._is_ignored(oid)
+
     def is_view_object(self, oid: str) -> bool:
         """Is *oid* a view registered by :meth:`ignore_view`, or under one?"""
         prefixes = self._ignored_prefixes
@@ -255,9 +260,11 @@ class ParentIndex:
         :func:`~repro.gsdb.traversal.path_between` charges — and caches
         the chain plus all its suffixes.  The walk stops where an
         object is missing from the store (truncated chain), at a
-        parentless node, or at a node with several parents (the
+        parentless node, at a node with several parents (the
         flag, so callers can preserve :meth:`parent`'s loud non-tree
-        failure mode).
+        failure mode), or at a node already walked (a detached cycle:
+        the walked nodes are then every ancestor).  A cycle node's
+        chain is its own rotation, so no suffix inside it is memoized.
         """
         counters = self._store.counters
         cached = self._chain_cache.get(oid)
@@ -267,12 +274,14 @@ class ParentIndex:
             return cached
         counters.chain_cache_misses += 1
         entries: list[tuple[str, str]] = []
+        walked: dict[str, int] = {}
         stopped_at_multi = False
         current = oid
-        while True:
+        while current not in walked:
             obj = self._store.get_optional(current)
             if obj is None:
                 break
+            walked[current] = len(entries)
             entries.append((current, obj.label))
             counters.index_probes += 1
             parents = self._parents.get(current)
@@ -286,7 +295,7 @@ class ParentIndex:
         result = (tuple(entries), stopped_at_multi)
         if self._chain_caching:
             self._chain_cache[oid] = result
-            for i in range(1, len(entries)):
+            for i in range(1, walked.get(current, len(entries) - 1) + 1):
                 self._chain_cache.setdefault(
                     entries[i][0], (result[0][i:], stopped_at_multi)
                 )

@@ -223,11 +223,13 @@ def _path_upward(
     parent_index: ParentIndex,
 ) -> list[str] | None:
     labels: list[str] = []
+    walked: set[str] = set()
     current = descendant
     while current != ancestor:
         obj = store.get_optional(current)
-        if obj is None:
+        if obj is None or current in walked:  # absent, or a detached cycle
             return None
+        walked.add(current)
         labels.append(obj.label)
         parent = parent_index.parent(current)
         if parent is None:
@@ -443,7 +445,7 @@ def chain_between(
         current = descendant
         while current != ancestor:
             parent = parent_index.parent(current)
-            if parent is None:
+            if parent is None or parent in chain:  # a detached cycle
                 return None
             store.counters.edge_traversals += 1
             chain.append(parent)

@@ -24,10 +24,14 @@ no expansions; dangling child references are never admitted.
 
 Cost accounting: the kernel charges only ``snapshot_rows_scanned``
 (inside ``gather``) — columnar rows are copies, not base objects, so
-the store's ``object_reads``/``edge_traversals`` stay untouched.
+the store's ``object_reads``/``edge_traversals`` stay untouched.  Cost
+follows the rows reached, never the number of labels in the image: a
+live ``*``/``?`` gathers label-blind, a bounded alphabet once per
+label, and each child steps on its own label through the automaton's
+move memo (``PathNFA._move``), as the store sweep does.
 
 The kernel takes the epoch view protocol
-(``row``/``oid``/``label_names``/``gather``), which only
+(``row``/``oid``/``label_of``/``gather``), which only
 :class:`~repro.gsdb.columnar.EpochView` implements: it serves the MVCC
 tier's frozen epochs and nothing else.
 """
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.paths.automaton import PathNFA, StateSet
+from repro.paths.automaton import _UNSEEN, PathNFA, StateSet
 
 
 def evaluate_many_on_snapshot(
@@ -44,17 +48,11 @@ def evaluate_many_on_snapshot(
 ) -> dict[str, set[str]]:
     """``start.e`` for *many* starts in one multi-source product sweep.
 
-    Equivalent to one evaluation per start, but shares the frontier
-    machinery across all starts: origin provenance rides along as an
-    integer bitmask (one bit per distinct start), so each (row, state
-    set) pair is expanded at most once per *new* origin arrival instead
-    of once per start.  When the starts root disjoint subgraphs — the
-    common case for WHERE-clause candidates over tree-shaped stores —
-    every pair is expanded exactly once in total, and the per-start
-    setup cost (visited masks, per-level NFA bookkeeping) is paid once
-    rather than ``len(starts)`` times.  Worst case (all starts reach
-    everything) degrades to the per-start cost with wider masks, never
-    worse asymptotically.
+    Equivalent to one evaluation per start: origin provenance rides
+    along as an integer bitmask (one bit per distinct start), so each
+    (row, state set) pair is expanded at most once per *new* origin
+    arrival instead of once per start.  Worst case (all starts reach
+    everything) degrades to the per-start cost with wider masks.
 
     The MVCC tier (``repro.serving.mvcc``) calls it with the one entry
     OID for a select path, and with every candidate at once for each
@@ -88,63 +86,52 @@ def evaluate_many_on_snapshot(
     accepted: dict[int, int] = {}
     if nfa.is_accepting(initial):
         accepted.update(init_rows)
-    all_labels = view.label_names()
+    label_of = view.label_of
+    move_of = nfa._move
     frontier: dict[StateSet, dict[int, int]] = {initial: dict(init_rows)}
     while frontier:
         next_frontier: dict[StateSet, dict[int, int]] = {}
-        for states in sorted(frontier, key=sorted):
-            row_masks = frontier[states]
+        for states, row_masks in frontier.items():
+            if not row_masks:
+                continue  # a step was derived, but nothing new
             alphabet = nfa.transition_labels(states)
-            if alphabet is None:
-                labels: Iterable[str] = all_labels
-            elif not alphabet:
+            if alphabet is not None and not alphabet:
                 continue  # accept-only state set: nothing to expand
-            else:
-                labels = sorted(alphabet.intersection(all_labels))
-            groups: dict[StateSet, list[str]] = {}
-            for label in labels:
-                stepped = nfa.step(states, label)
-                if stepped:
-                    groups.setdefault(stepped, []).append(label)
+            # label -> (visited masks, next bucket, accepting) of this
+            # state set's step on it; None when the step dies.
+            moves: dict[str, tuple | None] = {}
             # Rows sharing an origin mask sweep through gather as one
             # batch — their children all inherit that same mask.
             by_mask: dict[int, list[int]] = {}
             for row, mask in row_masks.items():
                 by_mask.setdefault(mask, []).append(row)
-            for next_states in sorted(groups, key=sorted):
-                group = groups[next_states]
-                wildcard = len(group) == len(all_labels)
-                bits = visited.setdefault(next_states, {})
-                bucket = next_frontier.setdefault(next_states, {})
-                accepting = nfa.is_accepting(next_states)
-                bits_get = bits.get
-                bucket_get = bucket.get
-                accepted_get = accepted.get
-                for mask, rows in by_mask.items():
-                    if wildcard:
-                        children = view.gather(rows, None)
-                    else:
-                        children = []
-                        for label in group:
-                            children.extend(view.gather(rows, label))
-                    for child in children:
-                        seen = bits_get(child, 0)
-                        if seen:
-                            new = mask & ~seen
-                            if not new:
-                                continue
-                            bits[child] = seen | new
-                        else:
-                            new = mask
-                            bits[child] = mask
-                        bucket[child] = bucket_get(child, 0) | new
-                        if accepting:
-                            accepted[child] = accepted_get(child, 0) | new
-        frontier = {
-            states: bucket
-            for states, bucket in next_frontier.items()
-            if bucket
-        }
+            for mask, rows in by_mask.items():
+                if alphabet is None:
+                    children = view.gather(rows, None)
+                else:
+                    children = []
+                    for label in alphabet:
+                        children.extend(view.gather(rows, label))
+                for child in children:
+                    label = label_of[child]
+                    move = moves.get(label, _UNSEEN)
+                    if move is _UNSEEN:
+                        move = move_of(states, label, moves, visited, next_frontier)
+                    if move is None:
+                        continue
+                    bits, bucket, accepting = move
+                    if bits is None:  # accept-only: a leaf
+                        accepted[child] = accepted.get(child, 0) | mask
+                        continue
+                    seen = bits.get(child, 0)
+                    new = mask & ~seen
+                    if not new:
+                        continue
+                    bits[child] = seen | new
+                    bucket[child] = bucket.get(child, 0) | new
+                    if accepting:
+                        accepted[child] = accepted.get(child, 0) | new
+        frontier = next_frontier
     oid = view.oid
     for row, mask in accepted.items():
         member = oid(row)

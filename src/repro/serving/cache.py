@@ -53,7 +53,8 @@ class CacheKey:
     ``entry_oid`` is the *resolved* entry point; ``within`` and
     ``ans_int`` stay as names — their member sets are part of the
     answer's dependencies and are watched by the invalidator, so two
-    scopes with the same name share (and invalidate) one entry.
+    scopes with the same name share (and invalidate) one entry.  The
+    hash is taken once: set operations would re-hash the whole AST.
     """
 
     entry_oid: str
@@ -61,6 +62,13 @@ class CacheKey:
     condition: Condition | None
     within: str | None
     ans_int: str | None
+
+    def __post_init__(self) -> None:
+        parts = (self.entry_oid, self.select_path, self.condition)
+        object.__setattr__(self, "_hash", hash(parts + (self.within, self.ans_int)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def cache_key(query: Query, entry_oid: str) -> CacheKey:

@@ -12,24 +12,25 @@ Label gate (``insert``/``delete``)
     set only if the moved child's label can appear on an instance of
     the select expression or of some comparison path — every instance
     path through the edge carries the child's label at the edge's
-    position.  Entries index into per-label buckets
-    (wildcard-bearing expressions into an "any label" bucket), so the
-    per-update work scales with the *candidate* entries, not the cache
-    size.
+    position.  Entries index into per-label buckets (wildcard-bearing
+    expressions into an "any label" bucket).
 
 Reachability screen
     The update's anchor (the edge's parent; the modified object) must
-    lie in the entry point's subtree.  One upward chain per update
-    (:meth:`~repro.views.dispatcher.PathContext.chain_set`, served from
-    the parent index's memo) is tested against every candidate's entry
-    OID.  The anchor's own chain is unaffected by the update itself
+    lie in the entry point's subtree.  Each OID on the anchor's upward
+    chain (:meth:`~repro.views.dispatcher.PathContext.chain_set`, one
+    per update from the parent index's memo) probes an index of
+    entries by entry OID, and a probed entry the label gate admits is
+    hit: per-update work scales with the chain, not with the candidate
+    entries.  The anchor's own chain is unaffected by the update itself
     (an edge insert/delete changes the *child*'s ancestry, not the
     parent's), so the final-state chain is sound for both inserts and
-    deletes.  Database and view entry points are special: their
-    grouping edges are excluded from the parent index, so the chain
-    tops out at a member — the screen then tests the chain against the
-    entry object's member set.  No index, a multi-parent stop, or an
-    unresolvable label fails *open* (invalidate), never closed.
+    deletes.  The chain never reaches an entry whose out-edges the
+    parent index does not record (database and view objects, ignored
+    parents, OIDs absent when cached); such entries are marked
+    *untracked* at :meth:`Invalidator.register`, and only they are
+    tested by member set against the chain.  No index, a multi-parent
+    stop, or an unresolvable label fails *open* (invalidate).
 
 Witness gate (``modify``)
     A value change can only affect entries *with* a condition, and only
@@ -140,10 +141,12 @@ class Invalidator:
     The owner delivers updates to :meth:`on_update` (the epoch server
     does so from its own store listener, charging the screens to its
     reader ledger).  Entries are bucketed by the labels their screens
-    admit, so one update screens only its label's candidates plus the
-    wildcard bucket.  Chains and labels are resolved through a fresh
-    per-update :class:`~repro.views.dispatcher.PathContext` (its memos
-    do not self-invalidate, so a context must never outlive its update).
+    admit and indexed by entry OID, so one update probes only the
+    entries on its anchor's chain (plus the untracked ones) and keeps
+    those its label admits.  Chains and labels are resolved through a
+    fresh per-update :class:`~repro.views.dispatcher.PathContext` (its
+    memos do not self-invalidate, so a context must never outlive its
+    update).
     """
 
     def __init__(
@@ -162,6 +165,9 @@ class Invalidator:
         self._witness: dict[str, set[CacheKey]] = {}
         self._witness_any: set[CacheKey] = set()
         self._scope: dict[str, set[CacheKey]] = {}
+        self._by_entry: dict[str, set[CacheKey]] = {}
+        #: Entries whose out-edges the parent index does not record.
+        self._untracked: set[CacheKey] = set()
 
     # -- registration --------------------------------------------------------
 
@@ -182,6 +188,10 @@ class Invalidator:
                     self._witness.setdefault(label, set()).add(key)
         for oid in screen.scope_parents:
             self._scope.setdefault(oid, set()).add(key)
+        self._by_entry.setdefault(screen.entry_oid, set()).add(key)
+        index = self._parent_index
+        if index is not None and not index.records_children(screen.entry_oid):
+            self._untracked.add(key)
 
     def forget(self, key: CacheKey) -> None:
         """Drop a departed entry's screen (cache eviction callback)."""
@@ -189,27 +199,20 @@ class Invalidator:
         if screen is None:
             return
         self._edge_any.discard(key)
-        if screen.edge_labels is not None:
-            for label in screen.edge_labels:
-                bucket = self._edge.get(label)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del self._edge[label]
         self._witness_any.discard(key)
-        if screen.witness_labels is not None:
-            for label in screen.witness_labels:
-                bucket = self._witness.get(label)
+        self._untracked.discard(key)
+        for buckets, oids in (
+            (self._edge, screen.edge_labels or ()),
+            (self._witness, screen.witness_labels or ()),
+            (self._scope, screen.scope_parents),
+            (self._by_entry, (screen.entry_oid,)),
+        ):
+            for oid in oids:
+                bucket = buckets.get(oid)
                 if bucket is not None:
                     bucket.discard(key)
                     if not bucket:
-                        del self._witness[label]
-        for oid in screen.scope_parents:
-            bucket = self._scope.get(oid)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._scope[oid]
+                        del buckets[oid]
 
     def tracked(self) -> int:
         """Number of tracked screens (introspection; equals cache size)."""
@@ -222,58 +225,40 @@ class Invalidator:
         if not self._screens:
             return 0
         ctx = PathContext(self._store, self._parent_index)
-        hit: set[CacheKey] = set()
         if isinstance(update, Modify):
+            hit: set[CacheKey] = set()
             label = ctx.label(update.oid)
-            candidates = set(self._witness_any)
-            if label is None:  # unknown atom: fail open over all witnesses
-                for bucket in self._witness.values():
-                    candidates |= bucket
-            else:
-                candidates |= self._witness.get(label, set())
-            anchor = update.oid
+            gate_any, gates, anchor = self._witness_any, self._witness, update.oid
         else:
-            hit |= self._scope.get(update.parent, set())
+            hit = set(self._scope.get(update.parent, ()))
             label = ctx.label(update.child)
-            candidates = set(self._edge_any)
-            if label is None:  # dangling child: fail open over all labels
-                for bucket in self._edge.values():
-                    candidates |= bucket
-            else:
-                candidates |= self._edge.get(label, set())
-            anchor = update.parent
-        candidates -= hit
-        if candidates:
+            gate_any, gates, anchor = self._edge_any, self._edge, update.parent
+        if label is None:  # unknown object: fail open over all labels
+            gate_any = gate_any.union(*gates.values())
+            gate: set[CacheKey] = set()
+        else:
+            gate = gates.get(label, set())
+        # The chain is resolved exactly when some admitted entry is not
+        # hit yet: its memo is shared with the maintainers' charges.
+        if not (hit.issuperset(gate_any) and hit.issuperset(gate)):
             chain = ctx.chain_set(anchor)
-            for key in candidates:
-                if self._reaches_entry(self._screens[key], chain):
-                    hit.add(key)
+            if chain is None or chain[1]:  # no index, or a multi-parent stop
+                hit |= gate_any
+                hit |= gate
+            else:
+                oids = chain[0]
+                for oid in oids:
+                    for key in self._by_entry.get(oid, ()):
+                        if key in gate_any or key in gate:
+                            hit.add(key)
+                peek = getattr(self._store, "peek", self._store.get_optional)
+                for key in self._untracked:  # a member may be on the chain
+                    if key not in hit and (key in gate_any or key in gate):
+                        entry = peek(key.entry_oid)
+                        if entry is not None and entry.is_set and not (
+                            oids.isdisjoint(entry.children())
+                        ):
+                            hit.add(key)
         for key in sorted(hit, key=str):
             self._cache.invalidate(key)
         return len(hit)
-
-    def _reaches_entry(
-        self,
-        screen: QueryScreen,
-        chain: tuple[frozenset[str], bool] | None,
-    ) -> bool:
-        """Is the update's anchor inside the entry point's subtree?
-
-        Fails open without an index or at a multi-parent stop: the
-        upward chain cannot tell there, and an unneeded eviction is
-        only a later miss.  A grouping entry (database or view object)
-        never appears on a parent-index chain — the chain tops out at
-        one of its members, so the member set is tested instead.
-        """
-        if chain is None:
-            return True
-        oids, stopped_at_multi = chain
-        if stopped_at_multi or screen.entry_oid in oids:
-            return True
-        peek = getattr(self._store, "peek", self._store.get_optional)
-        entry = peek(screen.entry_oid)
-        return (
-            entry is not None
-            and entry.is_set
-            and not oids.isdisjoint(entry.children())
-        )

@@ -342,7 +342,10 @@ class EpochServer:
         with self._cache_lock:
             answer = self._probe(self.carry, key)
             if answer is not None:
+                # Read under the lock: a publish after it may follow an
+                # update that invalidates this answer.
                 latest = self.retention.latest()
+                seq = -1 if latest is None else latest.seq
                 if latest is not None and not latest.reclaimed:
                     if latest.cache is None:
                         latest.cache = QueryCache(
@@ -350,7 +353,7 @@ class EpochServer:
                         )
                     latest.cache.store(key, answer)
         if answer is not None:
-            return self._serve(answer, self._latest_seq(), 0, allowed, "carry")
+            return self._serve(answer, seq, 0, allowed, "carry")
         # 2. Stale-but-allowed epoch partitions, newest first.
         hit: tuple[frozenset[str], int, int] | None = None
         with self._cache_lock:

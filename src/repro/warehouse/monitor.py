@@ -172,7 +172,7 @@ class Monitor:
             if obj is None:
                 return None
             parent = index.parent(current)
-            if parent is None:
+            if parent is None or parent in chain:  # a detached cycle
                 return None
             labels.append(obj.label)
             chain.append(parent)

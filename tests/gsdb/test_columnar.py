@@ -36,10 +36,6 @@ class TestBuild:
         assert all(view.row(oid) == i for i, oid in enumerate(view.oid_of))
         assert view.nrows == 5
 
-    def test_label_names_sorted(self):
-        view = ColumnarSnapshot(small_store()).freeze()
-        assert view.label_names() == ["age", "professor", "root"]
-
     def test_gather_per_label(self):
         view = ColumnarSnapshot(small_store()).freeze()
         root = view.row("root")

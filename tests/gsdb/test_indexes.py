@@ -94,6 +94,45 @@ class TestParentIndex:
         assert store.counters.index_probes == before + 2
 
 
+class TestDetachedCycles:
+    """``root -> x -> y``, then ``insert(y, x)`` and ``delete(root, x)``:
+    x and y form a cycle in which each has one parent."""
+
+    @pytest.fixture
+    def cycle(self):
+        store = ObjectStore()
+        store.add_set("y", "y", [])
+        store.add_set("x", "x", ["y"])
+        store.add_set("root", "root", ["x"])
+        index = ParentIndex(store)
+        store.insert_edge("y", "x")
+        store.delete_edge("root", "x")
+        return store, index
+
+    def test_chain_stops_at_the_first_revisit(self, cycle):
+        _, index = cycle
+        assert index.chain_to_top("y") == (("y", "x"), False)
+
+    def test_each_node_keeps_its_own_rotation(self, cycle):
+        _, index = cycle
+        index.chain_to_top("y")  # must not memoize ("x",) for x
+        assert index.chain_to_top("x") == (("x", "y"), False)
+
+    def test_tail_into_a_cycle_memoizes_up_to_its_entry(self, cycle):
+        store, index = cycle
+        store.add_set("t", "t", [])
+        store.insert_edge("y", "t")
+        assert index.chain_to_top("t") == (("t", "y", "x"), False)
+        assert index.chain_to_top("y") == (("y", "x"), False)
+        assert index.chain_to_top("x") == (("x", "y"), False)
+
+    def test_lookups_outside_the_cycle_return_none(self, cycle):
+        _, index = cycle
+        assert index.memoized_chain("root", "y") is None
+        assert index.memoized_path("root", "y") is None
+        assert index.memoized_chain("x", "y") == ["x", "y"]
+
+
 def _plain():
     store = ObjectStore()
     return store, lambda: ParentIndex(store)

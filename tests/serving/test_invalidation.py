@@ -8,13 +8,19 @@ cache current; reads are ``fresh``.  Precision claims are phrased as
 leave its entry in place.
 """
 
+import random
+
+import pytest
+
 from repro.gsdb import ObjectStore
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import ParentIndex
+from repro.gsdb.updates import Modify
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.serving import EpochServer, Invalidator, QueryCache, build_screen
 from repro.serving.cache import cache_key
+from repro.views import PathContext, ViewCatalog
 
 
 def build_env(*, with_parent_index: bool = True, cache_size: int = 8):
@@ -223,3 +229,207 @@ class TestBucketLifecycle:
         store.add_atomic("A3", "name", "amy")
         store.insert_edge("A", "A3")
         assert server.read_counters.query_cache_invalidations == before
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-candidate screen
+# ---------------------------------------------------------------------------
+
+
+class ReferenceInvalidator(Invalidator):
+    """The reference the chain probe must equal: every label-admitted
+    candidate tests the update's chain itself, an entry off the chain
+    by its member set (what the invalidator did before its entry
+    index existed)."""
+
+    def on_update(self, update):
+        if not self._screens:
+            return 0
+        ctx = PathContext(self._store, self._parent_index)
+        hit = set()
+        if isinstance(update, Modify):
+            label = ctx.label(update.oid)
+            candidates = set(self._witness_any)
+            if label is None:
+                for bucket in self._witness.values():
+                    candidates |= bucket
+            else:
+                candidates |= self._witness.get(label, set())
+            anchor = update.oid
+        else:
+            hit |= self._scope.get(update.parent, set())
+            label = ctx.label(update.child)
+            candidates = set(self._edge_any)
+            if label is None:
+                for bucket in self._edge.values():
+                    candidates |= bucket
+            else:
+                candidates |= self._edge.get(label, set())
+            anchor = update.parent
+        candidates -= hit
+        if candidates:
+            chain = ctx.chain_set(anchor)
+            for key in candidates:
+                if self._reaches_entry(self._screens[key], chain):
+                    hit.add(key)
+        for key in sorted(hit, key=str):
+            self._cache.invalidate(key)
+        return len(hit)
+
+    def _reaches_entry(self, screen, chain):
+        if chain is None:
+            return True
+        oids, stopped_at_multi = chain
+        if stopped_at_multi or screen.entry_oid in oids:
+            return True
+        entry = self._store.peek(screen.entry_oid)
+        return (
+            entry is not None
+            and entry.is_set
+            and not oids.isdisjoint(entry.children())
+        )
+
+
+#: Query shapes over an entry ``{e}``: label paths, wildcards, empty
+#: select paths, conditions (witness gates), and scoped reads.
+EQUIVALENCE_TEMPLATES = (
+    "SELECT {e}.a X",
+    "SELECT {e}.a.b X",
+    "SELECT {e}.b X WHERE X > 40",
+    "SELECT {e}.a X WHERE X.c > 50",
+    "SELECT {e}.* X WHERE X.b < 30",
+    "SELECT {e}.?.c X",
+    "SELECT {e} X WHERE X.a > 20",
+    "SELECT {e}.a X WITHIN D1",
+    "SELECT {e}.* X ANS INT D1",
+)
+
+
+class PairedInvalidators:
+    """The invalidator and the reference, each over its own cache of the
+    same keys; every update must evict the same key set from both, and
+    every evicted key is re-cached, so each update screens them all."""
+
+    def __init__(self, catalog, keys, *, parent_index) -> None:
+        self.registry = catalog.registry
+        self.keys = set(keys)
+        self.pairs = []
+        for cls in (Invalidator, ReferenceInvalidator):
+            cache = QueryCache(len(self.keys) + 1)
+            invalidator = cls(catalog.store, cache, parent_index=parent_index)
+            cache.on_evict = invalidator.forget
+            self.pairs.append((cache, invalidator))
+        self.recache()
+        self.evictions = 0
+        catalog.store.subscribe(self.on_update)
+
+    def recache(self) -> None:
+        for cache, invalidator in self.pairs:
+            for key in self.keys - set(cache.keys()):
+                cache.store(key, frozenset())
+                invalidator.register(build_screen(key, self.registry))
+
+    def on_update(self, update) -> None:
+        evicted = []
+        for cache, invalidator in self.pairs:
+            invalidator.on_update(update)
+            evicted.append(self.keys - set(cache.keys()))
+        assert evicted[0] == evicted[1], update
+        self.evictions += len(evicted[0])
+        self.recache()
+
+
+def equivalence_catalog(seed: int):
+    """A random base with extra edges (multi-parent nodes, cycles), a
+    database ``D1`` over some of it, a same-store view ``V`` with its
+    delegates (``V`` and two delegates are entry points: their edges
+    are outside the parent index, like ``D1``'s), and ``cx -> cy``,
+    which the stream turns into a detached cycle."""
+    from tests.property.support import build_store
+
+    store, root = build_store(seed, 30)
+    catalog = ViewCatalog(store)
+    rng = random.Random(seed)
+    sets = sorted(o for o in store.oids() if store.peek(o).is_set)
+    catalog.create_database("D1", rng.sample(sets, 3))
+    catalog.define(f"define mview V as: SELECT {root}.* X", maintainer="recompute")
+    delegates = [
+        oid for oid in sorted(store.peek("V").children())
+        if store.peek(oid).is_set and store.peek(oid).children()
+    ][:2]
+    store.add_set("cy", "b", [])
+    store.add_set("cx", "a", ["cy"])
+    store.insert_edge(root, "cx")
+    entries = [root, "D1", "V", "cx", "cy", *delegates] + rng.sample(sets, 4)
+    keys = [
+        cache_key(parse_query(template.format(e="E")), oid)
+        for oid in (registry_oid(catalog, entry) for entry in entries)
+        for template in EQUIVALENCE_TEMPLATES
+    ]
+    return catalog, root, keys, rng
+
+
+def registry_oid(catalog, entry: str) -> str:
+    """The OID an entry resolves to (a delegate OID is its own)."""
+    if entry in catalog.registry.names():
+        return catalog.registry.resolve(entry).oid
+    return entry
+
+
+def equivalence_step(catalog, rng, tag: int) -> None:
+    """One random base update, membership change or creation."""
+    store = catalog.store
+    base = sorted(
+        oid for oid in store.oids()
+        if oid != "D1" and oid != "V" and not oid.startswith("V.")
+    )
+    sets = [oid for oid in base if store.peek(oid).is_set]
+    op = rng.randrange(6)
+    if op == 0:
+        parent, child = rng.choice(sets), rng.choice(base)
+        if child not in store.peek(parent).children():
+            store.insert_edge(parent, child)
+    elif op == 1:
+        parent = rng.choice(sets)
+        children = sorted(store.peek(parent).children())
+        if children:
+            store.delete_edge(parent, rng.choice(children))
+    elif op == 2:
+        atoms = [oid for oid in base if not store.peek(oid).is_set]
+        store.modify_value(rng.choice(atoms), rng.randint(0, 100))
+    elif op == 3:
+        member = rng.choice(sets)
+        if member in catalog.registry.members("D1"):
+            catalog.registry.remove_member("D1", member)
+        else:
+            catalog.registry.add_member("D1", member)
+    else:
+        oid = f"new{tag}"
+        label = rng.choice(("a", "b", "c"))
+        if op == 4:
+            store.add_atomic(oid, label, rng.randint(0, 100))
+        else:
+            store.add_set(oid, label, [])
+        store.insert_edge(rng.choice(sets), oid)
+
+
+class TestEquivalenceWithPerCandidateScreen:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_streams_evict_the_same_keys(self, seed):
+        catalog, root, keys, rng = equivalence_catalog(seed)
+        paired = PairedInvalidators(
+            catalog, keys, parent_index=catalog.parent_index
+        )
+        # Detach the cycle: each of cx, cy keeps one parent.
+        catalog.store.insert_edge("cy", "cx")
+        catalog.store.delete_edge(root, "cx")
+        for tag in range(60):
+            equivalence_step(catalog, rng, tag)
+        assert paired.evictions > 0
+
+    def test_without_parent_index_both_fail_open(self):
+        catalog, _, keys, rng = equivalence_catalog(0)
+        paired = PairedInvalidators(catalog, keys, parent_index=None)
+        for tag in range(30):
+            equivalence_step(catalog, rng, tag)
+        assert paired.evictions > 0
