@@ -113,7 +113,7 @@ def test_e12_table():
         rows,
         note="incremental dominates read-heavy regimes; deferred "
         "recomputation amortizes toward the incremental cost as batches "
-        "grow, and below it on the small base with the longest batches "
+        "grow, closest on the small base with the longest batches "
         "— the scenario-dependence the paper flags in Section 4.4",
         filename="e12_policies.txt",
     )

@@ -101,7 +101,7 @@ def test_e13_table():
         ["engine", "accesses/update", "us/update", "vs Algorithm 1"],
         rows,
         note="all four engines end exactly consistent; the wildcard-"
-        "capable maintainer pays ~1.7x for its generality, while the "
+        "capable maintainer pays ~2.4x for its generality, while the "
         "stateful counting maintainer is actually cheaper per update — "
         "it trades memory (reach/witness counts) for base accesses",
         filename="e13_maintainer_overhead.txt",

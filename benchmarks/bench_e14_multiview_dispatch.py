@@ -226,10 +226,16 @@ def test_e14_view_sweep_table():
     by_views = {row[0]: row for row in rows}
     # The tentpole claim: >= 5x fewer base accesses at 32 views.
     assert by_views[32][4] >= 5.0, by_views[32]
-    # Dispatcher cost grows with affected views, not total views.
-    dispatcher_8 = by_views[8][3]
-    dispatcher_64 = by_views[64][3]
-    assert dispatcher_64 <= 2.0 * dispatcher_8, (dispatcher_8, dispatcher_64)
+    # Dispatcher cost grows with affected views, not total views: from 8
+    # to 64 views it grows by a small fraction of what per-view
+    # subscribers sharing the chain memo grow by.  The bound is on the
+    # increment, not the ratio: the fixed per-update chain cost is not
+    # part of how the cost scales, and a cheaper chain only shrinks it.
+    dispatcher_growth = by_views[64][3] - by_views[8][3]
+    cached_growth = by_views[64][2] - by_views[8][2]
+    assert dispatcher_growth <= 0.25 * cached_growth, (
+        dispatcher_growth, cached_growth
+    )
     # Per-view cost does grow with total views (sanity of the contrast).
     assert by_views[64][1] > 4 * by_views[8][1]
     # The machinery actually engaged: screening and the chain cache.

@@ -18,9 +18,13 @@ labels along it.  ``path(ROOT, N)`` and ``chain(ROOT, N)`` are the hot
 evaluation functions of Algorithm 1 (every maintainer computes them for
 every update), so once one maintainer has paid for the walk, every
 other view maintained over the same store answers the same question
-from the memo at zero base-access cost (experiment E14).  The memo is
-invalidated on any structural change (edge insert/delete, indexed set
-creation); labels are immutable, so ``modify`` never invalidates.
+from the memo at zero base-access cost (experiment E14).  The memo
+outlives structural updates: on a tree, changing the edge N1 -> N2
+changes only the chains that pass through N2, so an edge update, an
+object creation or a removal drops exactly the chains through the OID
+it touches and keeps the rest.  A miss walks only up to the first
+ancestor whose chain is memoized and splices that chain on.  Labels are
+immutable, so ``modify`` never invalidates.
 """
 
 from __future__ import annotations
@@ -95,9 +99,15 @@ class ParentIndex:
         self._chain_cache: dict[
             str, tuple[tuple[tuple[str, str], ...], bool]
         ] = {}
+        #: oid -> OIDs walked by a memoizing lookup whose chain steps to
+        #: oid next (a truncated chain's last node sits under the missing
+        #: OID).  Every memoized chain through X is reachable from X over
+        #: these links, which is what dropping the chains through X walks.
+        self._memo_below: dict[str, set[str]] = {}
         self._rebuild()
         store.subscribe(self._on_update)
         store.subscribe_creations(self._on_creation)
+        store.subscribe_removals(self._on_removal)
 
     def _is_ignored(self, oid: str) -> bool:
         if oid in self._ignored or (
@@ -120,15 +130,18 @@ class ParentIndex:
     def _index_object(self, obj: Object) -> None:
         if self._is_ignored(obj.oid):
             return
+        cache, below = self._chain_cache, self._memo_below
         for child in obj.children():
             self._parents.setdefault(child, set()).add(obj.oid)
+            if child in cache or child in below:
+                self._drop_chains_through(child)
 
     def ignore_parent(self, oid: str) -> None:
         """Exclude *oid*'s outgoing edges (e.g. a new database object)."""
         if oid in self._ignored:
             return
         self._ignored.add(oid)
-        self._chain_cache.clear()
+        self._clear_chains()
         obj = self._store.peek(oid)
         if obj is not None and obj.is_set:
             for child in obj.children():
@@ -149,7 +162,7 @@ class ParentIndex:
         if prefix in self._ignored_prefixes:
             return
         self._ignored_prefixes.add(prefix)
-        self._chain_cache.clear()
+        self._clear_chains()
         stale = [
             (parent, child)
             for child, parents in self._parents.items()
@@ -190,31 +203,58 @@ class ParentIndex:
     # -- maintenance ----------------------------------------------------------
 
     def _on_creation(self, obj: Object) -> None:
+        # A creation fills in an OID a truncated chain may have stopped
+        # at, and a set's children gain it as a parent.  Ignored
+        # creations (delegates of centralized views) index no children.
+        # Almost every new OID is in neither map: test before calling.
+        if obj.oid in self._chain_cache or obj.oid in self._memo_below:
+            self._drop_chains_through(obj.oid)
         if obj.is_set:
             self._index_object(obj)
-            # A newly created set with children changes structure, as
-            # does a creation filling in a previously-missing OID that a
-            # truncated chain recorded.  Ignored creations (delegates of
-            # centralized views) change no indexed structure and must
-            # not evict chains mid-maintenance.
-            if self._chain_cache and (
-                obj.oid in self._chain_cache
-                or (obj.children() and not self._is_ignored(obj.oid))
-            ):
-                self._chain_cache.clear()
+
+    def _on_removal(self, obj: Object) -> None:
+        self._drop_chains_through(obj.oid)
 
     def _on_update(self, update: Update) -> None:
         if isinstance(update, Insert):
             if not self._is_ignored(update.parent):
-                self._chain_cache.clear()
+                self._drop_chains_through(update.child)
                 self._parents.setdefault(update.child, set()).add(
                     update.parent
                 )
         elif isinstance(update, Delete):
             if not self._is_ignored(update.parent):
-                self._chain_cache.clear()
+                self._drop_chains_through(update.child)
                 self._drop_edge(update.parent, update.child)
+                below = self._memo_below.get(update.parent)
+                if below is not None:
+                    below.discard(update.child)
+                    if not below:
+                        del self._memo_below[update.parent]
         # Modify does not change edges (or labels), so chains survive.
+
+    def _drop_chains_through(self, oid: str) -> None:
+        """Forget every memoized chain that passes through *oid*.
+
+        Two dict probes when nothing is memoized at or below *oid* —
+        the common case for a freshly created object, which the
+        creation hooks test inline.  Otherwise pops *oid*'s entry and,
+        transitively, everything linked below it; each node's links are
+        popped on its first visit, which is the visited mark that ends
+        a cycle.
+        """
+        cache, below = self._chain_cache, self._memo_below
+        if oid not in cache and oid not in below:
+            return
+        stack = [oid]
+        while stack:
+            node = stack.pop()
+            cache.pop(node, None)
+            stack.extend(below.pop(node, ()))
+
+    def _clear_chains(self) -> None:
+        self._chain_cache.clear()
+        self._memo_below.clear()
 
     # -- lookup -----------------------------------------------------------------
 
@@ -248,26 +288,33 @@ class ParentIndex:
     # -- memoized upward chains (shared across view maintainers) --------------
 
     def _upward_chain(
-        self, oid: str
+        self, oid: str, memoize: bool = True
     ) -> tuple[tuple[tuple[str, str], ...], bool]:
         """The chain ``((oid, label), ..., (top, label))`` walking up,
         plus whether the walk stopped at a multi-parent node.
 
         A memo hit charges one ``index_probes`` (and a
-        ``chain_cache_hits``); a miss performs the ordinary upward walk
+        ``chain_cache_hits``).  A miss performs the ordinary upward walk
         — one ``object_reads`` + ``index_probes`` per node and one
         ``edge_traversals`` per hop, exactly what the unmemoized
-        :func:`~repro.gsdb.traversal.path_between` charges — and caches
-        the chain plus all its suffixes.  The walk stops where an
+        :func:`~repro.gsdb.traversal.path_between` charges — up to the
+        first ancestor whose chain is memoized, whose chain it splices
+        on for one more ``index_probes``.  The walk stops where an
         object is missing from the store (truncated chain), at a
         parentless node, at a node with several parents (the
         flag, so callers can preserve :meth:`parent`'s loud non-tree
         failure mode), or at a node already walked (a detached cycle:
         the walked nodes are then every ancestor).  A cycle node's
-        chain is its own rotation, so no suffix inside it is memoized.
+        chain is its own rotation, so no suffix inside it is memoized,
+        and a memoized chain that closes a cycle is never spliced (the
+        walk's own nodes may sit on it).  With *memoize*, the chain and
+        its suffixes are memoized; either way the result equals a fresh
+        walk, and the memo outlives updates that do not touch it (see
+        :meth:`_drop_chains_through`).
         """
         counters = self._store.counters
-        cached = self._chain_cache.get(oid)
+        cache = self._chain_cache
+        cached = cache.get(oid)
         if cached is not None:
             counters.index_probes += 1
             counters.chain_cache_hits += 1
@@ -276,7 +323,11 @@ class ParentIndex:
         entries: list[tuple[str, str]] = []
         walked: dict[str, int] = {}
         stopped_at_multi = False
-        current = oid
+        suffix: tuple[tuple[str, str], ...] = ()
+        # Ends as the OID the last walked node steps to (a missing
+        # object, a revisited node or the splice point), or None at a
+        # top or multi-parent stop.
+        current: str | None = oid
         while current not in walked:
             obj = self._store.get_optional(current)
             if obj is None:
@@ -285,21 +336,49 @@ class ParentIndex:
             entries.append((current, obj.label))
             counters.index_probes += 1
             parents = self._parents.get(current)
-            if not parents:
-                break
-            if len(parents) > 1:
-                stopped_at_multi = True
+            if not parents or len(parents) > 1:
+                stopped_at_multi = bool(parents)
+                current = None
                 break
             counters.edge_traversals += 1
             current = next(iter(parents))
-        result = (tuple(entries), stopped_at_multi)
-        if self._chain_caching:
-            self._chain_cache[oid] = result
+            spliced = cache.get(current)
+            if spliced is not None and not self._closes_cycle(spliced):
+                counters.index_probes += 1
+                suffix, stopped_at_multi = spliced
+                break
+        result = (tuple(entries) + suffix, stopped_at_multi)
+        if memoize and self._chain_caching:
+            chain = result[0]
+            cache[oid] = result
             for i in range(1, walked.get(current, len(entries) - 1) + 1):
-                self._chain_cache.setdefault(
-                    entries[i][0], (result[0][i:], stopped_at_multi)
-                )
+                cache.setdefault(entries[i][0], (chain[i:], stopped_at_multi))
+            # Link each walked node under the OID it steps to, cycle
+            # nodes included: they relay a drop to the cycle's entry.
+            below = self._memo_below
+            upper = current
+            for lower, _label in reversed(entries):
+                if upper is not None:
+                    linked = below.get(upper)
+                    if linked is None:
+                        below[upper] = {lower}
+                    else:
+                        linked.add(lower)
+                upper = lower
         return result
+
+    def _closes_cycle(
+        self, chain: tuple[tuple[tuple[str, str], ...], bool]
+    ) -> bool:
+        """Did the walk that memoized *chain* stop at a node it had
+        already walked?  Its top then has one parent, and it exists."""
+        entries, stopped_at_multi = chain
+        if stopped_at_multi or not entries:
+            return False
+        parents = self._parents.get(entries[-1][0])
+        return bool(parents) and (
+            self._store.peek(next(iter(parents))) is not None
+        )
 
     def _scan_chain(
         self, ancestor: str, descendant: str
@@ -363,10 +442,21 @@ class ParentIndex:
         the walk stopped at a multi-parent node before reaching a root
         — callers screening by ancestry must fail open in that case.
         Served from the memoized chain cache (one warm probe); the
-        read-path invalidator (:mod:`repro.serving`) is the main
-        consumer.
+        dispatcher's batched-delete screen is the main consumer.
         """
         chain, stopped_at_multi = self._upward_chain(oid)
+        return tuple(entry_oid for entry_oid, _label in chain), stopped_at_multi
+
+    def read_chain_to_top(self, oid: str) -> tuple[tuple[str, ...], bool]:
+        """:meth:`chain_to_top`, charged the same, but leaving the memo
+        as it found it.
+
+        The read-path invalidator screens with this: a chain it walks
+        must not become a memo hit the writer's next lookup would not
+        otherwise have had, so the writer's charged cost stays the same
+        with and without a warm query cache.
+        """
+        chain, stopped_at_multi = self._upward_chain(oid, memoize=False)
         return tuple(entry_oid for entry_oid, _label in chain), stopped_at_multi
 
     def roots(self) -> set[str]:

@@ -21,7 +21,10 @@ Counter semantics
 ``view_recomputations`` full recomputations performed
 ``chain_cache_hits``  root-chain lookups answered by the parent index's
                       memoized chain cache (no base access charged)
-``chain_cache_misses`` chain lookups that had to walk the index
+``chain_cache_misses`` chain lookups that had to walk the index; a walk
+                      that stops at a memoized ancestor and splices its
+                      chain on is one miss, charged for the nodes it
+                      walked plus one ``index_probes`` for the suffix
 ``updates_screened``  (view, update) pairs dropped by the dispatcher's
                       label/prefix screen with zero base accesses
 ``updates_coalesced`` updates removed from a batch by coalescing

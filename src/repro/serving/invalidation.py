@@ -3,8 +3,7 @@
 One update must evict exactly the cache entries whose answer it could
 have changed — not the whole cache.  The screens reuse the maintenance
 dispatcher's machinery (:func:`~repro.views.dispatcher.
-expression_labels` and the per-update :class:`~repro.views.dispatcher.
-PathContext` over the parent index's memoized chains), specialized to
+expression_labels` and the parent index's memoized chains), specialized to
 *many queries per update*:
 
 Label gate (``insert``/``delete``)
@@ -18,8 +17,10 @@ Label gate (``insert``/``delete``)
 Reachability screen
     The update's anchor (the edge's parent; the modified object) must
     lie in the entry point's subtree.  Each OID on the anchor's upward
-    chain (:meth:`~repro.views.dispatcher.PathContext.chain_set`, one
-    per update from the parent index's memo) probes an index of
+    chain (:meth:`~repro.gsdb.indexes.ParentIndex.read_chain_to_top`,
+    one per update, read from the parent index's memo without filling
+    it, so the writer's lookups never hit a chain a reader walked)
+    probes an index of
     entries by entry OID, and a probed entry the label gate admits is
     hit: per-update work scales with the chain, not with the candidate
     entries.  The anchor's own chain is unaffected by the update itself
@@ -60,7 +61,7 @@ from repro.gsdb.updates import Modify, Update
 from repro.paths.expression import LabelSegment, PathExpression
 from repro.query.ast import condition_paths
 from repro.serving.cache import CacheKey, QueryCache
-from repro.views.dispatcher import PathContext, expression_labels
+from repro.views.dispatcher import expression_labels
 
 
 def final_labels(expression: PathExpression) -> frozenset[str] | None:
@@ -143,10 +144,7 @@ class Invalidator:
     reader ledger).  Entries are bucketed by the labels their screens
     admit and indexed by entry OID, so one update probes only the
     entries on its anchor's chain (plus the untracked ones) and keeps
-    those its label admits.  Chains and labels are resolved through a
-    fresh per-update :class:`~repro.views.dispatcher.PathContext` (its
-    memos do not self-invalidate, so a context must never outlive its
-    update).
+    those its label admits.
     """
 
     def __init__(
@@ -224,34 +222,35 @@ class Invalidator:
         """Invalidate every entry *update* may affect; returns the count."""
         if not self._screens:
             return 0
-        ctx = PathContext(self._store, self._parent_index)
+        peek = getattr(self._store, "peek", self._store.get_optional)
         if isinstance(update, Modify):
             hit: set[CacheKey] = set()
-            label = ctx.label(update.oid)
+            moved = peek(update.oid)
             gate_any, gates, anchor = self._witness_any, self._witness, update.oid
         else:
             hit = set(self._scope.get(update.parent, ()))
-            label = ctx.label(update.child)
+            moved = peek(update.child)
             gate_any, gates, anchor = self._edge_any, self._edge, update.parent
+        label = None if moved is None else moved.label
         if label is None:  # unknown object: fail open over all labels
             gate_any = gate_any.union(*gates.values())
             gate: set[CacheKey] = set()
         else:
             gate = gates.get(label, set())
         # The chain is resolved exactly when some admitted entry is not
-        # hit yet: its memo is shared with the maintainers' charges.
+        # hit yet.
         if not (hit.issuperset(gate_any) and hit.issuperset(gate)):
-            chain = ctx.chain_set(anchor)
+            index = self._parent_index
+            chain = None if index is None else index.read_chain_to_top(anchor)
             if chain is None or chain[1]:  # no index, or a multi-parent stop
                 hit |= gate_any
                 hit |= gate
             else:
-                oids = chain[0]
+                oids = frozenset(chain[0])
                 for oid in oids:
                     for key in self._by_entry.get(oid, ()):
                         if key in gate_any or key in gate:
                             hit.add(key)
-                peek = getattr(self._store, "peek", self._store.get_optional)
                 for key in self._untracked:  # a member may be on the chain
                     if key not in hit and (key in gate_any or key in gate):
                         entry = peek(key.entry_oid)

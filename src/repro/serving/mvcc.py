@@ -232,8 +232,9 @@ class EpochServer:
         # Screening exists only to keep the reader-serving carry
         # precise — its cost scales with cache occupancy, not with the
         # update — so its store/index probes are re-charged to the
-        # private reader ledger, keeping the writer's store-charged
-        # cost byte-identical with and without read traffic (E20d).
+        # private reader ledger, and its chain walks never fill the
+        # parent index's memo, keeping the writer's store-charged cost
+        # byte-identical with and without read traffic (E20d).
         # Safe: callers hold write_mutex, and readers never touch the
         # store's counters (frozen views charge read_counters).
         with self._cache_lock:

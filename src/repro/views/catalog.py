@@ -184,12 +184,12 @@ class ViewCatalog:
         self._view_names.add(name)
         try:
             populate_view(mview, registry=self.registry)
+            self.maintainers[name] = self._make_maintainer(mview, maintainer)
         except Exception:
             # A corrected definition must be able to reuse the name.
             self.drop_view(name)
             raise
         self._definition_order.append(name)
-        self.maintainers[name] = self._make_maintainer(mview, maintainer)
         query = definition.query
         self._answering.setdefault(
             (query.entry, query.select_path), []

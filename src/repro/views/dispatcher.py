@@ -257,12 +257,10 @@ class PathContext:
         """OIDs on *oid*'s upward chain to the top of its tree, plus
         whether the walk stopped at a multi-parent node.
 
-        Entry-point-agnostic ancestry: the read-path invalidator
-        screens one update against *many* cached queries with different
-        entry points, so instead of one ``chain_between`` per entry it
-        takes the whole upward chain once and tests each entry for
-        membership.  Returns None when the context has no parent index
-        (callers must fail open).
+        Entry-point-agnostic ancestry: the batched-delete screen
+        (:meth:`label_only`) tests every node of N1's chain against the
+        batch's moved children.  Returns None when the context has no
+        parent index (callers must fail open).
         """
         if self.parent_index is None:
             return None

@@ -133,6 +133,110 @@ class TestDetachedCycles:
         assert index.memoized_chain("x", "y") == ["x", "y"]
 
 
+class TestChainsSurviveUpdates:
+    """``root -> a1 -> b1 -> x1``, ``a1 -> b2 -> x2``, ``root -> a2 ->
+    b3 -> x3``: an update drops only the chains through the OID it
+    touches, and a miss splices onto its first memoized ancestor."""
+
+    @pytest.fixture
+    def tree(self):
+        store = ObjectStore()
+        for leaf in ("x1", "x2", "x3"):
+            store.add_atomic(leaf, "x", 1)
+        store.add_set("b1", "b", ["x1"])
+        store.add_set("b2", "b", ["x2"])
+        store.add_set("b3", "b", ["x3"])
+        store.add_set("a1", "a", ["b1", "b2"])
+        store.add_set("a2", "a", ["b3"])
+        store.add_set("root", "root", ["a1", "a2"])
+        return store, ParentIndex(store)
+
+    def test_an_insert_elsewhere_keeps_the_chain(self, tree):
+        store, index = tree
+        index.chain_to_top("x1")
+        store.add_atomic("y", "x", 2)
+        store.insert_edge("b3", "y")
+        hits = store.counters.chain_cache_hits
+        assert index.chain_to_top("x1") == (("x1", "b1", "a1", "root"), False)
+        assert store.counters.chain_cache_hits == hits + 1
+
+    def test_a_move_drops_the_chains_below_the_child(self, tree):
+        store, index = tree
+        for leaf in ("x1", "x2", "x3"):
+            index.chain_to_top(leaf)
+        store.delete_edge("a1", "b2")
+        assert "b2" not in index._chain_cache
+        assert "x2" not in index._chain_cache
+        assert index.chain_to_top("x2") == (("x2", "b2"), False)
+        store.insert_edge("a2", "b2")
+        assert index.chain_to_top("x2") == (("x2", "b2", "a2", "root"), False)
+        assert index.memoized_path("root", "x1") == ["a", "b", "x"]
+
+    def test_a_miss_splices_onto_the_first_memoized_ancestor(self, tree):
+        store, index = tree
+        index.chain_to_top("x1")
+        before = store.counters.snapshot()
+        assert index.chain_to_top("x2") == (("x2", "b2", "a1", "root"), False)
+        spent = store.counters.delta_since(before)
+        # Two nodes walked, two hops, one probe for the spliced suffix.
+        assert (spent.object_reads, spent.edge_traversals) == (2, 2)
+        assert spent.index_probes == 3
+        assert (spent.chain_cache_misses, spent.chain_cache_hits) == (1, 0)
+        assert index.chain_to_top("b2") == (("b2", "a1", "root"), False)
+        assert store.counters.chain_cache_hits == 1
+
+    def test_a_set_creation_drops_the_chains_of_its_children(self, tree):
+        store, index = tree
+        index.chain_to_top("x3")
+        store.add_set("c", "c", ["b3"])
+        assert index.chain_to_top("x3") == (("x3", "b3"), True)
+
+    def test_removal_and_recreation_of_a_parent(self, tree):
+        store, index = tree
+        store.delete_edge("root", "a2")
+        assert index.chain_to_top("x3") == (("x3", "b3", "a2"), False)
+        store.remove_object("a2")  # a truncated chain from here on
+        assert index.chain_to_top("x3") == (("x3", "b3"), False)
+        store.add_set("a2", "a", [])  # the index still records a2 -> b3
+        assert index.chain_to_top("x3") == (("x3", "b3", "a2"), False)
+
+    def test_read_only_lookups_leave_the_memo_alone(self, tree):
+        store, index = tree
+        index.chain_to_top("b1")
+        assert index.read_chain_to_top("x1") == (
+            ("x1", "b1", "a1", "root"), False
+        )
+        assert "x1" not in index._chain_cache
+        assert set(index._chain_cache) == {"b1", "a1", "root"}
+
+    def test_pinned_misses_on_a_scripted_stream(self, tree):
+        """Lookups between unrelated structural updates: every
+        structural update used to drop the whole memo, so each lookup
+        after one re-walked its chain to the top."""
+        store, index = tree
+        store.counters.reset()
+        for step in range(6):
+            leaf = f"y{step}"
+            store.add_atomic(leaf, "x", step)
+            store.insert_edge(("b1", "b2", "b3")[step % 3], leaf)
+            index.chain_to_top("x1")
+            index.chain_to_top(leaf)
+            index.memoized_path("root", "x3")
+        store.delete_edge("a1", "b2")
+        store.insert_edge("a2", "b2")
+        index.chain_to_top("x2")
+        index.chain_to_top("y0")
+        counters = store.counters
+        assert (counters.chain_cache_misses, counters.chain_cache_hits) == (
+            9, 11
+        )
+        assert (
+            counters.object_reads,
+            counters.index_probes,
+            counters.edge_traversals,
+        ) == (16, 35, 15)
+
+
 def _plain():
     store = ObjectStore()
     return store, lambda: ParentIndex(store)

@@ -2,11 +2,14 @@
 integration: an :class:`~repro.serving.mvcc.EpochServer` driven
 synchronously, every read at the ``fresh`` policy unless stated."""
 
+import random
+
 import pytest
 
 from repro.gsdb import ObjectStore
 from repro.gsdb.database import DatabaseRegistry
 from repro.gsdb.indexes import LabelIndex, ParentIndex
+from repro.gsdb.updates import Delete, Insert, Modify
 from repro.instrumentation import Meter
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
@@ -14,6 +17,8 @@ from repro.serving import EpochAnswer, EpochServer
 from repro.serving.cache import cache_key
 from repro.views import ViewCatalog
 from repro.workloads import person_db, register_person_database
+from repro.workloads.generators import TreeSpec, layered_tree
+from repro.workloads.serving import build_query_pool
 
 
 def build_env(*, indexed=True, **server_kwargs):
@@ -298,3 +303,103 @@ class TestCatalogServing:
                 "SELECT ROOT.?.student X",
             ):
                 assert catalog.serve(text).oids == catalog.query_oids(text)
+
+
+class TestWriterIsolationWithViews:
+    """The writer's store-charged cost is the same with a warm answer
+    cache being invalidated beside it as with an empty one.  The invalidator walks
+    each update's anchor chain; were those walks memoized, a later
+    update's view maintainer would find them and charge less with
+    readers than without."""
+
+    SPEC = TreeSpec(depth=3, fanout=4, seed=5)
+
+    def script(self, steps: int) -> list[tuple]:
+        """Subtree moves, fresh ``score`` leaves and value changes over
+        the tree, drawn on a replica with uncharged peeks."""
+        store, root = layered_tree(self.SPEC)
+        rng = random.Random(17)
+        parent_of = {
+            child: oid
+            for oid in store.oids()
+            if store.peek(oid).is_set
+            for child in store.peek(oid).children()
+        }
+        by_label: dict[str, list[str]] = {}
+        for oid in sorted(store.oids()):
+            by_label.setdefault(store.peek(oid).label, []).append(oid)
+        ops: list[tuple] = []
+        for step in range(steps):
+            kind = rng.choice(("move", "move", "new", "modify", "modify"))
+            if kind == "move":  # an l2 subtree to another l1 node
+                child = rng.choice(by_label["l2"])
+                target = rng.choice(by_label["l1"])
+                if parent_of[child] != target:
+                    ops.append(("move", parent_of[child], target, child))
+                    parent_of[child] = target
+            elif kind == "new":
+                oid = f"score{step}"
+                ops.append(("new", rng.choice(by_label["l2"]), oid,
+                            rng.randint(0, 100)))
+                by_label.setdefault("score", []).append(oid)
+            else:
+                leaves = by_label["l3"] + by_label.get("score", [])
+                ops.append(("modify", rng.choice(leaves),
+                            rng.randint(0, 100)))
+        return ops
+
+    def writer_cost(self, ops, *, warm: bool, batched: bool) -> dict:
+        store, root = layered_tree(self.SPEC)
+        catalog = ViewCatalog(store)
+        for name, text in (
+            ("V1", f"SELECT {root}.l1 X WHERE X.l2.l3 > 50"),
+            ("V2", f"SELECT {root}.l1.l2 X WHERE X.l3 < 40"),
+            ("V3", f"SELECT {root}.l1.l2.l3 X"),
+            ("V4", f"SELECT {root}.* X WHERE X.l3 > 70"),
+        ):
+            catalog.define(f"define mview {name} as: {text}")
+        server = catalog.enable_serving(cache_size=128)
+        # The score queries make the invalidator walk the chains of
+        # leaves no view reads, which the writer never asks for.
+        pool = build_query_pool(root, self.SPEC, store=store) + [
+            f"SELECT {root}.l1.l2 X WHERE X.score > 50",
+            f"SELECT {root}.l1 X WHERE X.l2.score < 30",
+        ]
+        before = store.counters.snapshot()
+        for op in ops:
+            # Both sides publish alike; only the warm side reads, which
+            # refills the cache the last update's evictions drained.
+            server.checkpoint()
+            if warm:
+                for text in pool:
+                    server.read(text)
+                assert server.invalidator.tracked() > 0
+            if op[0] == "move":
+                _, old, new, child = op
+                updates = [Delete(old, child), Insert(new, child)]
+            elif op[0] == "new":
+                _, parent, oid, value = op
+                store.add_atomic(oid, "score", value)
+                updates = [Insert(parent, oid)]
+            else:
+                _, oid, value = op
+                updates = [Modify(oid, store.peek(oid).atomic_value(), value)]
+            if batched:
+                catalog.apply_batch(updates)
+            else:
+                for update in updates:
+                    store.apply(update)
+        assert all(report.ok for report in catalog.check_all().values())
+        if warm:
+            assert server.read_counters.index_probes > 0
+        return store.counters.delta_since(before).as_dict()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_store_counters_identical_with_and_without_a_warm_cache(
+        self, batched
+    ):
+        ops = self.script(120)
+        cold = self.writer_cost(ops, warm=False, batched=batched)
+        warm = self.writer_cost(ops, warm=True, batched=batched)
+        assert cold["chain_cache_misses"] > 0
+        assert warm == cold

@@ -67,6 +67,30 @@ class TestMaintainerSelection:
         )
         assert catalog.check("M").ok
 
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("define mview M as: SELECT ROOT.professor X", "bogus"),
+            ("define mview M as: SELECT ROOT.* X WHERE X.age > 1", "dag"),
+        ],
+    )
+    def test_failed_maintainer_leaves_no_zombie_view(
+        self, catalog, text, kind
+    ):
+        registered = catalog.dispatcher.registered()
+        with pytest.raises(ViewDefinitionError):
+            catalog.define(text, maintainer=kind)
+        assert "M" not in catalog.materialized_views
+        assert "M" not in catalog.maintainers
+        assert "M" not in catalog.store
+        assert not catalog.parent_index.is_view_object("M")
+        assert catalog.dispatcher.registered() == registered
+        catalog.define(
+            "define mview M as: SELECT ROOT.professor X WHERE X.age <= 45"
+        )
+        catalog.store.modify_value("A1", 40)
+        assert catalog.check("M").ok
+
     def test_failed_virtual_define_leaves_no_trace(self, catalog):
         with pytest.raises(QueryEvaluationError):
             catalog.define("define view V as: SELECT NOPE.a X")
