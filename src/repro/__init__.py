@@ -16,6 +16,11 @@ A from-scratch reproduction of Zhuge & Garcia-Molina (ICDE 1998):
 * workloads and instrumentation (:mod:`repro.workloads`,
   :mod:`repro.instrumentation`).
 
+``import repro`` loads the catalog's own layers only.  The warehouse
+(``Warehouse``, ``Source``, ``SourceCapability``, ``ReportingLevel``,
+``CachePolicy``) is imported from :mod:`repro.warehouse`, and the
+serving tier and the columnar snapshot from their own packages.
+
 Quickstart::
 
     from repro import ViewCatalog
@@ -56,18 +61,10 @@ from repro.views import (
     VirtualView,
     check_consistency,
 )
-from repro.warehouse import (
-    CachePolicy,
-    ReportingLevel,
-    Source,
-    SourceCapability,
-    Warehouse,
-)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CachePolicy",
     "CostCounters",
     "DagCountingMaintainer",
     "DatabaseRegistry",
@@ -85,17 +82,13 @@ __all__ = [
     "PathExpression",
     "Query",
     "QueryEvaluator",
-    "ReportingLevel",
     "ReproError",
     "SimpleViewMaintainer",
-    "Source",
-    "SourceCapability",
     "SwizzleMode",
     "ViewCatalog",
     "ViewCluster",
     "ViewDefinition",
     "VirtualView",
-    "Warehouse",
     "check_consistency",
     "parse_query",
     "parse_statement",

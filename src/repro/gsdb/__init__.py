@@ -10,14 +10,12 @@ The main entry points are:
   and label indexes of Section 4.4.
 * :mod:`~repro.gsdb.traversal` — ``N.p``, ``path()``, ``ancestor()``,
   ``eval()``.
+
+The columnar snapshot the serving tier publishes (``ColumnarSnapshot``,
+``EpochView``, ``PublishedEpoch``, ``SnapshotRetention``) is imported
+from :mod:`repro.gsdb.columnar`; this package does not load it.
 """
 
-from repro.gsdb.columnar import (
-    ColumnarSnapshot,
-    EpochView,
-    PublishedEpoch,
-    SnapshotRetention,
-)
 from repro.gsdb.gc import collect_garbage, reachable_from
 from repro.gsdb.database import (
     DatabaseRegistry,
@@ -46,10 +44,8 @@ from repro.gsdb.updates import Delete, Insert, Modify, Update, UpdateLog
 from repro.gsdb.validation import Shape, validate_store
 
 __all__ = [
-    "ColumnarSnapshot",
     "DatabaseRegistry",
     "Delete",
-    "EpochView",
     "Insert",
     "LabelIndex",
     "Modify",
@@ -57,9 +53,7 @@ __all__ = [
     "ObjectStore",
     "OidGenerator",
     "ParentIndex",
-    "PublishedEpoch",
     "Shape",
-    "SnapshotRetention",
     "Update",
     "UpdateLog",
     "base_of_delegate",

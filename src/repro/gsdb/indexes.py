@@ -12,6 +12,15 @@ consistent automatically.  Lookups charge ``index_probes`` to the
 store's counters so experiment E8 can compare indexed and unindexed
 evaluation.
 
+A view living in its base store keeps its own edges out of the parent
+index (:meth:`ParentIndex.ignore_view`, on every ``define``).  All its
+objects sit under the dotted namespace ``V.``, so the index records its
+parents with a dotted OID apart, by first segment, and ignoring a
+namespace visits only the parents recorded under it: a ``define`` costs
+what the view already has in the store, not a pass over every edge of
+the base.  The parent index also listens for removals; a removed object
+takes its out-edges with it, as a fresh index over the store would.
+
 :class:`ParentIndex` additionally memoizes *upward chains* — the
 ``[N, parent(N), ...]`` walk to the top of the tree, together with the
 labels along it.  ``path(ROOT, N)`` and ``chain(ROOT, N)`` are the hot
@@ -35,6 +44,11 @@ from repro.gsdb.updates import Delete, Insert, Update
 
 #: Shared empty adjacency returned for parents with no indexed edges.
 _NO_CHILDREN: dict[str, set[str]] = {}
+
+
+def _first_segment(oid: str) -> str:
+    """``MV.`` for ``MV.P1.x``: a dotted OID's first namespace."""
+    return oid[: oid.index(".") + 1]
 
 
 def has_dotted_prefix_in(oid: str, prefixes: set[str]) -> bool:
@@ -92,6 +106,9 @@ class ParentIndex:
             else self.DEFAULT_IGNORED_LABELS
         )
         self._parents: dict[str, set[str]] = {}
+        #: first segment -> indexed parent with a dotted OID -> its
+        #: indexed children: the only edges an ignored prefix can name.
+        self._dotted: dict[str, dict[str, set[str]]] = {}
         self._chain_caching = chain_cache
         #: oid -> (((oid, label), ..., (top, label)), stopped_at_multi);
         #: truncated where an object is missing from the store, or where
@@ -122,19 +139,29 @@ class ParentIndex:
 
     def _rebuild(self) -> None:
         self._parents.clear()
+        self._dotted.clear()
         for oid in list(self._store.oids()):
             obj = self._store.get_optional(oid)
             if obj is not None and obj.is_set:
                 self._index_object(obj)
 
     def _index_object(self, obj: Object) -> None:
-        if self._is_ignored(obj.oid):
+        oid = obj.oid
+        if self._is_ignored(oid):
             return
         cache, below = self._chain_cache, self._memo_below
-        for child in obj.children():
-            self._parents.setdefault(child, set()).add(obj.oid)
+        children = obj.children()
+        for child in children:
+            self._parents.setdefault(child, set()).add(oid)
             if child in cache or child in below:
                 self._drop_chains_through(child)
+        if children and "." in oid:
+            self._dotted_children(oid).update(children)
+
+    def _dotted_children(self, parent: str) -> set[str]:
+        """The recorded children of dotted *parent*, made on demand."""
+        recorded = self._dotted.setdefault(_first_segment(parent), {})
+        return recorded.setdefault(parent, set())
 
     def ignore_parent(self, oid: str) -> None:
         """Exclude *oid*'s outgoing edges (e.g. a new database object)."""
@@ -154,6 +181,14 @@ class ParentIndex:
         Materialized views living in the same store as their base use
         this: the view object and its delegates (``MVJ``, ``MVJ.P1``,
         ...) carry membership/copy edges, not base structure.
+
+        Only a dotted OID can fall under such a prefix, and the index
+        records its dotted parents by first segment, so this visits the
+        indexed parents sharing the prefix's first segment (``MV.`` for
+        ``MV.P1.``) and drops the edges of those under the prefix; it
+        never scans the rest of the index.  Besides clearing the chain
+        memo, ignoring a namespace nothing is indexed under (a view
+        defined before its objects exist) costs one probe.
         """
         if not prefix.endswith("."):
             raise ValueError(
@@ -163,11 +198,12 @@ class ParentIndex:
             return
         self._ignored_prefixes.add(prefix)
         self._clear_chains()
+        recorded = self._dotted.get(_first_segment(prefix), {})
         stale = [
             (parent, child)
-            for child, parents in self._parents.items()
-            for parent in parents
+            for parent, children in recorded.items()
             if parent.startswith(prefix)
+            for child in children
         ]
         for parent, child in stale:
             self._drop_edge(parent, child)
@@ -199,6 +235,16 @@ class ParentIndex:
             parents.discard(parent)
             if not parents:
                 del self._parents[child]
+        if "." in parent:
+            segment = _first_segment(parent)
+            recorded = self._dotted.get(segment)
+            children = recorded.get(parent) if recorded else None
+            if children is not None:
+                children.discard(child)
+                if not children:
+                    del recorded[parent]
+                    if not recorded:
+                        del self._dotted[segment]
 
     # -- maintenance ----------------------------------------------------------
 
@@ -213,7 +259,16 @@ class ParentIndex:
             self._index_object(obj)
 
     def _on_removal(self, obj: Object) -> None:
-        self._drop_chains_through(obj.oid)
+        # A removed parent's out-edges leave the index with it (a fresh
+        # index over the store would not have them), and so do the
+        # chains through its children, whose parent sets change.
+        oid = obj.oid
+        self._drop_chains_through(oid)
+        if obj.is_set:
+            for child in obj.children():
+                if oid in self._parents.get(child, ()):
+                    self._drop_chains_through(child)
+                    self._drop_edge(oid, child)
 
     def _on_update(self, update: Update) -> None:
         if isinstance(update, Insert):
@@ -222,6 +277,8 @@ class ParentIndex:
                 self._parents.setdefault(update.child, set()).add(
                     update.parent
                 )
+                if "." in update.parent:
+                    self._dotted_children(update.parent).add(update.child)
         elif isinstance(update, Delete):
             if not self._is_ignored(update.parent):
                 self._drop_chains_through(update.child)

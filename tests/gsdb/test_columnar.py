@@ -4,8 +4,8 @@ The live :class:`ColumnarSnapshot` only refreshes and freezes; every
 read below goes through the :class:`EpochView` it freezes.
 """
 
+import repro.gsdb.columnar as columnar
 from repro.gsdb import ObjectStore
-from repro.gsdb import columnar
 from repro.gsdb.columnar import ColumnarSnapshot, EpochView, SnapshotRetention
 from repro.gsdb.indexes import ParentIndex
 from repro.paths import PathExpression, compile_expression

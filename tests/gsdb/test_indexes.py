@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gsdb import LabelIndex, ObjectStore, ParentIndex
+from repro.gsdb.gc import collect_garbage
 
 
 @pytest.fixture
@@ -195,9 +196,11 @@ class TestChainsSurviveUpdates:
         store, index = tree
         store.delete_edge("root", "a2")
         assert index.chain_to_top("x3") == (("x3", "b3", "a2"), False)
-        store.remove_object("a2")  # a truncated chain from here on
+        store.remove_object("a2")  # its edge to b3 leaves with it
         assert index.chain_to_top("x3") == (("x3", "b3"), False)
-        store.add_set("a2", "a", [])  # the index still records a2 -> b3
+        store.add_set("a2", "a", [])
+        assert index.chain_to_top("x3") == (("x3", "b3"), False)
+        store.insert_edge("a2", "b3")
         assert index.chain_to_top("x3") == (("x3", "b3", "a2"), False)
 
     def test_read_only_lookups_leave_the_memo_alone(self, tree):
@@ -235,6 +238,73 @@ class TestChainsSurviveUpdates:
             counters.index_probes,
             counters.edge_traversals,
         ) == (16, 35, 15)
+
+
+class TestRemovedParents:
+    def test_a_removed_parent_takes_its_out_edges_along(self):
+        """``root -> P -> C``, ``root -> Q``; C moves under Q by an
+        insert, P is cut off and garbage collected: C has one parent."""
+        store = ObjectStore()
+        store.add_atomic("C", "c", 1)
+        store.add_set("P", "p", ["C"])
+        store.add_set("Q", "q", [])
+        store.add_set("root", "root", ["P", "Q"])
+        index = ParentIndex(store)
+        store.insert_edge("Q", "C")
+        store.delete_edge("root", "P")
+        assert collect_garbage(store, ["root"]) == {"P"}
+        assert index.parents("C") == {"Q"}
+        assert index.parent("C") == "Q"
+        assert index.chain_to_top("C") == (("C", "Q", "root"), False)
+
+    def test_removing_a_dotted_parent_forgets_its_record(self):
+        store = ObjectStore()
+        store.add_atomic("A1", "age", 45)
+        store.add_set("MV.P1", "professor", ["A1"])
+        index = ParentIndex(store)
+        assert index._dotted == {"MV.": {"MV.P1": {"A1"}}}
+        store.remove_object("MV.P1")
+        assert index._dotted == {}
+        assert index.parents("A1") == set()
+
+
+class _Unscannable(dict):
+    """A parent map whose iteration fails: a lookup by key is fine, a
+    pass over the whole index is not."""
+
+    def _scan(self, *args):
+        raise AssertionError("the whole parent map was scanned")
+
+    __iter__ = keys = values = items = _scan
+
+
+class TestIgnorePrefixCost:
+    """``ignore_prefix`` visits the parents under the prefix only."""
+
+    @pytest.fixture
+    def index(self):
+        store = ObjectStore()
+        store.check_references = False
+        store.add_atomic("A1", "age", 45)
+        store.add_set("P1", "professor", ["A1"])
+        store.add_set("MVJ.P1", "professor", ["A1"])
+        store.add_set("MV.P1", "professor", ["A1"])
+        store.add_set("MV.P1.x", "professor", ["A1"])
+        index = ParentIndex(store)
+        index._parents = _Unscannable(index._parents)
+        return index
+
+    def test_a_prefix_with_nothing_indexed_under_it(self, index):
+        index.ignore_prefix("MV2.")
+        index.ignore_prefix("MV.P2.")
+        assert index.parents("A1") == {"P1", "MVJ.P1", "MV.P1", "MV.P1.x"}
+
+    def test_a_prefix_with_indexed_parents_under_it(self, index):
+        index.ignore_prefix("MV.P1.")
+        assert index.parents("A1") == {"P1", "MVJ.P1", "MV.P1"}
+        index.ignore_view("MV")
+        assert index.parents("A1") == {"P1", "MVJ.P1"}
+        assert set(index._dotted) == {"MVJ."}
 
 
 def _plain():

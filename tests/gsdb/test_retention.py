@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import PinnedEpochError
-from repro.gsdb import (
-    ColumnarSnapshot,
-    EpochView,
-    ObjectStore,
-    SnapshotRetention,
-)
+from repro.gsdb import ObjectStore
+from repro.gsdb.columnar import ColumnarSnapshot, EpochView, SnapshotRetention
 from repro.instrumentation.counters import CostCounters
 
 

@@ -44,7 +44,8 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gsdb import DatabaseRegistry, LabelIndex, ObjectStore, columnar
+import repro.gsdb.columnar as columnar
+from repro.gsdb import DatabaseRegistry, LabelIndex, ObjectStore
 from repro.gsdb.columnar import ColumnarSnapshot, EpochView
 from repro.gsdb.updates import Delete, Insert, Modify
 from repro.instrumentation import Meter
