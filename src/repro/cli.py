@@ -257,7 +257,8 @@ class Shell:
             self._print(f"view  {name}: {len(view)} members (virtual)")
         for name in sorted(catalog.materialized_views):
             view = catalog.materialized_views[name]
-            kind = type(catalog.maintainers[name]).__name__
+            kinds = (type(m).__name__ for m in catalog.maintainers[name])
+            kind = ", ".join(dict.fromkeys(kinds))
             self._print(
                 f"mview {name}: {len(view)} members (maintained by {kind})"
             )

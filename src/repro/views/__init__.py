@@ -1,7 +1,7 @@
 """Views over GSDBs — the paper's primary contribution (Sections 3–4, 6).
 
-* :class:`~repro.views.definition.ViewDefinition` — parsed definitions
-  and classification (simple / extended).
+* :class:`~repro.views.definition.ViewDefinition` — parsed definitions,
+  their union-of-branches form and classification (simple / extended).
 * :class:`~repro.views.virtual.VirtualView` — query-result views.
 * :class:`~repro.views.materialized.MaterializedView` — delegates with
   semantic OIDs, swizzling, edits.
@@ -19,7 +19,6 @@
 from repro.views.aggregate import AggregateKind, AggregateView
 from repro.views.catalog import ViewCatalog
 from repro.views.cluster import ClusterMemberView, ViewCluster
-from repro.views.multipath import MultiPathView
 from repro.views.partial import PartialMaterializedView
 from repro.views.consistency import (
     ConsistencyReport,
@@ -47,7 +46,6 @@ __all__ = [
     "AggregateKind",
     "AggregateView",
     "ClusterMemberView",
-    "MultiPathView",
     "PartialMaterializedView",
     "ConsistencyReport",
     "DagCountingMaintainer",

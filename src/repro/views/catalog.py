@@ -13,11 +13,22 @@ use::
     catalog.store.insert_edge("P2", "A2")      # maintained automatically
     catalog.query("SELECT YP.?.name X")
 
-Maintainer selection (``maintainer='auto'``): simple definitions get
-Algorithm 1 (:class:`SimpleViewMaintainer`); extended ones the
-affected-region maintainer; everything else falls back to recompute-on-
-update.  Pass ``'dag'`` for DAG bases (simple definitions only) or
-``'recompute'`` to force the baseline.
+A view is a union of conjunctive branches (its ``OR`` split into DNF
+disjuncts; several select paths are spelled
+``define(ViewDefinition.union(name, definitions))``), maintained by one
+dispatcher registration per branch over a
+:class:`~repro.views.union.UnionSupport`; a view of one branch is one
+:class:`MaterializedView` and one maintainer.
+``catalog.maintainers[name]`` is the tuple of a view's registrations.
+
+Maintainer selection (``maintainer='auto'``), per branch: simple
+definitions get Algorithm 1 (:class:`SimpleViewMaintainer`); extended
+ones the affected-region maintainer; everything else (``NOT``,
+``EXISTS``, scope clauses) falls back to recompute-on-update.  So an
+``auto`` ``OR`` view of simple or conjunctive disjuncts carries the
+tree-only precondition an ``AND`` view does.  Pass ``'dag'`` for DAG
+bases (simple branches only) or ``'recompute'`` for one recompute-on-
+update maintainer of the whole view.
 
 A query over the base that a materialized view implies is answered
 from that view's members (:meth:`ViewCatalog.query_oids`).
@@ -49,6 +60,7 @@ from repro.views.extended import ExtendedViewMaintainer
 from repro.views.maintenance import SimpleViewMaintainer
 from repro.views.materialized import MaterializedView, SwizzleMode
 from repro.views.recompute import populate_view, recompute_view
+from repro.views.union import UnionSupport
 from repro.views.virtual import VirtualView
 
 if TYPE_CHECKING:
@@ -111,16 +123,21 @@ class ViewCatalog:
         self.server = None
         self.virtual_views: dict[str, VirtualView] = {}
         self.materialized_views: dict[str, MaterializedView] = {}
-        self.maintainers: dict[str, object] = {}
+        #: View name -> its maintainer registrations, one per branch.
+        self.maintainers: dict[str, tuple] = {}
+        #: Union view name -> the supporting branches of its members.
+        self._unions: dict[str, UnionSupport] = {}
         #: View name -> what the dispatcher delivers to after that
         #: view's maintainer(s): its aggregates, and a partial view's
         #: fragment refresh (the view itself).
         self._dependents: dict[str, list] = {}
         self._definition_order: list[str] = []
-        #: Every view name: virtual, materialized, partial, multipath.
+        #: Every view name: virtual, materialized (unions included) and
+        #: partial.
         self._view_names: set[str] = set()
         # The views that may answer a query, by (entry, select path):
-        # the plain materialized views :meth:`define` builds.
+        # the materialized views :meth:`define` builds that have one
+        # select query.
         self._answering: dict[
             tuple[str, PathExpression], list[MaterializedView]
         ] = {}
@@ -146,11 +163,12 @@ class ViewCatalog:
         annotate_timestamps: bool = False,
         view_store: ObjectStore | None = None,
     ) -> VirtualView | MaterializedView:
-        """Define a view from a ``define [m]view ...`` statement.
+        """Define a view from a ``define [m]view ...`` statement or a
+        :class:`ViewDefinition` (a :meth:`ViewDefinition.union` too).
 
         Virtual views are registered and evaluated immediately.
         Materialized views are populated, registered, and hooked to a
-        maintainer registered with the dispatcher.
+        maintainer per branch registered with the dispatcher.
         """
         if isinstance(definition, str):
             definition = ViewDefinition.parse(definition)
@@ -183,17 +201,25 @@ class ViewCatalog:
         self.materialized_views[name] = mview
         self._view_names.add(name)
         try:
-            populate_view(mview, registry=self.registry)
-            self.maintainers[name] = self._make_maintainer(mview, maintainer)
+            views: list = [mview]
+            if maintainer != "recompute" and len(definition.branches) > 1:
+                union = self._unions[name] = UnionSupport(mview)
+                mview.load_members(union.rebuild(registry=self.registry))
+                views = union.branches
+            else:
+                populate_view(mview, registry=self.registry)
+            made = [self._make_maintainer(view, maintainer) for view in views]
+            self.maintainers[name] = tuple(map(self.dispatcher.register, made))
         except Exception:
             # A corrected definition must be able to reuse the name.
             self.drop_view(name)
             raise
         self._definition_order.append(name)
         query = definition.query
-        self._answering.setdefault(
-            (query.entry, query.select_path), []
-        ).append(mview)
+        if query is not None:
+            self._answering.setdefault(
+                (query.entry, query.select_path), []
+            ).append(mview)
         return mview
 
     @contextmanager
@@ -214,9 +240,9 @@ class ViewCatalog:
                 self.parent_index.unignore_view(name)
             raise
 
-    def _make_maintainer(
-        self, view: MaterializedView, kind: MaintainerKind
-    ):
+    def _make_maintainer(self, view, kind: MaintainerKind):
+        """The (unregistered) maintainer of *kind* for *view*: a
+        materialized view, or one branch of a union."""
         definition = view.definition
         if kind == "auto":
             if definition.is_simple:
@@ -226,25 +252,17 @@ class ViewCatalog:
             else:
                 kind = "recompute"
         if kind == "simple":
-            return self.dispatcher.register(
-                SimpleViewMaintainer(view, parent_index=self.parent_index)
-            )
+            return SimpleViewMaintainer(view, parent_index=self.parent_index)
         if kind == "extended":
-            return self.dispatcher.register(
-                ExtendedViewMaintainer(view, parent_index=self.parent_index)
-            )
+            return ExtendedViewMaintainer(view, parent_index=self.parent_index)
         if kind == "dag":
             if self.parent_index is None:
                 raise ViewDefinitionError(
                     "DAG maintenance requires a parent index"
                 )
-            return self.dispatcher.register(
-                DagCountingMaintainer(view, self.parent_index)
-            )
+            return DagCountingMaintainer(view, self.parent_index)
         if kind == "recompute":
-            return self.dispatcher.register(
-                _RecomputeMaintainer(view, self.registry)
-            )
+            return _RecomputeMaintainer(view, self.registry)
         raise ViewDefinitionError(f"unknown maintainer kind {kind!r}")
 
     def define_partial(
@@ -285,7 +303,7 @@ class ViewCatalog:
         self._dependents[name] = [self.dispatcher.register(view)]
         self.materialized_views[name] = view  # type: ignore[assignment]
         self._view_names.add(name)
-        self.maintainers[name] = maintainer
+        self.maintainers[name] = (maintainer,)
         self._definition_order.append(name)
         if view.view_store is self.store:
             self.registry.register(name, name)
@@ -314,51 +332,21 @@ class ViewCatalog:
         )
         return aggregate
 
-    def define_multipath(
-        self, name: str, definitions, *, view_store: ObjectStore | None = None
-    ):
-        """Define a union-of-select-paths view (paper Section 6)."""
-        from repro.views.multipath import MultiPathView
-
-        if name in self.virtual_views or name in self.materialized_views:
-            raise ViewError(f"view {name!r} already defined")
-        with self._view_oids(name, view_store):
-            view = MultiPathView(
-                name,
-                definitions,
-                self.store,
-                view_store,
-                parent_index=self.parent_index,
-            )
-        # Each branch is an ordinary simple maintainer over a branch
-        # adapter; register them individually so each gets its own
-        # prefix screen.
-        for branch_maintainer in view.maintainers:
-            self.dispatcher.register(branch_maintainer)
-        self.materialized_views[name] = view.view
-        self._view_names.add(name)
-        self.maintainers[name] = view
-        self._definition_order.append(name)
-        if view.view.view_store is self.store:
-            self.registry.register(name, name)
-        return view
-
     def drop_view(self, name: str) -> None:
         """Remove a view, its maintainer(s) and dependents from the
         dispatcher, its objects and its aggregates' objects, and its
         parent-index ignore entries."""
-        maintainer = self.maintainers.pop(name, None)
-        if maintainer is not None:
+        for maintainer in self.maintainers.pop(name, ()):
             self.dispatcher.unregister(maintainer)
-            for sub_maintainer in getattr(maintainer, "maintainers", ()):
-                self.dispatcher.unregister(sub_maintainer)
+        self._unions.pop(name, None)
         for dependent in self._dependents.pop(name, ()):
             self.dispatcher.unregister(dependent)
             if isinstance(dependent, AggregateView):
                 dependent.view.view_store.remove_object(dependent.name)
         mview = self.materialized_views.pop(name, None)
         if mview is not None:
-            key = (mview.definition.entry, mview.definition.select_expression)
+            query = mview.definition.query  # None for a union: no key
+            key = query and (query.entry, query.select_path)
             kept = [v for v in self._answering.get(key, ()) if v is not mview]
             if kept:
                 self._answering[key] = kept
@@ -439,7 +427,9 @@ class ViewCatalog:
             view
             for view in views
             if view_answers(query, view.definition.query)
-            and not (behind and self.maintainers[view.oid] in behind)
+            and not (
+                behind and not behind.isdisjoint(self.maintainers[view.oid])
+            )
         ]
         if not usable:
             return None
@@ -577,16 +567,19 @@ class ViewCatalog:
         return {name: self.check(name) for name in self.materialized_views}
 
     def recompute(self, name: str) -> tuple[int, int]:
-        """Force full recomputation of a materialized view, then of its
-        aggregates."""
+        """Force full recomputation of a materialized view (and of a
+        union's support sets), then of its aggregates."""
         view = self.materialized_views.get(name)
         if view is None:
             raise ViewError(f"no materialized view named {name!r}")
         recomputed = recompute_view(
             view, registry=self.registry, label_index=self.label_index
         )
+        union = self._unions.get(name)
+        if union is not None:
+            union.rebuild(registry=self.registry, label_index=self.label_index)
         behind = self.dispatcher.behind
-        behind.discard(self.maintainers.get(name))
+        behind.difference_update(self.maintainers.get(name, ()))
         for dependent in self._dependents.get(name, ()):
             if isinstance(dependent, AggregateView):
                 dependent.refresh_all()

@@ -798,11 +798,10 @@ class MaintenanceDispatcher:
 
         Simple/extended maintainers get a relevance screen (unless
         *screen* is False) and receive the shared :class:`PathContext`;
-        other maintainer kinds (DAG, recompute fallbacks, multi-path
-        branches over adapted stores) and a view's dependents
-        (aggregates, a partial view's fragment refresh) are dispatched
-        unscreened.  Every update reaches registrations in registration
-        order.  Returns *maintainer* for chaining.
+        other maintainer kinds (DAG, recompute fallbacks) and a view's
+        dependents (aggregates, a partial view's fragment refresh) are
+        dispatched unscreened.  Every update reaches registrations in
+        registration order.  Returns *maintainer* for chaining.
         """
         screener = None
         supports_context = False

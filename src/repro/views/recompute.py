@@ -40,8 +40,16 @@ def compute_view_members(
     (:func:`~repro.query.evaluator.select_and_filter`).  A
     *label_index* over *base_store* resolves the select and condition
     paths through its adjacency where :func:`index_applies` allows.
+    A union of several select queries is the union of its branches'
+    members.
     """
     query = definition.query
+    if query is None:
+        return set().union(*(
+            compute_view_members(b, base_store, registry=registry,
+                                 label_index=label_index)
+            for b in definition.branches
+        ))
     if query.within is not None or query.ans_int is not None:
         if registry is None:
             raise QueryEvaluationError(

@@ -299,6 +299,37 @@ def mutate(
             store.remove_object(victim)
 
 
+def drive(catalog, seed, rounds, size, batched, check, *, nodes=25):
+    """Hand *rounds* x *size* random updates to *catalog*, one at a time
+    or each round as one ``apply_batch``, calling *check* after each.
+
+    The catalog's base must be ``random_labelled_tree`` at *seed* with
+    *nodes* nodes over labels a/b/c.  :class:`UpdateStream` applies what
+    it draws, so it draws on a twin of that base; each object it creates
+    there is copied over, as created, before the updates that link it
+    arrive.  The base stays a tree.
+    """
+    from repro.workloads import UpdateStream, random_labelled_tree
+
+    labels = ("a", "b", "c")
+    twin, _ = random_labelled_tree(nodes=nodes, labels=labels, seed=seed)
+    created = []
+    twin.subscribe_creations(lambda obj: created.append(obj.copy()))
+    stream = UpdateStream(twin, seed=seed + 1, labels_for_new=labels)
+    for _ in range(rounds):
+        updates = stream.run(size)
+        for obj in created:
+            catalog.store.add_object(obj)
+        created.clear()
+        if batched:
+            catalog.apply_batch(updates)
+            check()
+            continue
+        for update in updates:
+            catalog.store.apply(update)
+            check()
+
+
 # ---------------------------------------------------------------------------
 # the brute-force read-path reference (paper Section 2, uncharged)
 # ---------------------------------------------------------------------------

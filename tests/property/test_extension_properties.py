@@ -1,11 +1,10 @@
 """Property-based tests for the Section 6 open-issue extensions.
 
 * Aggregates a catalog defines (every kind, over a plain and over a
-  multi-path view) equal a from-scratch recomputation after every
-  streamed update and every ``apply_batch``.
+  union view) equal a from-scratch recomputation after every streamed
+  update and every ``apply_batch``.
 * Partial views a catalog defines keep every fragment copy exactly
   equal to base state, streamed and batched.
-* Multi-path views equal the union of their branches' truths.
 * The bulk screen is sound: a screened (declared-irrelevant) bulk never
   changes the view it was screened for.
 """
@@ -15,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from tests.property.support import common_settings
+from tests.property.support import common_settings, drive
 from hypothesis import strategies as st
 
 from repro.gsdb import ObjectStore, ParentIndex
@@ -23,7 +22,6 @@ from repro.paths import PathExpression
 from repro.query.ast import Comparison
 from repro.views import (
     AggregateKind,
-    MultiPathView,
     PartialMaterializedView,
     SimpleViewMaintainer,
     ViewCatalog,
@@ -31,14 +29,14 @@ from repro.views import (
     compute_view_members,
 )
 from repro.warehouse import BulkUpdate, bulk_is_relevant, execute_bulk
-from repro.workloads import UpdateStream, random_labelled_tree
+from repro.workloads import random_labelled_tree
 
 COMMON = common_settings(20)
 
 DEF = "define mview V as: SELECT root0.a X WHERE X.b > 50"
 NODES = 25
 LABELS = ("a", "b", "c")
-#: The branches of the multi-path view the catalog properties define.
+#: The branches of the union view the catalog properties define.
 BRANCHES = (
     "define mview M as: SELECT root0.a X WHERE X.b > 50",
     "define mview M as: SELECT root0.b X WHERE X.a < 40",
@@ -47,43 +45,6 @@ BRANCHES = (
 MODES = pytest.mark.parametrize(
     "batched", [False, True], ids=["streamed", "apply_batch"]
 )
-
-
-def run_stream(store, root, seed, steps):
-    UpdateStream(
-        store,
-        seed=seed,
-        protected=frozenset({root}),
-        protected_prefixes=("V",),
-        labels_for_new=LABELS,
-    ).run(steps)
-
-
-def drive(catalog, seed, rounds, size, batched, check):
-    """Hand *rounds* x *size* random updates to *catalog*, one at a time
-    or each round as one ``apply_batch``, calling *check* after each.
-
-    :class:`UpdateStream` applies what it draws, so it draws on a twin
-    of the catalog's base (``random_labelled_tree`` at *seed*); each
-    object it creates there is copied over, as created, before the
-    updates that link it arrive.
-    """
-    twin, _ = random_labelled_tree(nodes=NODES, labels=LABELS, seed=seed)
-    created = []
-    twin.subscribe_creations(lambda obj: created.append(obj.copy()))
-    stream = UpdateStream(twin, seed=seed + 1, labels_for_new=LABELS)
-    for _ in range(rounds):
-        updates = stream.run(size)
-        for obj in created:
-            catalog.store.add_object(obj)
-        created.clear()
-        if batched:
-            catalog.apply_batch(updates)
-            check()
-            continue
-        for update in updates:
-            catalog.store.apply(update)
-            check()
 
 
 class TestAggregateProperties:
@@ -101,23 +62,18 @@ class TestAggregateProperties:
         store, _ = random_labelled_tree(nodes=NODES, labels=LABELS, seed=seed)
         catalog = ViewCatalog(store)
         catalog.define(DEF)
-        multipath = catalog.define_multipath("M", BRANCHES)
+        catalog.define(ViewDefinition.union("M", BRANCHES))
         aggregates = [
             catalog.define_aggregate(f"AGG_{each.value}", "V", each)
             for each in AggregateKind
         ]
-        aggregates.append(catalog.define_aggregate("AGG_M", "M", kind))
+        aggregates.append(
+            catalog.define_aggregate("AGG_M", "M", kind, value_path=("b",))
+        )
 
         def check():
             assert all(aggregate.check() for aggregate in aggregates)
-            # ViewCatalog.check audits a multi-path view against its
-            # first branch alone; the view audits its union itself.
-            assert multipath.check()
-            assert all(
-                report.ok
-                for name, report in catalog.check_all().items()
-                if name != "M"
-            )
+            assert all(report.ok for report in catalog.check_all().values())
 
         drive(catalog, seed, rounds, size, batched, check)
 
@@ -146,33 +102,6 @@ class TestPartialProperties:
             assert all(report.ok for report in catalog.check_all().values())
 
         drive(catalog, seed, rounds, size, batched, check)
-
-
-class TestMultiPathProperties:
-    DEFS = (
-        "define mview V as: SELECT root0.a X WHERE X.b > 50",
-        "define mview V as: SELECT root0.b X WHERE X.a < 40",
-        "define mview V as: SELECT root0.c X",
-    )
-
-    @given(
-        seed=st.integers(0, 10_000),
-        steps=st.integers(1, 20),
-        branch_count=st.integers(1, 3),
-    )
-    @settings(**COMMON)
-    def test_union_invariant(self, seed, steps, branch_count):
-        store, root = random_labelled_tree(
-            nodes=25, labels=("a", "b", "c"), seed=seed
-        )
-        index = ParentIndex(store)
-        view = MultiPathView(
-            "V", self.DEFS[:branch_count], store, parent_index=index
-        )
-        for maintainer in view.maintainers:
-            store.subscribe(maintainer.handle)
-        run_stream(store, root, seed + 1, steps)
-        assert view.check()
 
 
 def _random_payroll(rng: random.Random, people: int) -> ObjectStore:

@@ -244,7 +244,7 @@ def _person_copy(copy: str, seed: int) -> _Copy:
     ]
     dispatcher = catalog.dispatcher
     if copy == "context-free":
-        for maintainer in catalog.maintainers.values():
+        for (maintainer,) in catalog.maintainers.values():
             dispatcher.unregister(maintainer)
             catalog.store.subscribe(maintainer.handle)
         dispatcher = None

@@ -293,7 +293,7 @@ class TestIndexLifecycle:
     def test_dropped_view_is_no_longer_matched_or_counted(self):
         catalog = _two_branch_catalog()
         s = catalog.store
-        dropped = catalog.maintainers["VB"]
+        (dropped,) = catalog.maintainers["VB"]
         s.modify_value("B1v", 50)
         seen = dropped.updates_processed
         assert seen == 1
@@ -301,7 +301,7 @@ class TestIndexLifecycle:
         snapshot = s.counters.snapshot()
         s.modify_value("B1v", 60)
         assert dropped.updates_processed == seen
-        assert catalog.dispatcher.registered() == [catalog.maintainers["VA"]]
+        assert catalog.dispatcher.registered() == [*catalog.maintainers["VA"]]
         # One view left, and it is the one screened.
         assert s.counters.delta_since(snapshot).updates_screened == 1
 
@@ -321,7 +321,7 @@ class TestIndexLifecycle:
         catalog = _two_branch_catalog()
         s = catalog.store
         s.modify_value("A1v", 20)
-        maintainer = catalog.maintainers["VA"]
+        (maintainer,) = catalog.maintainers["VA"]
         seen = maintainer.updates_processed
         catalog.dispatcher.unregister(maintainer)
         s.modify_value("A1v", 30)
@@ -744,14 +744,14 @@ class TestStableChains:
         checked = check_matching_against_screens(catalog.dispatcher)
         processed = {
             name: m.updates_processed
-            for name, m in catalog.maintainers.items()
+            for name, (m,) in catalog.maintainers.items()
         }
         snapshot = catalog.store.counters.snapshot()
         catalog.apply_batch([Delete("C1", "I1")])
         delta = catalog.store.counters.delta_since(snapshot)
         reached = {
             name
-            for name, m in catalog.maintainers.items()
+            for name, (m,) in catalog.maintainers.items()
             if m.updates_processed > processed[name]
         }
         assert reached == {"V1", "W"}
@@ -776,7 +776,7 @@ class TestExtendedValueScreen:
             )
         )
         catalog.define(f"define mview V as: {query}")
-        return catalog, catalog.maintainers["V"]
+        return catalog, catalog.maintainers["V"][0]
 
     def _modify(self, catalog, maintainer, oid, new) -> bool:
         """Apply one modify; True when it reached V (and not screened)."""
@@ -938,7 +938,7 @@ class TestPathContext:
                 f"SELECT root.?.item X WHERE X.price > {constant}"
             )
         if context_free:
-            for maintainer in catalog.maintainers.values():
+            for (maintainer,) in catalog.maintainers.values():
                 catalog.dispatcher.unregister(maintainer)
                 catalog.store.subscribe(maintainer.handle)
         snapshot = catalog.store.counters.snapshot()

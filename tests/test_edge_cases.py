@@ -91,7 +91,7 @@ class TestCatalogSeparateStores:
             "WHERE X.age > 90 OR X.age < 10",
             maintainer="recompute",
         )
-        maintainer = person_catalog.maintainers["R"]
+        (maintainer,) = person_catalog.maintainers["R"]
         assert isinstance(maintainer, _RecomputeMaintainer)
         person_catalog.store.modify_value("A1", 5)
         assert maintainer.updates_processed == 1

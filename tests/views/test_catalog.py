@@ -10,7 +10,7 @@ from repro.errors import (
 )
 from repro.instrumentation import Meter
 from repro.query import parse_query
-from repro.views import ViewCatalog, catalog as catalog_module
+from repro.views import ViewCatalog, ViewDefinition, catalog as catalog_module
 from repro.views.catalog import _RecomputeMaintainer
 from repro.views.dag import DagCountingMaintainer
 from repro.views.extended import ExtendedViewMaintainer
@@ -28,27 +28,53 @@ class TestMaintainerSelection:
         catalog.define(
             "define mview A as: SELECT ROOT.professor X WHERE X.age <= 45"
         )
-        assert isinstance(catalog.maintainers["A"], SimpleViewMaintainer)
+        (maintainer,) = catalog.maintainers["A"]
+        assert isinstance(maintainer, SimpleViewMaintainer)
 
     def test_wildcard_gets_extended(self, catalog):
         catalog.define(
             "define mview B as: SELECT ROOT.* X WHERE X.name = 'John'"
         )
-        assert isinstance(catalog.maintainers["B"], ExtendedViewMaintainer)
+        (maintainer,) = catalog.maintainers["B"]
+        assert isinstance(maintainer, ExtendedViewMaintainer)
 
-    def test_or_condition_falls_back_to_recompute(self, catalog):
-        catalog.define(
+    def test_or_condition_gets_a_maintainer_per_branch(self, catalog):
+        view = catalog.define(
             "define mview C as: SELECT ROOT.professor X "
-            "WHERE X.age > 90 OR X.name = 'John'"
+            "WHERE X.age > 90 OR (X.name = 'John' AND X.age < 50)"
         )
-        assert isinstance(catalog.maintainers["C"], _RecomputeMaintainer)
+        simple, extended = catalog.maintainers["C"]
+        assert isinstance(simple, SimpleViewMaintainer)
+        assert isinstance(extended, ExtendedViewMaintainer)
+        assert view.members() == {"P1"}
+        catalog.store.modify_value("A1", 95)
+        assert view.members() == {"P1"}
+        assert catalog.check("C").ok
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "X.age > 90 OR NOT X.name = 'John'",
+            "X.age > 90 OR EXISTS X.name",
+        ],
+    )
+    def test_or_over_not_or_exists_falls_back_to_recompute(
+        self, catalog, condition
+    ):
+        catalog.define(
+            f"define mview C as: SELECT ROOT.professor X WHERE {condition}"
+        )
+        (maintainer,) = catalog.maintainers["C"]
+        assert isinstance(maintainer, _RecomputeMaintainer)
+        assert catalog.check("C").ok
 
     def test_explicit_dag_maintainer(self, catalog):
         catalog.define(
             "define mview D as: SELECT ROOT.professor X WHERE X.age <= 45",
             maintainer="dag",
         )
-        assert isinstance(catalog.maintainers["D"], DagCountingMaintainer)
+        (maintainer,) = catalog.maintainers["D"]
+        assert isinstance(maintainer, DagCountingMaintainer)
 
     def test_duplicate_name_rejected(self, catalog):
         catalog.define("define view V as: SELECT ROOT.professor X")
@@ -98,19 +124,29 @@ class TestMaintainerSelection:
         view = catalog.define("define view V as: SELECT ROOT.professor X")
         assert view.members() == {"P1", "P2"}
 
-    def test_failed_partial_and_multipath_define_leave_no_trace(
-        self, catalog
-    ):
+    def test_failed_partial_and_union_define_leave_no_trace(self, catalog):
+        registered = catalog.dispatcher.registered()
         with pytest.raises(ValueError):
             catalog.define_partial(
                 "define mview P as: SELECT ROOT.professor X", depth=0
             )
         with pytest.raises(ViewDefinitionError):
-            catalog.define_multipath("U", [])
+            catalog.define(
+                ViewDefinition.union(
+                    "U",
+                    [
+                        "define mview U as: SELECT ROOT.professor X",
+                        "define mview U as: SELECT ROOT.* X",
+                    ],
+                ),
+                maintainer="dag",
+            )
         for name in ("P", "U"):
             assert name not in catalog.store
+            assert name not in catalog.maintainers
             assert not catalog.parent_index.is_view_object(name)
             assert not catalog.parent_index._is_ignored(name + ".x")
+        assert catalog.dispatcher.registered() == registered
 
     def test_view_named_like_a_base_object_keeps_its_edges(self, catalog):
         child = min(catalog.store.get("P1").children())
@@ -149,7 +185,8 @@ class TestMaintenanceThroughCatalog:
             "define mview A as: SELECT ROOT.professor X WHERE X.age <= 45"
         )
         # Detach its maintainer, desync, then force recompute.
-        catalog.dispatcher.unregister(catalog.maintainers["A"])
+        (maintainer,) = catalog.maintainers["A"]
+        catalog.dispatcher.unregister(maintainer)
         s.modify_value("A1", 99)
         assert not catalog.check("A").ok
         catalog.recompute("A")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ViewError
 from repro.gsdb import Insert, Modify, ObjectStore
-from repro.views import AggregateKind, ViewCatalog
+from repro.views import AggregateKind, ViewCatalog, ViewDefinition
 
 PRICED = "define mview V as: SELECT root.item X WHERE X.price > 65"
 
@@ -86,27 +86,33 @@ class TestDefineAggregate:
             )
 
 
-class TestDefineMultipath:
+class TestDefineUnion:
     def test_union_through_catalog(self, person_catalog):
-        view = person_catalog.define_multipath(
-            "U",
-            [
-                "define mview U as: SELECT ROOT.professor X "
-                "WHERE X.age <= 45",
-                "define mview U as: SELECT ROOT.secretary X "
-                "WHERE X.age <= 45",
-            ],
+        view = person_catalog.define(
+            ViewDefinition.union(
+                "U",
+                [
+                    "define mview U as: SELECT ROOT.professor X "
+                    "WHERE X.age <= 45",
+                    "define mview U as: SELECT ROOT.secretary X "
+                    "WHERE X.age <= 45",
+                ],
+            )
         )
         assert view.members() == {"P1", "P4"}
         person_catalog.store.delete_edge("ROOT", "P4")
         assert view.members() == {"P1"}
-        assert view.check()
+        assert person_catalog.check("U").ok
 
     def test_registered_for_queries(self, person_catalog):
-        person_catalog.define_multipath(
-            "U",
-            ["define mview U as: SELECT ROOT.professor X "
-             "WHERE X.age <= 45"],
+        person_catalog.define(
+            ViewDefinition.union(
+                "U",
+                [
+                    "define mview U as: SELECT ROOT.professor X "
+                    "WHERE X.age <= 45"
+                ],
+            )
         )
         # The shared view object is a registered scope.
         assert person_catalog.query_oids("SELECT U.? X WITHIN U") == {
@@ -136,7 +142,7 @@ class TestDerivedViewsRideTheDispatcher:
         )
         total = catalog.define_aggregate("TOTAL", "P", AggregateKind.SUM)
         registered = catalog.dispatcher.registered()
-        assert registered[1:] == [catalog.maintainers["P"], partial, total]
+        assert registered[1:] == [*catalog.maintainers["P"], partial, total]
 
     def test_drop_partial_restores_the_store_listeners(self):
         catalog = priced_catalog()

@@ -131,3 +131,90 @@ class TestAccessors:
         )
         with pytest.raises(ViewDefinitionError):
             d.cond_path()
+
+
+def branch_conditions(text):
+    definition = ViewDefinition.parse(f"define mview V as: {text}")
+    return [str(branch.query.condition) for branch in definition.branches]
+
+
+class TestBranches:
+    def test_a_query_without_or_is_its_own_branch(self):
+        d = ViewDefinition.parse(
+            "define mview V as: SELECT ROOT.a X WHERE X.b > 1 AND X.c < 2"
+        )
+        assert d.branches == (d,)
+
+    def test_or_splits_into_dnf(self):
+        assert branch_conditions(
+            "SELECT ROOT.a X WHERE X.b > 1 AND (X.c < 2 OR X.d = 3)"
+        ) == ["X.b > 1 AND X.c < 2", "X.b > 1 AND X.d = 3"]
+
+    def test_repeated_disjuncts_are_one_branch(self):
+        assert branch_conditions(
+            "SELECT ROOT.a X WHERE X.b > 1 OR X.b > 1 OR X.c < 2"
+        ) == ["X.b > 1", "X.c < 2"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT ROOT.a X WHERE X.b > 1 OR NOT X.c < 2",
+            "SELECT ROOT.a X WHERE X.b > 1 OR EXISTS X.c",
+            "SELECT ROOT.a X WHERE X.b > 1 OR X.c < 2 WITHIN DB",
+        ],
+    )
+    def test_not_exists_and_scope_keep_the_query_whole(self, text):
+        d = ViewDefinition.parse(f"define mview V as: {text}")
+        assert d.branches == (d,)
+
+    def test_branches_are_simple_or_extended(self):
+        d = ViewDefinition.parse(
+            "define mview V as: SELECT ROOT.a X "
+            "WHERE X.b > 1 OR (X.c < 2 AND X.d = 3)"
+        )
+        simple, conjunctive = d.branches
+        assert simple.is_simple
+        assert conjunctive.is_extended and not conjunctive.is_simple
+        assert {b.name for b in d.branches} == {"V"}
+
+
+class TestUnion:
+    def test_union_of_select_paths(self):
+        d = ViewDefinition.union(
+            "U",
+            [
+                "define mview A as: SELECT ROOT.a X WHERE X.b > 1 OR X.c < 2",
+                ViewDefinition.parse("define view B as: SELECT ROOT.d X"),
+            ],
+        )
+        assert d.query is None and d.materialized
+        assert d.entry == "ROOT"
+        assert [str(b.query) for b in d.branches] == [
+            "SELECT ROOT.a X WHERE X.b > 1",
+            "SELECT ROOT.a X WHERE X.c < 2",
+            "SELECT ROOT.d X",
+        ]
+        assert not d.is_simple and not d.is_extended
+        with pytest.raises(ViewDefinitionError):
+            d.cond_path()
+
+    def test_union_of_one_is_that_query(self):
+        d = ViewDefinition.union(
+            "U", ["define mview A as: SELECT ROOT.a X WHERE X.b > 1"]
+        )
+        assert d == ViewDefinition.parse(
+            "define mview U as: SELECT ROOT.a X WHERE X.b > 1"
+        )
+
+    def test_unions_flatten(self):
+        inner = ViewDefinition.union(
+            "I",
+            [
+                "define mview I as: SELECT ROOT.a X",
+                "define mview I as: SELECT ROOT.b X",
+            ],
+        )
+        d = ViewDefinition.union(
+            "U", [inner, "define mview U as: SELECT ROOT.c X"]
+        )
+        assert len(d.selects) == 3
